@@ -30,6 +30,19 @@ def _interior_ok(coords: np.ndarray, m: int) -> bool:
     return bool(np.all(coords > 0) and np.all(coords < m - 1))
 
 
+def _open_face(mask: np.ndarray) -> np.ndarray:
+    """Cells with at least one face neighbor outside ``mask``; the outside
+    of the box counts as outside."""
+    out = np.zeros_like(mask)
+    off = ~mask
+    for axis in range(mask.ndim):
+        o, f = out.swapaxes(0, axis), off.swapaxes(0, axis)
+        o[1:] |= f[:-1]
+        o[:-1] |= f[1:]
+        o[0] = o[-1] = True
+    return out
+
+
 def enumerate_moves(A: MultiIndicator, min_cells: int = 1) -> list[Move]:
     """All legal moves from ``A`` in the canonical proposal order.
 
@@ -43,37 +56,13 @@ def enumerate_moves(A: MultiIndicator, min_cells: int = 1) -> list[Move]:
     m = grid.cells_per_side
     moves: list[Move] = []
     total = A.cell_count()
+    interior = np.zeros(grid.shape, dtype=bool)
+    interior[(slice(1, -1),) * grid.n] = True
     for c, mask in enumerate(A.masks):
-        grown = np.zeros_like(mask)
-        has_off = np.zeros_like(mask)
-        if grid.n == 1:
-            grown[1:] |= mask[:-1]
-            grown[:-1] |= mask[1:]
-            has_off[1:] |= ~mask[:-1]
-            has_off[:-1] |= ~mask[1:]
-            has_off[0] = has_off[-1] = True
-        else:
-            grown[1:, :] |= mask[:-1, :]
-            grown[:-1, :] |= mask[1:, :]
-            grown[:, 1:] |= mask[:, :-1]
-            grown[:, :-1] |= mask[:, 1:]
-            has_off[1:, :] |= ~mask[:-1, :]
-            has_off[:-1, :] |= ~mask[1:, :]
-            has_off[:, 1:] |= ~mask[:, :-1]
-            has_off[:, :-1] |= ~mask[:, 1:]
-            has_off[0, :] = has_off[-1, :] = True
-            has_off[:, 0] = has_off[:, -1] = True
-        flat_mask = mask.ravel()
-        flat_grown = grown.ravel()
-        flat_off = has_off.ravel()
-        for idx in range(flat_mask.size):
-            if flat_mask[idx]:
-                if flat_off[idx] and total > min_cells:
-                    moves.append(("flip", c, idx))
-            elif flat_grown[idx]:
-                coords = np.array(np.unravel_index(idx, grid.shape))
-                if _interior_ok(coords, m):
-                    moves.append(("flip", c, idx))
+        flips = ~mask & interior & _open_face(~mask)     # touches the shape
+        if total > min_cells:
+            flips |= mask & _open_face(mask)
+        moves.extend(("flip", c, int(idx)) for idx in np.flatnonzero(flips))
 
     decomp = connected_components(A)
     comp_coords = []
@@ -272,20 +261,7 @@ def _boundary_cells(A: MultiIndicator) -> list[tuple[int, int]]:
     """Active cells with at least one inactive face neighbor, per copy."""
     out = []
     for c, mask in enumerate(A.masks):
-        has_off = np.zeros_like(mask)
-        if A.grid.n == 1:
-            has_off[1:] |= ~mask[:-1]
-            has_off[:-1] |= ~mask[1:]
-            has_off[0] = has_off[-1] = True
-        else:
-            has_off[1:, :] |= ~mask[:-1, :]
-            has_off[:-1, :] |= ~mask[1:, :]
-            has_off[:, 1:] |= ~mask[:, :-1]
-            has_off[:, :-1] |= ~mask[:, 1:]
-            has_off[0, :] = has_off[-1, :] = True
-            has_off[:, 0] = has_off[:, -1] = True
-        for idx in np.flatnonzero((mask & has_off).ravel()):
-            out.append((c, int(idx)))
+        out.extend((c, int(idx)) for idx in np.flatnonzero(mask & _open_face(mask)))
     return out
 
 

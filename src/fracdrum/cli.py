@@ -83,6 +83,13 @@ def _kernel(cfg: dict) -> tuple[GridSpec, KernelParams]:
     return grid, kp
 
 
+def _copy_index(value, grid: GridSpec, field: str) -> int:
+    if isinstance(value, bool) or value not in range(grid.copies):
+        raise ConfigError(f"field '{field}' names copy {value!r}, outside "
+                          f"0..{grid.copies - 1}")
+    return int(value)
+
+
 def _shape_from_config(spec, grid: GridSpec, rng=None) -> MultiIndicator:
     if not isinstance(spec, dict):
         raise ConfigError("field 'shape' must be an object")
@@ -98,8 +105,8 @@ def _shape_from_config(spec, grid: GridSpec, rng=None) -> MultiIndicator:
             if not (isinstance(it, list) and len(it) == 3):
                 raise ConfigError("shape items must be [copy, lo, hi] triples")
             c, lo, hi = it
-            A = _union(A, MultiIndicator.from_interval(grid, float(lo), float(hi),
-                                                       copy=int(c)))
+            A = _union(A, MultiIndicator.from_interval(
+                grid, float(lo), float(hi), copy=_copy_index(c, grid, "items")))
         return A
     if kind == "rects":
         items = _take(spec, "items", list)
@@ -114,20 +121,20 @@ def _shape_from_config(spec, grid: GridSpec, rng=None) -> MultiIndicator:
             c, xlo, xhi, ylo, yhi = it
             ix = (centers > xlo) & (centers < xhi)
             iy = (centers > ylo) & (centers < yhi)
-            masks[int(c)] |= ix[:, None] & iy[None, :]
+            masks[_copy_index(c, grid, "items")] |= ix[:, None] & iy[None, :]
         return MultiIndicator(grid, masks)
     if kind == "ball":
         volume = _take(spec, "volume", float)
         copy = _take(spec, "copy", int, required=False, default=0)
         _no_leftovers(spec, "shape")
-        return ball_indicator(volume, grid, copy=copy)
+        return ball_indicator(volume, grid, copy=_copy_index(copy, grid, "copy"))
     if kind == "random-blob":
         cells = _take(spec, "cells", int)
         copy = _take(spec, "copy", int, required=False, default=0)
         _no_leftovers(spec, "shape")
         if rng is None:
             raise ConfigError("shape kind 'random-blob' needs a seeded experiment")
-        return _random_blob(grid, cells, copy, rng)
+        return _random_blob(grid, cells, _copy_index(copy, grid, "copy"), rng)
     raise ConfigError(f"unknown shape kind '{kind}'")
 
 
@@ -309,6 +316,7 @@ def _run_rearrange_check(cfg: dict, out: str, seed: int, timings: dict) -> dict:
 
     worst = 0.0
     t0 = time.perf_counter()
+    F_u = assemble_form(A, kp)
     for t in range(trials):
         rng = np.random.default_rng([seed, _FIELD_TAG, t])
         vals = [np.zeros(grid.shape) for _ in range(grid.copies)]
@@ -316,7 +324,6 @@ def _run_rearrange_check(cfg: dict, out: str, seed: int, timings: dict) -> dict:
             vals[c][mk] = rng.uniform(0.1, 1.0, size=int(mk.sum()))
         u = LatticeField(grid, vals)
         star = rearrange(u).field
-        F_u = assemble_form(A, kp)
         F_star = assemble_form(MultiIndicator(
             grid, [v > 0 for v in star.values]), kp)
         num = rayleigh(F_star, star) * star.norm_sq()

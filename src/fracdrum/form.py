@@ -22,6 +22,13 @@ quadrature in polar form).  Evaluating the tail at face resolution rather
 than collapsing it to the nearest-face distance is what keeps the absolute
 spectral and torsion errors at the few-tenths-of-a-percent level the
 validation suite pins.
+
+A weight depends only on the offset between two cells, so the operator of a
+whole box is Toeplitz (n=1) or block-Toeplitz (n=2).  One offset table and
+one per-box-cell diagonal are cached per (grid, kernel), and the matrix of
+any shape is gathered from them as a principal submatrix:
+Q_pp = 2 (T_p + h^n tail_p), with T_p the weight of p against its whole box,
+and Q_pq = -2 w_pq.  Hence e_p = Q_pp - 2 sum_q w_pq.
 """
 
 from __future__ import annotations
@@ -138,34 +145,35 @@ def exterior_tail(pos: np.ndarray, grid: GridSpec, s: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # assembly
 
-def _pair_weights(pos_a: np.ndarray, pos_b: np.ndarray, h: float,
-                  kp: KernelParams) -> np.ndarray:
-    """Weight block between two cell-center sets of the same copy."""
-    p = kp.exponent
-    if pos_a.shape[1] == 1:
-        diff = pos_a[:, 0][:, None] - pos_b[:, 0][None, :]
-        dist = np.abs(diff)
-    else:
-        dx = pos_a[:, 0][:, None] - pos_b[:, 0][None, :]
-        dy = pos_a[:, 1][:, None] - pos_b[:, 1][None, :]
-        dist = np.hypot(dx, dy)
-    R = kp.near_field_radius
-    scale = h ** (kp.n - 2 * kp.s)
-    W = np.zeros(dist.shape)
-    far = dist > R * h * (1 + 1e-12)
-    W[far] = h ** (2 * kp.n) * dist[far] ** (-p)
-    tbl = _near_table(kp.n, kp.s, R)
-    if pos_a.shape[1] == 1:
-        steps = np.rint(np.abs(diff) / h).astype(int)
-        for (k,), g in tbl.items():
-            W[~far & (steps == k)] = scale * g
-    else:
-        sx = np.rint(np.abs(dx) / h).astype(int)
-        sy = np.rint(np.abs(dy) / h).astype(int)
-        for (a, b), g in tbl.items():
-            hit = ~far & (((sx == a) & (sy == b)) | ((sx == b) & (sy == a)))
-            W[hit] = scale * g
-    return W
+@lru_cache(maxsize=None)
+def _box_stencil(grid: GridSpec, kp: KernelParams):
+    """Offset weight table and per-box-cell diagonal of Q for one box.
+
+    w[|di|] (n=1) or w[|di|, |dj|] (n=2) is the weight of any two cells of a
+    copy that lie that many cells apart; w at offset zero is 0.  diag[f] is
+    2 (T_f + h^n tail_f) for box cell f (flat index), with T_f the weight of f
+    against every cell of its box, summed over offsets by prefix sums of w.
+    """
+    m, n, h, R = grid.cells_per_side, grid.n, grid.h, kp.near_field_radius
+    offsets = np.meshgrid(*[np.arange(m)] * n, indexing="ij")
+    r2 = sum(o * o for o in offsets)
+    far = r2 > R * R
+    w = np.zeros(r2.shape)
+    w[far] = h ** (2 * n) * (h * np.sqrt(r2[far])) ** (-kp.exponent)
+    scale = h ** (n - 2 * kp.s)
+    for off, g in _near_table(n, kp.s, R).items():
+        w[off] = w[off[::-1]] = scale * g
+    # per axis, cell i sees offsets 0..i on one side and 0..m-1-i on the
+    # other; the zero offset is in both prefix sums, so it is taken off once
+    T = w
+    for axis in range(n):
+        C = np.cumsum(T, axis=axis)
+        T = C + np.flip(C, axis=axis) - np.take(T, [0], axis=axis)
+    tail = grid.cell_volume * exterior_tail(grid.cell_centers(), grid, kp.s)
+    diag = 2.0 * (T.ravel() + tail)
+    w.setflags(write=False)
+    diag.setflags(write=False)
+    return w, diag
 
 
 @dataclass
@@ -177,10 +185,8 @@ class FormMatrix:
     cells: list                 # (copy, flat index), row-major per copy
     positions: np.ndarray       # (N, n) cell centers
     copy_ids: np.ndarray        # (N,)
-    weights: np.ndarray         # (N, N) symmetric pair weights, zero diagonal
-    exterior: np.ndarray        # (N,) coefficients e_p
+    quadratic_matrix: np.ndarray  # (N, N) Q with u^T Q u = B[u,u]
 
-    _quad: np.ndarray | None = None
     _index: dict | None = None
 
     @property
@@ -188,13 +194,16 @@ class FormMatrix:
         return len(self.cells)
 
     @property
-    def quadratic_matrix(self) -> np.ndarray:
-        """Matrix Q with u^T Q u = B[u,u] for active-cell value vectors u."""
-        if self._quad is None:
-            W = self.weights
-            self._quad = (2.0 * (np.diag(W.sum(axis=1)) - W)
-                          + np.diag(self.exterior))
-        return self._quad
+    def weights(self) -> np.ndarray:
+        """(N, N) symmetric pair weights w_pq, zero diagonal and across copies."""
+        W = -0.5 * self.quadratic_matrix
+        np.fill_diagonal(W, 0.0)
+        return W
+
+    @property
+    def exterior(self) -> np.ndarray:
+        """(N,) exterior coefficients e_p = Q_pp - 2 sum_q w_pq."""
+        return np.diag(self.quadratic_matrix) - 2.0 * self.weights.sum(axis=1)
 
     @property
     def index(self) -> dict:
@@ -217,41 +226,35 @@ class FormMatrix:
 
 
 def assemble_form(A: MultiIndicator, kp: KernelParams) -> FormMatrix:
-    """Build the pair-weight table and exterior coefficients for a shape."""
+    """Gather the shape's Q as a principal submatrix of the box operator."""
     grid = A.grid
     if kp.n != grid.n:
         raise ValueError("kernel and grid dimension disagree")
     if A.is_empty():
         raise ValueError("cannot assemble the form of an empty shape")
-    h = grid.h
-    centers = grid.cell_centers()
-
+    w, diag = _box_stencil(grid, kp)
     cells = A.active_cells()
     copy_ids = np.array([c for c, _ in cells])
     flat_ids = np.array([f for _, f in cells])
-    pos = centers[flat_ids]
 
     N = len(cells)
-    W = np.zeros((N, N))
-    e = np.zeros(N)
-    for copy in range(grid.copies):
-        rows = np.where(copy_ids == copy)[0]
-        if rows.size == 0:
-            continue
-        pa = pos[rows]
-        blk = _pair_weights(pa, pa, h, kp)
-        np.fill_diagonal(blk, 0.0)
-        W[np.ix_(rows, rows)] = blk
-        # box cells of this copy outside the shape
-        inactive = ~A.masks[copy].ravel()
-        ipos = centers[np.flatnonzero(inactive)]
-        box_part = np.zeros(rows.size)
-        if ipos.size:
-            box_part = _pair_weights(pa, ipos, h, kp).sum(axis=1)
-        tail = grid.cell_volume * exterior_tail(pa, grid, kp.s)
-        e[rows] = 2.0 * (box_part + tail)
-    return FormMatrix(grid=grid, kp=kp, cells=cells, positions=pos,
-                      copy_ids=copy_ids, weights=W, exterior=e)
+    Q = np.zeros((N, N))
+    lo = 0
+    for mask in A.masks:
+        # per axis |coordinate difference|, folded into a flat index of w
+        offset = 0
+        for x in np.nonzero(mask):         # row-major, as in active_cells
+            x = x.astype(np.int32)
+            offset = offset * w.shape[0] + np.abs(np.subtract.outer(x, x))
+        hi = lo + int(mask.sum())
+        block = Q[lo:hi, lo:hi]
+        np.take(w, offset, out=block, mode="clip")
+        block *= -2.0
+        lo = hi
+    np.fill_diagonal(Q, diag[flat_ids])
+    return FormMatrix(grid=grid, kp=kp, cells=cells,
+                      positions=grid.cell_centers()[flat_ids],
+                      copy_ids=copy_ids, quadratic_matrix=Q)
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +318,7 @@ def energy_decomposition(F: FormMatrix, u: LatticeField, A1, A2) -> EnergyDecomp
         raise ValueError("the two cell groups do not carry the whole field")
 
     W = F.weights
+    exterior = F.exterior
     u1, u2 = uv[r1], uv[r2]
 
     def intra(rows, vals):
@@ -330,7 +334,7 @@ def energy_decomposition(F: FormMatrix, u: LatticeField, A1, A2) -> EnergyDecomp
     # the exterior each group sees: assembled e plus zero-valued active cells
     def ext(rows, vals):
         extra = 2.0 * W[np.ix_(rows, rest)].sum(axis=1) if rest.size else 0.0
-        return float(np.sum((F.exterior[rows] + extra) * vals * vals))
+        return float(np.sum((exterior[rows] + extra) * vals * vals))
 
     parts = {
         ("A1", "A1"): intra(r1, u1),

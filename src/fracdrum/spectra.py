@@ -74,7 +74,9 @@ def dirichlet_eigs(A: MultiIndicator, kp: KernelParams, count: int,
     if N <= DENSE_LIMIT:
         vals, vecs = eigh(Q, subset_by_index=[0, count - 1])
     else:
-        vals, vecs = eigsh(csr_matrix(Q), k=count, sigma=0, which="LM")
+        # fixed start vector: ARPACK's default one is drawn from OS entropy
+        vals, vecs = eigsh(csr_matrix(Q), k=count, sigma=0, which="LM",
+                           v0=np.ones(N))
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
     lam = vals / mass

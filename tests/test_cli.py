@@ -55,6 +55,31 @@ def test_library_rejection_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("experiment,doc", [
+    ("eigs", {"n": 1, "s": 0.5, "h": 0.25, "L": 1.0, "copies": 2,
+              "shape": {"kind": "intervals", "items": [[2, -0.5, 0.5]]}}),
+    ("eigs", {"n": 1, "s": 0.5, "h": 0.25, "L": 1.0, "copies": 2,
+              "shape": {"kind": "intervals", "items": [[-1, -0.5, 0.5]]}}),
+    ("eigs", {"n": 2, "s": 0.5, "h": 0.25, "L": 1.0,
+              "shape": {"kind": "rects", "items": [[1, -0.5, 0.5, -0.5, 0.5]]}}),
+    ("eigs", {"n": 2, "s": 0.5, "h": 0.25, "L": 1.0,
+              "shape": {"kind": "rects", "items": [[-1, -0.5, 0.5, -0.5, 0.5]]}}),
+    ("eigs", {"n": 2, "s": 0.5, "h": 0.125, "L": 1.0, "copies": 2,
+              "shape": {"kind": "ball", "volume": 0.5, "copy": 2}}),
+    ("eigs", {"n": 2, "s": 0.5, "h": 0.125, "L": 1.0, "copies": 2,
+              "shape": {"kind": "ball", "volume": 0.5, "copy": -1}}),
+    ("optimize-shape", {"n": 2, "s": 0.5, "h": 0.25, "L": 1.0, "steps": 2,
+                        "init": {"kind": "random-blob", "cells": 4, "copy": 1}}),
+    ("optimize-shape", {"n": 2, "s": 0.5, "h": 0.25, "L": 1.0, "steps": 2,
+                        "init": {"kind": "random-blob", "cells": 4, "copy": -1}}),
+])
+def test_copy_out_of_range_exits_2_naming_field(tmp_path, capsys, experiment, doc):
+    code, _ = run_cli(tmp_path, experiment, doc)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'items'" in err or "'copy'" in err
+
+
 def test_numerical_failure_exits_3_with_record(tmp_path, monkeypatch):
     def boom(cfg, out, seed, timings):
         raise RuntimeError("synthetic solver breakdown")

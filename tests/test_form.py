@@ -225,6 +225,48 @@ def test_matrix_invariants_and_cross_copy_block():
     assert np.array_equal(Q, Q.T)
 
 
+def random_interior_mask(rng, g, density):
+    m = np.zeros(g.shape, dtype=bool)
+    core = (slice(1, -1),) * g.n
+    m[core] = rng.random(m[core].shape) < density
+    return m
+
+
+@pytest.mark.parametrize("n,h,L,s", [(1, 0.1, 1.5, 0.3), (2, 0.05, 0.5, 0.7)])
+def test_subshape_matrix_is_a_principal_submatrix(n, h, L, s):
+    g = GridSpec(n=n, h=h, L=L, copies=2)
+    kp = KernelParams(n=n, s=s)
+    rng = np.random.default_rng(13)
+    big = [random_interior_mask(rng, g, 0.6) for _ in range(g.copies)]
+    small = [m & (rng.random(g.shape) < 0.5) for m in big]
+    FA = assemble_form(MultiIndicator(g, big), kp)
+    FB = assemble_form(MultiIndicator(g, small), kp)
+    rows = [FA.index[cell] for cell in FB.cells]
+    assert np.array_equal(FA.quadratic_matrix[np.ix_(rows, rows)],
+                          FB.quadratic_matrix)
+
+
+def test_translated_component_keeps_its_off_diagonal_block():
+    g = GridSpec(n=2, h=0.05, L=0.5)
+    kp = KernelParams(n=2, s=0.4)
+    fixed = np.zeros(g.shape, dtype=bool)
+    fixed[2:6, 3:9] = True
+    blob = np.zeros(g.shape, dtype=bool)
+    blob[9:13, 4:8] = True
+    blob[10, 8] = True
+
+    def own_block(shift):
+        moved = np.roll(blob, shift, axis=(0, 1))
+        F = assemble_form(MultiIndicator(g, [fixed | moved]), kp)
+        rows = [F.index[(0, int(f))] for f in np.flatnonzero(moved)]
+        blk = F.quadratic_matrix[np.ix_(rows, rows)]
+        return blk[~np.eye(len(rows), dtype=bool)]
+
+    before = own_block((0, 0))
+    for shift in ((1, 0), (3, -2), (5, 7)):
+        assert np.array_equal(own_block(shift), before)
+
+
 def test_assembly_errors():
     g = GridSpec(n=1, h=0.25, L=1.0)
     kp = KernelParams(n=1, s=0.5)

@@ -122,6 +122,54 @@ def test_connected_components_2d_face_adjacency_only():
     assert connected_components(A).count == 1
 
 
+def flood_fill_oracle(A):
+    """Plain stack flood fill over face neighbors, scanning cells row-major."""
+    labels, cells, next_id = [], [], 0
+    for copy, mask in enumerate(A.masks):
+        lab = np.full(mask.shape, -1)
+        for idx in np.ndindex(*mask.shape):
+            if not mask[idx] or lab[idx] != -1:
+                continue
+            lab[idx] = next_id
+            stack, members = [idx], []
+            while stack:
+                cur = stack.pop()
+                members.append(np.ravel_multi_index(cur, mask.shape))
+                for axis in range(mask.ndim):
+                    for step in (-1, 1):
+                        nb = list(cur)
+                        nb[axis] += step
+                        nb = tuple(nb)
+                        if (0 <= nb[axis] < mask.shape[axis] and mask[nb]
+                                and lab[nb] == -1):
+                            lab[nb] = next_id
+                            stack.append(nb)
+            cells.append((copy, sorted(members)))
+            next_id += 1
+        labels.append(lab)
+    return labels, next_id, cells
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_connected_components_match_flood_fill(n):
+    g = GridSpec(n=n, h=1 / 32 if n == 1 else 1 / 8, L=1.0, copies=2)
+    rng = np.random.default_rng(21 + n)
+    for trial in range(40):
+        masks = []
+        for _ in range(g.copies):
+            m = np.zeros(g.shape, dtype=bool)
+            core = (slice(1, -1),) * n
+            m[core] = rng.random(m[core].shape) < rng.uniform(0.0, 0.8)
+            masks.append(m)
+        A = MultiIndicator(g, masks)
+        labels, count, cells = flood_fill_oracle(A)
+        decomp = connected_components(A)
+        assert decomp.count == count
+        for got, want in zip(decomp.labels, labels):
+            assert np.array_equal(got, want)
+        assert [(c, f.tolist()) for c, f in decomp.cells] == cells
+
+
 def test_component_signs():
     g = GridSpec(n=1, h=0.125, L=2.0)
     m = np.zeros(g.shape, dtype=bool)

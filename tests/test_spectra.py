@@ -105,6 +105,13 @@ def test_iterative_solver_matches_dense(monkeypatch):
     assert iterative == pytest.approx(dense, rel=1e-8)
 
 
+def test_iterative_solver_is_bit_reproducible(monkeypatch):
+    A = interval(0.0625, -1.5, 1.0)
+    monkeypatch.setattr(spectra, "DENSE_LIMIT", 4)
+    runs = {dirichlet_eigs(A, KP, 3).eigenvalues.tobytes() for _ in range(6)}
+    assert len(runs) == 1
+
+
 def test_min_max_ritz_consistency():
     A = interval(0.125, -1.0, 0.5)   # 12 cells
     F = assemble_form(A, KP)
