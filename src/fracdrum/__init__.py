@@ -20,7 +20,7 @@ from .form import (EnergyDecomposition, FormMatrix, assemble_form, bilinear,
                    rayleigh)
 from .grid import (ComponentDecomposition, GridSpec, KernelParams,
                    LatticeField, MultiIndicator, component_signs,
-                   connected_components, pair_distance)
+                   connected_components)
 from .rearrange import (BallEnergyReport, RearrangedField, ball_energy_check,
                         ball_indicator, center_outward_order, rearrange)
 from .spectra import (SpectralResult, TorsionResult, dirichlet_eigs,

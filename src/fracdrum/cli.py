@@ -14,8 +14,11 @@ experiments; multi-trial experiments derive stream t from the pair
 the shape optimizer) use (master_seed, tag) with a fixed small tag, so
 adding trials or reordering work never shifts another stream.
 
+Each runner first checks its config against its schema in ``_SCHEMAS``.
+
 Exit codes: 0 success; 2 invalid config, with a message naming the
-offending field; 3 numerical failure, with an ``error.json`` record.
+offending field; 3 numerical failure, or any other unexpected error, with
+an ``error.json`` record.
 """
 
 from __future__ import annotations
@@ -48,140 +51,184 @@ class ConfigError(ValueError):
     pass
 
 
-def _take(cfg: dict, field: str, kind, required: bool = True, default=None):
-    if field not in cfg:
-        if required:
-            raise ConfigError(f"missing field '{field}'")
-        return default
-    v = cfg.pop(field)
-    if kind is float and isinstance(v, int) and not isinstance(v, bool):
+# ------------------------------------------------------------------- schemas
+#
+# A schema maps each key of a JSON object to a spec: its "type" (int, float,
+# bool, list or dict), optional bounds "gt", "ge", "lt", "le", and a "default"
+# if the key may be left out (None: no value).  A list spec gives "item" for
+# each entry or a fixed "row" of entry specs, and may give "min_len"; a dict
+# spec gives "kinds", the schema of its other keys for each "kind" value.
+
+_FLOAT = {"type": float}
+_POSITIVE = {"type": float, "gt": 0}
+_S = {"type": float, "gt": 0, "lt": 1}
+_COPY = {"type": int}        # checked against 'copies' where the shape is built
+
+_KERNEL = {"n": {"type": int, "ge": 1, "le": 2}, "s": _S, "h": _POSITIVE,
+           "L": _POSITIVE, "copies": {"type": int, "ge": 1, "default": 1}}
+
+# shape items: [copy, lo, hi] for intervals, [copy, xlo, xhi, ylo, yhi] for rects
+_INTERVAL = {"type": list, "row": (_COPY, _FLOAT, _FLOAT)}
+_RECT = {"type": list, "row": (_COPY, _FLOAT, _FLOAT, _FLOAT, _FLOAT)}
+_SHAPE_KINDS = {
+    "intervals": {"items": {"type": list, "item": _INTERVAL}},
+    "rects": {"items": {"type": list, "item": _RECT}},
+    "ball": {"volume": {"type": float, "ge": 0}, "copy": dict(_COPY, default=0)},
+}
+_SHAPE = {"type": dict, "kinds": _SHAPE_KINDS}
+# only the optimizer's initial shape may be random: it has a seeded stream
+_INIT = {"type": dict, "kinds": dict(_SHAPE_KINDS, **{"random-blob": {
+    "cells": {"type": int, "ge": 1}, "copy": dict(_COPY, default=0)}})}
+
+_SCHEMAS = {
+    "eigs": dict(_KERNEL, shape=_SHAPE, count={"type": int, "ge": 1, "default": 4},
+                 dump_fields={"type": bool, "default": False}),
+    "torsion-validate": {"s": _S, "h": _POSITIVE, "L": _POSITIVE},
+    "optimize-shape": dict(
+        _KERNEL, init=_INIT, k={"type": int, "ge": 1, "default": 1},
+        steps={"type": int, "ge": 0, "default": 5000},
+        cooling={"type": float, "gt": 0, "lt": 1, "default": 0.995},
+        initial_temperature=dict(_POSITIVE, default=None),
+        diagnostics={"type": bool, "default": False}),
+    "rearrange-check": dict(_KERNEL, shape=_SHAPE,
+                            trials={"type": int, "ge": 1, "default": 20}),
+    "toy-sweep": {"d": {"type": int, "ge": 2}, "n": {"type": int, "ge": 1}, "s": _S,
+                  "trials": {"type": int, "ge": 1},
+                  "max_steps": {"type": int, "ge": 0, "default": 5000}},
+    "toy-classify": {
+        "positions": {"type": list, "min_len": 1,
+                      "item": {"type": list, "min_len": 1, "item": _FLOAT}},
+        "masses": {"type": list, "min_len": 1, "item": _FLOAT},
+        "s": dict(_S, default=None), "exponent": dict(_POSITIVE, default=None)},
+    "weiss": {"s": _S, "h": _POSITIVE, "L": _POSITIVE,
+              "H": dict(_POSITIVE, default=None),
+              "field": {"type": dict, "kinds": {"profile": {}, "bump": {}}},
+              "center": dict(_FLOAT, default=0.0),
+              "radii": {"type": list, "min_len": 1, "item": _POSITIVE}},
+}
+
+_BOUNDS = (("gt", ">", lambda v, b: v > b), ("ge", ">=", lambda v, b: v >= b),
+           ("lt", "<", lambda v, b: v < b), ("le", "<=", lambda v, b: v <= b))
+
+
+def _check(doc: dict, schema: dict, path: str = "") -> dict:
+    """Check a JSON object against a schema; return its fields with defaults
+    filled in and float fields as floats.  Every failure is a ConfigError
+    naming the field by its dotted path."""
+    unknown = sorted(set(doc) - set(schema))
+    if unknown:
+        raise ConfigError(f"unknown key '{unknown[0]}' in {path or 'config'}")
+    out = {}
+    for key, spec in schema.items():
+        name = f"{path}.{key}" if path else key
+        if key in doc:
+            out[key] = _value(doc[key], spec, name)
+        elif "default" in spec:
+            out[key] = spec["default"]
+        else:
+            raise ConfigError(f"missing field '{name}'")
+    return out
+
+
+def _value(v, spec: dict, name: str):
+    kind = spec["type"]
+
+    def fail(wanted):
+        return ConfigError(f"field '{name}' must be {wanted}, got {json.dumps(v)}")
+
+    if kind is dict:
+        if not isinstance(v, dict):
+            raise fail("an object")
+        rest = dict(v)
+        choice = rest.pop("kind", None)
+        if not isinstance(choice, str) or choice not in spec["kinds"]:
+            raise ConfigError(f"field '{name}.kind' must be one of "
+                              f"{', '.join(spec['kinds'])}, got {json.dumps(choice)}")
+        return dict(_check(rest, spec["kinds"][choice], name), kind=choice)
+    if kind is list:
+        if not isinstance(v, list):
+            raise fail("a list")
+        row = spec.get("row")
+        if row is not None and len(v) != len(row):
+            raise fail(f"a list of {len(row)} entries")
+        if len(v) < spec.get("min_len", 0):
+            raise fail(f"a list of at least {spec['min_len']} entries")
+        specs = row or [spec["item"]] * len(v)
+        return [_value(x, s, f"{name}[{i}]") for i, (x, s) in enumerate(zip(v, specs))]
+    if kind is bool:
+        if not isinstance(v, bool):
+            raise fail("true or false")
+        return v
+    if isinstance(v, bool) or not isinstance(v, int if kind is int else (int, float)):
+        raise fail("an integer" if kind is int else "a number")
+    if kind is float:
+        if not abs(v) <= sys.float_info.max:    # inf, NaN, or an int past it
+            raise fail("finite")
         v = float(v)
-    if kind is not None and (not isinstance(v, kind)
-                             or (kind is not bool and isinstance(v, bool))):
-        raise ConfigError(f"field '{field}' must be {kind.__name__}")
+    bounds = [(sym, spec[key], test) for key, sym, test in _BOUNDS if key in spec]
+    if not all(test(v, b) for _, b, test in bounds):
+        raise fail(" and ".join(f"{sym} {b}" for sym, b, _ in bounds))
     return v
 
 
-def _no_leftovers(cfg: dict, where: str = "config"):
-    if cfg:
-        raise ConfigError(f"unknown key '{sorted(cfg)[0]}' in {where}")
-
-
 def _kernel(cfg: dict) -> tuple[GridSpec, KernelParams]:
-    n = _take(cfg, "n", int)
-    s = _take(cfg, "s", float)
-    h = _take(cfg, "h", float)
-    L = _take(cfg, "L", float)
-    copies = _take(cfg, "copies", int, required=False, default=1)
-    if not 0 < s < 1:
-        raise ConfigError("field 's' must lie in (0, 1)")
-    try:
-        grid = GridSpec(n=n, h=h, L=L, copies=copies)
-        kp = KernelParams(n=n, s=s)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return grid, kp
+    grid = GridSpec(n=cfg["n"], h=cfg["h"], L=cfg["L"], copies=cfg["copies"])
+    return grid, KernelParams(n=cfg["n"], s=cfg["s"])
 
 
-def _copy_index(value, grid: GridSpec, field: str) -> int:
-    if isinstance(value, bool) or value not in range(grid.copies):
+def _copy_index(value: int, grid: GridSpec, field: str) -> int:
+    if value not in range(grid.copies):
         raise ConfigError(f"field '{field}' names copy {value!r}, outside "
                           f"0..{grid.copies - 1}")
-    return int(value)
+    return value
 
 
-def _shape_from_config(spec, grid: GridSpec, rng=None) -> MultiIndicator:
-    if not isinstance(spec, dict):
-        raise ConfigError("field 'shape' must be an object")
-    spec = dict(spec)
-    kind = _take(spec, "kind", str)
-    if kind == "intervals":
-        items = _take(spec, "items", list)
-        _no_leftovers(spec, "shape")
-        if grid.n != 1:
-            raise ConfigError("shape kind 'intervals' requires n = 1")
-        A = MultiIndicator.empty(grid)
-        for it in items:
-            if not (isinstance(it, list) and len(it) == 3):
-                raise ConfigError("shape items must be [copy, lo, hi] triples")
-            c, lo, hi = it
-            A = _union(A, MultiIndicator.from_interval(
-                grid, float(lo), float(hi), copy=_copy_index(c, grid, "items")))
-        return A
-    if kind == "rects":
-        items = _take(spec, "items", list)
-        _no_leftovers(spec, "shape")
-        if grid.n != 2:
-            raise ConfigError("shape kind 'rects' requires n = 2")
+def _shape_from_config(spec: dict, grid: GridSpec, rng=None) -> MultiIndicator:
+    kind = spec["kind"]
+    if kind in ("intervals", "rects"):
+        n = 1 if kind == "intervals" else 2
+        if grid.n != n:
+            raise ConfigError(f"shape kind '{kind}' requires n = {n}")
         masks = [np.zeros(grid.shape, dtype=bool) for _ in range(grid.copies)]
         centers = grid.axis_centers()
-        for it in items:
-            if not (isinstance(it, list) and len(it) == 5):
-                raise ConfigError("shape items must be [copy, xlo, xhi, ylo, yhi]")
-            c, xlo, xhi, ylo, yhi = it
-            ix = (centers > xlo) & (centers < xhi)
-            iy = (centers > ylo) & (centers < yhi)
-            masks[_copy_index(c, grid, "items")] |= ix[:, None] & iy[None, :]
+        for c, *bounds in spec["items"]:
+            # cells whose centre lies strictly inside the box, axis by axis
+            inside = [(centers > lo) & (centers < hi)
+                      for lo, hi in zip(bounds[::2], bounds[1::2])]
+            box = np.all(np.meshgrid(*inside, indexing="ij"), axis=0)
+            masks[_copy_index(c, grid, "items")] |= box
         return MultiIndicator(grid, masks)
+    copy = _copy_index(spec["copy"], grid, "copy")
     if kind == "ball":
-        volume = _take(spec, "volume", float)
-        copy = _take(spec, "copy", int, required=False, default=0)
-        _no_leftovers(spec, "shape")
-        return ball_indicator(volume, grid, copy=_copy_index(copy, grid, "copy"))
-    if kind == "random-blob":
-        cells = _take(spec, "cells", int)
-        copy = _take(spec, "copy", int, required=False, default=0)
-        _no_leftovers(spec, "shape")
-        if rng is None:
-            raise ConfigError("shape kind 'random-blob' needs a seeded experiment")
-        return _random_blob(grid, cells, _copy_index(copy, grid, "copy"), rng)
-    raise ConfigError(f"unknown shape kind '{kind}'")
-
-
-def _union(A: MultiIndicator, B: MultiIndicator) -> MultiIndicator:
-    return MultiIndicator(A.grid, [a | b for a, b in zip(A.masks, B.masks)])
+        return ball_indicator(spec["volume"], grid, copy=copy)
+    return _random_blob(grid, spec["cells"], copy, rng)
 
 
 def _random_blob(grid: GridSpec, cells: int, copy: int, rng) -> MultiIndicator:
-    """Seeded connected blob grown cell by cell from the box center."""
-    m = grid.cells_per_side
-    if cells < 1:
-        raise ConfigError("field 'cells' must be positive")
+    """Seeded connected blob grown cell by cell from the box center: each
+    step adds a uniform pick, in row-major order, of the strictly interior
+    cells face-adjacent to the blob."""
     mask = np.zeros(grid.shape, dtype=bool)
-    center = (m // 2,) * grid.n
-    mask[center] = True
-    offsets = ([(-1,), (1,)] if grid.n == 1
-               else [(-1, 0), (1, 0), (0, -1), (0, 1)])
+    mask[(grid.cells_per_side // 2,) * grid.n] = True
+    interior = np.zeros(grid.shape, dtype=bool)
+    interior[(slice(1, -1),) * grid.n] = True
     while int(mask.sum()) < cells:
-        frontier = set()
-        for idx in np.argwhere(mask):
-            for off in offsets:
-                nb = tuple(int(a + b) for a, b in zip(idx, off))
-                if all(0 < x < m - 1 for x in nb) and not mask[nb]:
-                    frontier.add(nb)
-        if not frontier:
+        near = np.zeros(grid.shape, dtype=bool)
+        for axis in range(grid.n):   # wrapped cells land on the box edge
+            near |= np.roll(mask, 1, axis) | np.roll(mask, -1, axis)
+        frontier = np.flatnonzero(near & interior & ~mask)
+        if not frontier.size:
             raise ConfigError("field 'cells' exceeds the strict interior")
-        pick = sorted(frontier)[int(rng.integers(len(frontier)))]
-        mask[pick] = True
+        mask.flat[frontier[int(rng.integers(frontier.size))]] = True
     masks = [np.zeros(grid.shape, dtype=bool) for _ in range(grid.copies)]
     masks[copy] = mask
     return MultiIndicator(grid, masks)
 
 
 def _rle(mask: np.ndarray) -> list:
-    flat = mask.ravel()
-    runs = []
-    i = 0
-    while i < flat.size:
-        if flat[i]:
-            j = i
-            while j + 1 < flat.size and flat[j + 1]:
-                j += 1
-            runs.append([int(i), int(j - i + 1)])
-            i = j + 1
-        else:
-            i += 1
-    return runs
+    """[start, length] of each run of true cells in the flattened mask."""
+    edges = np.flatnonzero(np.diff(mask.ravel(), prepend=False, append=False))
+    return [[int(a), int(b - a)] for a, b in zip(edges[::2], edges[1::2])]
 
 
 def _shape_record(A: MultiIndicator) -> dict:
@@ -193,16 +240,14 @@ def _shape_record(A: MultiIndicator) -> dict:
 # ---------------------------------------------------------------- experiments
 
 def _run_eigs(cfg: dict, out: str, seed: int, timings: dict) -> dict:
+    cfg = _check(cfg, _SCHEMAS["eigs"])
     grid, kp = _kernel(cfg)
-    shape_spec = _take(cfg, "shape", dict)
-    count = _take(cfg, "count", int, required=False, default=4)
-    dump_fields = _take(cfg, "dump_fields", bool, required=False, default=False)
-    _no_leftovers(cfg)
-    A = _shape_from_config(shape_spec, grid)
+    A = _shape_from_config(cfg["shape"], grid)
+    count = cfg["count"]
     t0 = time.perf_counter()
     res = dirichlet_eigs(A, kp, count)
     timings["eigs_s"] = time.perf_counter() - t0
-    if dump_fields:
+    if cfg["dump_fields"]:
         cells = A.active_cells()
         with open(os.path.join(out, "fields.csv"), "w") as f:
             f.write("copy,cell," + ",".join(f"u{j + 1}" for j in range(count)) + "\n")
@@ -222,17 +267,10 @@ def _run_eigs(cfg: dict, out: str, seed: int, timings: dict) -> dict:
 
 
 def _run_torsion_validate(cfg: dict, out: str, seed: int, timings: dict) -> dict:
-    s = _take(cfg, "s", float)
-    h = _take(cfg, "h", float)
-    L = _take(cfg, "L", float)
-    _no_leftovers(cfg)
-    if not 0 < s < 1:
-        raise ConfigError("field 's' must lie in (0, 1)")
-    try:
-        grid = GridSpec(n=1, h=h, L=L)
-        kp = KernelParams(n=1, s=s)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    cfg = _check(cfg, _SCHEMAS["torsion-validate"])
+    s, h, L = cfg["s"], cfg["h"], cfg["L"]
+    grid = GridSpec(n=1, h=h, L=L)
+    kp = KernelParams(n=1, s=s)
     A = MultiIndicator.from_interval(grid, -1.0, 1.0)
     t0 = time.perf_counter()
     res = torsion_solve(A, kp)
@@ -260,18 +298,14 @@ def _run_torsion_validate(cfg: dict, out: str, seed: int, timings: dict) -> dict
 
 
 def _run_optimize_shape(cfg: dict, out: str, seed: int, timings: dict) -> dict:
+    cfg = _check(cfg, _SCHEMAS["optimize-shape"])
     grid, kp = _kernel(cfg)
-    k = _take(cfg, "k", int, required=False, default=1)
-    steps = _take(cfg, "steps", int, required=False, default=5000)
-    cooling = _take(cfg, "cooling", float, required=False, default=0.995)
-    t_init = _take(cfg, "initial_temperature", float, required=False)
-    init_spec = _take(cfg, "init", dict)
-    want_diag = _take(cfg, "diagnostics", bool, required=False, default=False)
-    _no_leftovers(cfg)
+    k, steps = cfg["k"], cfg["steps"]
     blob_rng = np.random.default_rng([seed, _BLOB_TAG])
-    init = _shape_from_config(init_spec, grid, rng=blob_rng)
-    schedule = AnnealSchedule(steps=steps, cooling=cooling,
-                              initial_temperature=t_init, seed=seed)
+    init = _shape_from_config(cfg["init"], grid, rng=blob_rng)
+    schedule = AnnealSchedule(steps=steps, cooling=cfg["cooling"],
+                              initial_temperature=cfg["initial_temperature"],
+                              seed=seed)
     t0 = time.perf_counter()
     res = minimize(init, kp, k=k, schedule=schedule)
     timings["anneal_s"] = time.perf_counter() - t0
@@ -289,7 +323,7 @@ def _run_optimize_shape(cfg: dict, out: str, seed: int, timings: dict) -> dict:
         "best_shape": _shape_record(res.best),
         "final_shape": _shape_record(res.final),
     }
-    if want_diag:
+    if cfg["diagnostics"]:
         radii = [4 * grid.h, 8 * grid.h, 16 * grid.h]
         rep = diagnostics(res.best, res.best_spectrum.fields[k - 1], kp, radii,
                           multiple=res.best_spectrum.is_numerically_multiple(k))
@@ -305,11 +339,10 @@ def _run_optimize_shape(cfg: dict, out: str, seed: int, timings: dict) -> dict:
 
 
 def _run_rearrange_check(cfg: dict, out: str, seed: int, timings: dict) -> dict:
+    cfg = _check(cfg, _SCHEMAS["rearrange-check"])
     grid, kp = _kernel(cfg)
-    shape_spec = _take(cfg, "shape", dict)
-    trials = _take(cfg, "trials", int, required=False, default=20)
-    _no_leftovers(cfg)
-    A = _shape_from_config(shape_spec, grid)
+    A = _shape_from_config(cfg["shape"], grid)
+    trials = cfg["trials"]
     t0 = time.perf_counter()
     report = ball_energy_check(A, kp)
     timings["ball_check_s"] = time.perf_counter() - t0
@@ -342,48 +375,26 @@ def _run_rearrange_check(cfg: dict, out: str, seed: int, timings: dict) -> dict:
 
 
 def _run_toy_sweep(cfg: dict, out: str, seed: int, timings: dict) -> dict:
-    d = _take(cfg, "d", int)
-    n = _take(cfg, "n", int)
-    s = _take(cfg, "s", float)
-    trials = _take(cfg, "trials", int)
-    max_steps = _take(cfg, "max_steps", int, required=False, default=5000)
-    _no_leftovers(cfg)
-    if not 0 < s < 1:
-        raise ConfigError("field 's' must lie in (0, 1)")
-    if d < 2:
-        raise ConfigError("field 'd' must be at least 2")
-    if n < 1:
-        raise ConfigError("field 'n' must be at least 1")
-    if trials < 1:
-        raise ConfigError("field 'trials' must be positive")
+    cfg = _check(cfg, _SCHEMAS["toy-sweep"])     # conjecture_sweep's arguments
     t0 = time.perf_counter()
-    sweep = conjecture_sweep(d, n, s, trials, seed=seed, max_steps=max_steps)
+    sweep = conjecture_sweep(seed=seed, **cfg)
     timings["sweep_s"] = time.perf_counter() - t0
-    return {
-        "experiment": "toy-sweep",
-        "d": d, "n": n, "s": s, "exponent": sweep.exponent,
-        "trials": trials, "seed": seed, "max_steps": max_steps,
-        "counts": sweep.counts,
-        "stable_finds": sweep.stable_finds,
-    }
+    return dict(cfg, experiment="toy-sweep", seed=seed, exponent=sweep.exponent,
+                counts=sweep.counts, stable_finds=sweep.stable_finds)
 
 
 def _run_toy_classify(cfg: dict, out: str, seed: int, timings: dict) -> dict:
-    positions = _take(cfg, "positions", list)
-    masses = _take(cfg, "masses", list)
-    s = _take(cfg, "s", float, required=False)
-    exponent = _take(cfg, "exponent", float, required=False)
-    _no_leftovers(cfg)
+    cfg = _check(cfg, _SCHEMAS["toy-classify"])
+    positions, masses = cfg["positions"], cfg["masses"]
+    s, exponent = cfg["s"], cfg["exponent"]
     if (s is None) == (exponent is None):
         raise ConfigError("exactly one of 's' and 'exponent' is required")
-    try:
-        if s is not None:
-            c = ChargeConfig.from_smoothness(positions, masses, s)
-        else:
-            c = ChargeConfig(np.asarray(positions, dtype=float),
-                             np.asarray(masses, dtype=float), exponent)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if len({len(p) for p in positions}) > 1:
+        raise ConfigError("field 'positions' must hold points of one dimension")
+    if s is not None:
+        c = ChargeConfig.from_smoothness(positions, masses, s)
+    else:
+        c = ChargeConfig(positions, masses, exponent)
     t0 = time.perf_counter()
     rep = classify(c)
     timings["classify_s"] = time.perf_counter() - t0
@@ -399,28 +410,13 @@ def _run_toy_classify(cfg: dict, out: str, seed: int, timings: dict) -> dict:
 
 
 def _run_weiss(cfg: dict, out: str, seed: int, timings: dict) -> dict:
-    s = _take(cfg, "s", float)
-    hx = _take(cfg, "h", float)
-    L = _take(cfg, "L", float)
-    H = _take(cfg, "H", float, required=False, default=L)
-    field_spec = _take(cfg, "field", dict)
-    center = _take(cfg, "center", float, required=False, default=0.0)
-    radii = _take(cfg, "radii", list)
-    _no_leftovers(cfg)
-    if not 0 < s < 1:
-        raise ConfigError("field 's' must lie in (0, 1)")
-    if not radii or not all(isinstance(r, (int, float)) and r > 0 for r in radii):
-        raise ConfigError("field 'radii' must be a list of positive numbers")
-    try:
-        eg = ExtensionGrid(hx=hx, hy=hx, L=L, H=H)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    field_spec = dict(field_spec)
-    kind = _take(field_spec, "kind", str)
+    cfg = _check(cfg, _SCHEMAS["weiss"])
+    s, L, center = cfg["s"], cfg["L"], cfg["center"]
+    H = L if cfg["H"] is None else cfg["H"]
+    eg = ExtensionGrid(hx=cfg["h"], hy=cfg["h"], L=L, H=H)
+    xs = eg.x_nodes()
     intervals = None
-    if kind == "profile":
-        _no_leftovers(field_spec, "field")
-        xs = eg.x_nodes()
+    if cfg["field"]["kind"] == "profile":
         yr = eg.y_rows()
         XX, YY = np.meshgrid(xs, yr, indexing="ij")
         sol = ExtensionSolution(grid=eg, s=s,
@@ -428,18 +424,15 @@ def _run_weiss(cfg: dict, out: str, seed: int, timings: dict) -> dict:
                                 values=homogeneous_profile(XX, YY, s),
                                 energy=float("nan"))
         intervals = [(0.0, L)]
-    elif kind == "bump":
-        _no_leftovers(field_spec, "field")
-        xs = eg.x_nodes()
+    else:
         trace = np.where(np.abs(xs) < 1,
                          np.exp(-1.0 / np.maximum(1 - xs ** 2, 1e-300)), 0.0)
         t0 = time.perf_counter()
         sol = harmonic_extension(trace, eg, s)
         timings["extension_s"] = time.perf_counter() - t0
-    else:
-        raise ConfigError(f"unknown field kind '{kind}'")
     t0 = time.perf_counter()
-    curve = weiss_functional(sol, center, radii, support_intervals=intervals)
+    curve = weiss_functional(sol, center, cfg["radii"],
+                             support_intervals=intervals)
     timings["weiss_s"] = time.perf_counter() - t0
     curve.write_csv(os.path.join(out, "weiss.csv"))
     return {
@@ -470,15 +463,18 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _limit_threads(count: int | None):
-    if count is None:
-        return
+def _limit_threads(count: int) -> bool:
+    """Cap the BLAS and OpenMP thread pools; return whether the cap holds.
+    They read their environment variables when numpy loads, before any
+    argument is parsed, so only threadpoolctl can cap them here."""
     try:
         from threadpoolctl import threadpool_limits
-        threadpool_limits(limits=count)
     except ImportError:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(count)
+        print(f"warning: --threads {count} is not enforced: threadpoolctl is "
+              "not installed", file=sys.stderr)
+        return False
+    threadpool_limits(limits=count)
+    return True
 
 
 def run(experiment: str, config_path: str, out_dir: str,
@@ -487,47 +483,47 @@ def run(experiment: str, config_path: str, out_dir: str,
     try:
         with open(config_path) as f:
             cfg = json.load(f)
-        if not isinstance(cfg, dict):
-            raise ConfigError("config document must be a JSON object")
-    except (OSError, json.JSONDecodeError) as exc:
+        os.makedirs(out_dir, exist_ok=True)
+    except (OSError, ValueError) as exc:    # ValueError: not JSON, not UTF-8
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
 
-    _limit_threads(threads)
-    os.makedirs(out_dir, exist_ok=True)
+    enforced = threads is not None and _limit_threads(threads)
     timings: dict[str, float] = {}
     try:
+        if experiment not in _EXPERIMENTS:
+            raise ConfigError(f"unknown experiment '{experiment}'")
+        if not isinstance(cfg, dict):
+            raise ConfigError("config document must be a JSON object")
         cfg = dict(cfg)
         declared = cfg.pop("experiment", experiment)
         if declared != experiment:
-            raise ConfigError(f"field 'experiment' is '{declared}', "
+            raise ConfigError(f"field 'experiment' is {json.dumps(declared)}, "
                               f"but the subcommand is '{experiment}'")
         seed = cfg.pop("seed", 0)
         if seed_override is not None:
             seed = seed_override
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-            raise ConfigError("field 'seed' must be a nonnegative integer")
+        seed = _value(seed, {"type": int, "ge": 0}, "seed")
         config_echo = dict(cfg, experiment=experiment, seed=seed)
         summary = _EXPERIMENTS[experiment](cfg, out_dir, seed, timings)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        # library-level validation rejecting config-supplied values
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (RuntimeError, np.linalg.LinAlgError, FloatingPointError) as exc:
+        with open(os.path.join(out_dir, "summary.json"), "w") as f:
+            json.dump(summary, f, indent=2, sort_keys=True)
+            f.write("\n")
+    except Exception as exc:
+        # a ConfigError, or a library check rejecting a config-supplied value;
+        # LinAlgError is a ValueError too, but it reports a numerical failure
+        if isinstance(exc, ValueError) and not isinstance(exc, np.linalg.LinAlgError):
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        # a solver contract broken, or any failure nothing above foresaw
+        import traceback
         record = {"error": str(exc), "type": type(exc).__name__,
-                  "experiment": experiment}
+                  "experiment": experiment, "traceback": traceback.format_exc()}
         with open(os.path.join(out_dir, "error.json"), "w") as f:
             json.dump(record, f, indent=2, sort_keys=True)
-        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        print(f"error: {type(exc).__name__}: {exc} (details in error.json)",
+              file=sys.stderr)
         return 3
-
-    summary_path = os.path.join(out_dir, "summary.json")
-    with open(summary_path, "w") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
-        f.write("\n")
 
     files = {}
     for name in sorted(os.listdir(out_dir)):
@@ -541,6 +537,8 @@ def run(experiment: str, config_path: str, out_dir: str,
         "timings_s": timings,
         "files": files,
     }
+    if threads is not None:
+        manifest["threads"] = {"requested": threads, "enforced": enforced}
     tmp = os.path.join(out_dir, "manifest.json.tmp")
     with open(tmp, "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)

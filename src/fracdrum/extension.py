@@ -49,7 +49,8 @@ class ExtensionGrid:
         for extent, step, name in ((2 * self.L, self.hx, "2L/hx"),
                                    (self.H, self.hy, "H/hy")):
             ratio = extent / step
-            if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
+            if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 \
+                    or round(ratio) < 1:
                 raise ValueError(f"{name} must be a positive integer")
 
     @property
@@ -159,7 +160,12 @@ def harmonic_extension(trace, g: ExtensionGrid, s: float) -> ExtensionSolution:
     cols = np.concatenate([cols, np.arange(N)])
     vals = np.concatenate([vals, diag])
     A = sparse.csr_matrix((vals, (rows, cols)), shape=(N, N))
-    v = spsolve(A, b).reshape(nx, ny)
+    v = spsolve(A, b)
+    resid, scale = np.linalg.norm(A @ v - b), np.linalg.norm(b)
+    if not resid <= 1e-8 * scale:                  # NaN fails too
+        raise RuntimeError(f"extension residual {resid:.2e} against |b| = "
+                           f"{scale:.2e} exceeds the solver contract")
+    v = v.reshape(nx, ny)
 
     energy = float(
         np.sum(ct * (v[:, 0] - trace) ** 2)
@@ -184,18 +190,9 @@ def trace_support_intervals(trace, g: ExtensionGrid, tol: float = 0.0):
     """Maximal x-intervals covered by cells where |trace| > tol."""
     xs = g.x_nodes()
     nz = np.abs(np.asarray(trace, dtype=float)) > tol
-    intervals = []
-    i = 0
-    while i < len(nz):
-        if nz[i]:
-            j = i
-            while j + 1 < len(nz) and nz[j + 1]:
-                j += 1
-            intervals.append((xs[i] - g.hx / 2, xs[j] + g.hx / 2))
-            i = j + 1
-        else:
-            i += 1
-    return intervals
+    edges = np.flatnonzero(np.diff(nz, prepend=False, append=False))
+    return [(xs[i] - g.hx / 2, xs[j - 1] + g.hx / 2)
+            for i, j in zip(edges[::2], edges[1::2])]
 
 
 @dataclass

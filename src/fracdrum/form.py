@@ -185,6 +185,7 @@ class FormMatrix:
     cells: list                 # (copy, flat index), row-major per copy
     positions: np.ndarray       # (N, n) cell centers
     copy_ids: np.ndarray        # (N,)
+    flat_ids: np.ndarray        # (N,) flat cell index within its copy
     quadratic_matrix: np.ndarray  # (N, N) Q with u^T Q u = B[u,u]
 
     _index: dict | None = None
@@ -214,14 +215,13 @@ class FormMatrix:
     def field_vector(self, u: LatticeField) -> np.ndarray:
         """Active-cell value vector of u; errors if u lives outside the shape."""
         vec = np.zeros(self.size)
-        idx = self.index
-        for copy, vals in enumerate(u.values):
-            flat = vals.ravel()
-            for f in np.flatnonzero(u.support.masks[copy].ravel()):
-                key = (copy, int(f))
-                if key not in idx:
-                    raise ValueError("field support leaves the assembled shape")
-                vec[idx[key]] = flat[f]
+        for copy, (vals, mask) in enumerate(zip(u.values, u.support.masks)):
+            rows = self.copy_ids == copy
+            flat = self.flat_ids[rows]
+            inside = mask.ravel()[flat]
+            if np.count_nonzero(inside) != np.count_nonzero(mask):
+                raise ValueError("field support leaves the assembled shape")
+            vec[rows] = np.where(inside, vals.ravel()[flat], 0.0)
         return vec
 
 
@@ -254,7 +254,7 @@ def assemble_form(A: MultiIndicator, kp: KernelParams) -> FormMatrix:
     np.fill_diagonal(Q, diag[flat_ids])
     return FormMatrix(grid=grid, kp=kp, cells=cells,
                       positions=grid.cell_centers()[flat_ids],
-                      copy_ids=copy_ids, quadratic_matrix=Q)
+                      copy_ids=copy_ids, flat_ids=flat_ids, quadratic_matrix=Q)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,8 @@ class GridSpec:
         if not self.h > 0:
             raise ValueError(f"h must be positive, got {self.h}")
         ratio = self.L / self.h
-        if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio) or round(ratio) < 1:
+        if (not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio)
+                or round(ratio) < 1):
             raise ValueError(f"L/h must be a positive integer, got {ratio}")
         if self.copies < 1:
             raise ValueError(f"copies must be >= 1, got {self.copies}")
@@ -87,20 +88,6 @@ class KernelParams:
     @property
     def exponent(self) -> float:
         return self.n + 2 * self.s
-
-
-def pair_distance(p, q) -> float:
-    """Distance between lattice points given as (copy, coordinates).
-
-    Euclidean within a copy, +inf across copies (zero kernel weight).
-    """
-    cp, xp = p
-    cq, xq = q
-    if cp != cq:
-        return math.inf
-    xp = np.atleast_1d(np.asarray(xp, dtype=float))
-    xq = np.atleast_1d(np.asarray(xq, dtype=float))
-    return float(np.linalg.norm(xp - xq))
 
 
 class MultiIndicator:

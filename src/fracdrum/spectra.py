@@ -36,8 +36,9 @@ def kernel_operator_constant(n: int, s: float) -> float:
 def _field_from_vector(F: FormMatrix, vec: np.ndarray) -> LatticeField:
     grid = F.grid
     values = [np.zeros(grid.shape) for _ in range(grid.copies)]
-    for (copy, flat), val in zip(F.cells, vec):
-        values[copy].ravel()[flat] = val
+    for copy, v in enumerate(values):
+        rows = F.copy_ids == copy
+        v.ravel()[F.flat_ids[rows]] = vec[rows]
     support = MultiIndicator(grid, [v != 0 for v in values])
     return LatticeField(grid, values, support)
 

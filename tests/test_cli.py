@@ -1,10 +1,18 @@
+import contextlib
+import copy
 import hashlib
+import io
 import json
+import os
+import re
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fracdrum import cli
 
@@ -223,3 +231,216 @@ def test_console_entry_point_subprocess(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (out / "summary.json").exists()
     assert (out / "manifest.json").exists()
+
+
+# ------------------------------------------------------------ config schema
+
+@pytest.mark.parametrize("experiment,doc,field", [
+    ("eigs", {"n": 1, "s": 0.5, "h": 0.25, "L": 1.0,
+              "shape": {"kind": "intervals", "items": [[0, None, 1.0]]}},
+     "shape.items[0][1]"),
+    ("eigs", {"n": 2, "s": 0.5, "h": 0.25, "L": 1.0,
+              "shape": {"kind": "rects", "items": [[0, "a", 0.5, -0.5, 0.5]]}},
+     "shape.items[0][1]"),
+    ("eigs", {"n": 1, "s": 0.5, "h": 0.25, "L": float("inf"),
+              "shape": {"kind": "intervals", "items": [[0, -0.5, 0.5]]}}, "L"),
+    ("weiss", {"s": 0.5, "h": 0.0625, "L": 1.0, "H": float("inf"),
+               "field": {"kind": "profile"}, "radii": [0.1]}, "H"),
+    ("toy-sweep", {"d": 2, "n": 1, "s": 0.5, "trials": 2, "max_steps": -5},
+     "max_steps"),
+    ("rearrange-check", {"n": 1, "s": 0.5, "h": 0.25, "L": 1.0, "trials": -3,
+                         "shape": {"kind": "intervals", "items": [[0, -0.5, 0.5]]}},
+     "trials"),
+    ("weiss", {"s": 0.5, "h": 0.0625, "L": 1.0, "field": {"kind": "profile"},
+               "radii": [True]}, "radii[0]"),
+    ("optimize-shape", {"n": 1, "s": 0.5, "h": 0.25, "L": 2.0, "steps": 2,
+                        "initial_temperature": float("nan"),
+                        "init": {"kind": "ball", "volume": 1.0}},
+     "initial_temperature"),
+    ("toy-classify", {"positions": [[]], "masses": [1.0], "exponent": 3.0},
+     "positions[0]"),
+    ("optimize-shape", {"n": 1, "s": 0.5, "h": 0.25, "L": 2.0, "steps": 2, "k": 0,
+                        "init": {"kind": "ball", "volume": 1.0}}, "k"),
+    ("eigs", {"n": 1, "s": 0.5, "h": 0.25, "L": 1.0,
+              "shape": {"kind": "random-blob", "cells": 2}}, "shape.kind"),
+    ("toy-classify", {"positions": [[0.0], [1.0, 0.0]], "masses": [0.6, 0.8],
+                      "exponent": 3.0}, "positions"),
+])
+def test_malformed_field_exits_2_naming_it(tmp_path, capsys, experiment, doc, field):
+    code, out = run_cli(tmp_path, experiment, doc)
+    assert code == 2
+    assert f"'{field}'" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("doc", [[1, 2], "text", 3])
+def test_config_that_is_not_an_object_exits_2(tmp_path, capsys, doc):
+    code, _ = run_cli(tmp_path, "toy-sweep", doc)
+    assert code == 2
+    assert "JSON object" in capsys.readouterr().err
+
+
+def test_unreadable_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{")
+    assert cli.run("toy-sweep", str(path), str(tmp_path / "out")) == 2
+    assert "cannot read config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc_type", [TypeError, KeyError, np.linalg.LinAlgError])
+def test_unexpected_failure_exits_3_with_record(tmp_path, monkeypatch, capsys,
+                                                exc_type):
+    def broken(cfg, out, seed, timings):
+        raise exc_type("synthetic fault")
+    monkeypatch.setitem(cli._EXPERIMENTS, "eigs", broken)
+    code, out = run_cli(tmp_path, "eigs", {})
+    assert code == 3
+    record = json.loads((out / "error.json").read_text())
+    assert record["type"] == exc_type.__name__
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_extension_residual_failure_exits_3(tmp_path, monkeypatch):
+    import fracdrum.extension as extension
+    solve = extension.spsolve
+    monkeypatch.setattr(extension, "spsolve", lambda A, b: solve(A, b) * (1 + 1e-6))
+    doc = {"s": 0.5, "h": 0.0625, "L": 2.0, "field": {"kind": "bump"},
+           "radii": [0.25]}
+    code, out = run_cli(tmp_path, "weiss", doc)
+    assert code == 3
+    record = json.loads((out / "error.json").read_text())
+    assert record["type"] == "RuntimeError" and "residual" in record["error"]
+
+
+def test_threads_request_is_recorded_in_manifest(tmp_path):
+    import importlib.util
+    doc = {"d": 2, "n": 1, "s": 0.5, "trials": 2, "max_steps": 50}
+    code, out = run_cli(tmp_path, "toy-sweep", doc, threads=1)
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    enforced = importlib.util.find_spec("threadpoolctl") is not None
+    assert manifest["threads"] == {"requested": 1, "enforced": enforced}
+    assert "threads" not in json.loads((out / "summary.json").read_text())
+
+
+def test_readme_command_line_examples_run(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line")[1].split("\n## ")[0]
+    blocks = list(re.finditer(r"```json\n(.*?)```", section, re.S))
+    assert len(blocks) >= 4
+    for i, block in enumerate(blocks):
+        experiment = re.findall(r"\*\*([a-z-]+)\*\*", section[:block.start()])[-1]
+        code, _ = run_cli(tmp_path, experiment, json.loads(block.group(1)),
+                          subdir=f"example{i}")
+        assert code == 0, experiment
+
+
+# Small valid configs; the fuzz test below swaps one field at a time for a
+# value from a fixed pool.  No pool value is valid and large, so no swap can
+# build a big grid or a long run.
+FUZZ_BASES = [
+    ("eigs", {"n": 1, "s": 0.5, "h": 0.25, "L": 1.0, "copies": 2, "count": 2,
+              "dump_fields": True,
+              "shape": {"kind": "intervals", "items": [[0, -0.5, 0.5], [1, -0.5, 0.5]]}}),
+    ("eigs", {"n": 2, "s": 0.5, "h": 0.25, "L": 1.0, "count": 1,
+              "shape": {"kind": "rects", "items": [[0, -0.5, 0.5, -0.5, 0.5]]}}),
+    ("torsion-validate", {"s": 0.5, "h": 0.125, "L": 2.0}),
+    ("optimize-shape", {"n": 1, "s": 0.5, "h": 0.25, "L": 2.0, "copies": 2, "k": 1,
+                        "steps": 3, "cooling": 0.9, "initial_temperature": 0.3,
+                        "diagnostics": True, "seed": 3,
+                        "init": {"kind": "random-blob", "cells": 3, "copy": 1}}),
+    ("rearrange-check", {"n": 2, "s": 0.5, "h": 0.25, "L": 1.0, "trials": 2,
+                         "seed": 1,
+                         "shape": {"kind": "ball", "volume": 0.5, "copy": 0}}),
+    ("toy-sweep", {"d": 2, "n": 1, "s": 0.5, "trials": 2, "max_steps": 50,
+                   "seed": 1}),
+    ("toy-classify", {"positions": [[0.0], [1.0]], "masses": [2 ** -0.5, 2 ** -0.5],
+                      "exponent": 3.0}),
+    ("toy-classify", {"positions": [[0.0, 0.0], [1.0, 0.0]],
+                      "masses": [2 ** -0.5, -(2 ** -0.5)], "s": 0.5}),
+    ("weiss", {"s": 0.5, "h": 0.0625, "L": 2.0, "H": 2.0, "center": 0.0,
+               "field": {"kind": "bump"}, "radii": [0.25, 0.5]}),
+    ("weiss", {"s": 0.3, "h": 0.0625, "L": 1.0, "field": {"kind": "profile"},
+               "radii": [0.1, 0.2]}),
+]
+
+FUZZ_POOL = [None, True, "x", [], {}, -1, 0, float("nan"), float("inf"),
+             float("-inf"), 1e308]
+
+
+def _paths(doc, prefix=()):
+    """Every key and list entry of a config, nested ones included."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+FUZZ_CASES = [(i, path) for i, (_, doc) in enumerate(FUZZ_BASES)
+              for path in _paths(doc)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=st.sampled_from(FUZZ_CASES), value=st.sampled_from(FUZZ_POOL))
+def test_fuzzed_config_keeps_exit_code_contract(case, value):
+    base, path = case
+    experiment, doc = FUZZ_BASES[base]
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "config.json")
+        with open(cfg, "w") as f:
+            json.dump(doc, f)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.run(experiment, cfg, os.path.join(tmp, "out"))
+    assert code in (0, 2, 3), (experiment, path, value)
+    assert "Traceback" not in err.getvalue()
+
+
+def _blob_by_frontier_sets(grid, cells, rng):
+    """The set-based growth that cli._random_blob replaced, kept as reference."""
+    m = grid.cells_per_side
+    mask = np.zeros(grid.shape, dtype=bool)
+    mask[(m // 2,) * grid.n] = True
+    offsets = [(-1,), (1,)] if grid.n == 1 else [(-1, 0), (1, 0), (0, -1), (0, 1)]
+    while int(mask.sum()) < cells:
+        frontier = set()
+        for idx in np.argwhere(mask):
+            for off in offsets:
+                nb = tuple(int(a + b) for a, b in zip(idx, off))
+                if all(0 < x < m - 1 for x in nb) and not mask[nb]:
+                    frontier.add(nb)
+        mask[sorted(frontier)[int(rng.integers(len(frontier)))]] = True
+    return mask
+
+
+@pytest.mark.parametrize("n,h,cells", [(1, 0.0625, 20), (2, 0.125, 40), (2, 0.25, 36)])
+def test_random_blob_matches_frontier_set_reference(n, h, cells):
+    grid = cli.GridSpec(n=n, h=h, L=1.0)
+    for seed in range(5):
+        got = cli._random_blob(grid, cells, 0, np.random.default_rng(seed))
+        want = _blob_by_frontier_sets(grid, cells, np.random.default_rng(seed))
+        assert np.array_equal(got.masks[0], want)
+    with pytest.raises(cli.ConfigError, match="strict interior"):
+        # a 4-cell side leaves 2 ** n strictly interior cells
+        cli._random_blob(cli.GridSpec(n=n, h=0.5, L=1.0), 2 ** n + 1, 0,
+                         np.random.default_rng(0))
+
+
+def test_rle_matches_run_loop():
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        mask = rng.random((int(rng.integers(1, 12)), 7)) < 0.5
+        runs, start = [], None
+        for i, on in enumerate([*mask.ravel(), False]):
+            if on and start is None:
+                start = i
+            elif not on and start is not None:
+                runs.append([start, i - start])
+                start = None
+        assert cli._rle(mask) == runs

@@ -63,6 +63,22 @@ def test_trace_validation():
         harmonic_extension(np.zeros(g.nx), g, 1.5)
 
 
+@pytest.mark.parametrize("L,H", [(1e308, 1.0), (1.0, 1e308), (1.0, np.inf)])
+def test_grid_rejects_non_finite_cell_counts(L, H):
+    with pytest.raises(ValueError, match="must be a positive integer"):
+        ExtensionGrid(hx=0.125, hy=0.125, L=L, H=H)
+
+
+def test_extension_residual_contract(monkeypatch):
+    import fracdrum.extension as extension
+    solve = extension.spsolve
+    monkeypatch.setattr(extension, "spsolve", lambda A, b: solve(A, b) * (1 + 1e-6))
+    g = ExtensionGrid(hx=1 / 16, hy=1 / 16, L=2.0, H=2.0)
+    tr = np.where(np.abs(g.x_nodes()) < 1.0, bump(g.x_nodes()), 0.0)
+    with pytest.raises(RuntimeError, match="residual"):
+        harmonic_extension(tr, g, 0.5)
+
+
 @pytest.mark.parametrize("s", [0.3, 0.7])
 def test_maximum_principle(s):
     g = ExtensionGrid(hx=1 / 16, hy=1 / 16, L=2.0, H=2.0)

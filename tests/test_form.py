@@ -453,3 +453,28 @@ def test_refinement_consistency_recorded():
     drift = abs(fine - coarse) / abs(fine)
     print(f"refinement drift h=1/16 -> 1/32: {drift:.4%}")
     assert drift <= 0.10
+
+
+@pytest.mark.parametrize("n,h,copies,seed", [(1, 0.125, 3, 0), (2, 0.25, 2, 1)])
+def test_field_scatter_and_gather_match_cell_loops(n, h, copies, seed):
+    from fracdrum.spectra import _field_from_vector
+    g = GridSpec(n=n, h=h, L=1.0, copies=copies)
+    A, u = random_shape_and_field(seed, g, 9)
+    F = assemble_form(A, KernelParams(n=n, s=0.5))
+    # the per-cell loops the scatter and gather replace, compared bitwise
+    want = np.array([u.values[c].ravel()[f] for c, f in F.cells])
+    assert np.array_equal(F.field_vector(u), want)
+    vec = np.random.default_rng(seed).normal(size=F.size)
+    ref = [np.zeros(g.shape) for _ in range(copies)]
+    for (c, f), val in zip(F.cells, vec):
+        ref[c].ravel()[f] = val
+    field = _field_from_vector(F, vec)
+    assert all(np.array_equal(a, b) for a, b in zip(field.values, ref))
+    assert np.array_equal(F.field_vector(field), vec)
+    # a field loaded on one cell outside the shape is refused
+    interior = np.zeros(g.shape, dtype=bool)
+    interior[(slice(1, -1),) * n] = True
+    vals = [np.zeros(g.shape) for _ in range(copies)]
+    vals[copies - 1].ravel()[np.flatnonzero(interior & ~A.masks[-1])[0]] = 1.0
+    with pytest.raises(ValueError, match="leaves the assembled shape"):
+        F.field_vector(LatticeField(g, vals))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fracdrum import (GridSpec, KernelParams, LatticeField, MultiIndicator,
-                      component_signs, connected_components, pair_distance)
+                      component_signs, connected_components)
 
 
 def test_grid_requires_integer_cell_count():
@@ -40,10 +40,10 @@ def test_kernel_params_validation():
         KernelParams(n=3, s=0.5)
 
 
-def test_pair_distance_across_copies_is_infinite():
-    d = pair_distance((0, np.array([0.0])), (0, np.array([3.0])))
-    assert d == 3.0
-    assert pair_distance((0, np.array([0.0])), (1, np.array([0.0]))) == np.inf
+@pytest.mark.parametrize("h,L", [(0.25, 1e308), (1e-300, 1e10), (0.25, np.nan)])
+def test_grid_rejects_non_finite_cell_count(h, L):
+    with pytest.raises(ValueError, match="L/h"):
+        GridSpec(n=1, h=h, L=L)
 
 
 def test_indicator_boundary_enforcement():
