@@ -163,12 +163,19 @@ def classify(c: ChargeConfig, grad_tol: float = GRAD_TOL,
     """Stationary iff the gradient norm is below ``grad_tol``; stable then
     requires every translation-complement Hessian eigenvalue above
     ``eig_tol``.  The scaling direction sits at an exact zero for any
-    stationary point, so a strict positive threshold is the honest test."""
+    stationary point, so a strict positive threshold is the honest test.
+    A non-finite gradient norm or eigenvalue (overflow in the pair powers)
+    raises RuntimeError rather than passing for stationary."""
     g = float(np.linalg.norm(gradient(c)))
+    if not math.isfinite(g):
+        raise RuntimeError(f"gradient norm is not finite ({g})")
     if g >= grad_tol:
         return StationarityReport(Stationarity.NON_STATIONARY, g, None,
                                   euler_residual(c))
     eigs = translation_complement_eigs(c)
+    if not np.all(np.isfinite(eigs)):
+        raise RuntimeError("translation-complement Hessian has a non-finite "
+                           "eigenvalue")
     min_eig = float(eigs[0]) if eigs.size else float("inf")
     cls = (Stationarity.STATIONARY_STABLE if min_eig > eig_tol
            else Stationarity.STATIONARY_UNSTABLE)

@@ -241,11 +241,17 @@ def assemble_form(A: MultiIndicator, kp: KernelParams) -> FormMatrix:
     Q = np.zeros((N, N))
     lo = 0
     for mask in A.masks:
-        # per axis |coordinate difference|, folded into a flat index of w
-        offset = 0
+        # per axis |coordinate difference|, folded into a flat index of w;
+        # intp and in place, so np.take makes no index copy
+        offset = None
         for x in np.nonzero(mask):         # row-major, as in active_cells
-            x = x.astype(np.int32)
-            offset = offset * w.shape[0] + np.abs(np.subtract.outer(x, x))
+            d = np.subtract.outer(x, x)
+            np.abs(d, out=d)
+            if offset is None:
+                offset = d
+            else:
+                offset *= w.shape[0]
+                offset += d
         hi = lo + int(mask.sum())
         block = Q[lo:hi, lo:hi]
         np.take(w, offset, out=block, mode="clip")

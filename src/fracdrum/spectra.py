@@ -15,13 +15,16 @@ import math
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import cg, eigsh
 
 from .form import FormMatrix, assemble_form
 from .grid import GridSpec, KernelParams, LatticeField, MultiIndicator
 
-DENSE_LIMIT = 4000            # active-cell count above which eigsh takes over
+# Active-cell count above which shift-invert eigsh on a dense LU replaces
+# eigh(subset_by_index).  Crossover for the 4 lowest pairs on a 2-core host:
+# eigh wins at N=512 (0.010 vs 0.012 s), the two tie near N=700-1000, and
+# eigsh wins from N=1024 (0.049 vs 0.067 s; 0.27 vs 0.54 s at N=2048).
+DENSE_LIMIT = 1000
 MULTIPLICITY_RTOL = 1e-6      # gap below this (relative) flags a numeric tie
 RESIDUAL_RTOL = 1e-8
 
@@ -72,12 +75,12 @@ def dirichlet_eigs(A: MultiIndicator, kp: KernelParams, count: int,
         raise ValueError(f"count must be in 1..{N}, got {count}")
     Q = F.quadratic_matrix
     mass = F.grid.cell_volume
-    if N <= DENSE_LIMIT:
+    if N <= DENSE_LIMIT or count >= N:
         vals, vecs = eigh(Q, subset_by_index=[0, count - 1])
     else:
-        # fixed start vector: ARPACK's default one is drawn from OS entropy
-        vals, vecs = eigsh(csr_matrix(Q), k=count, sigma=0, which="LM",
-                           v0=np.ones(N))
+        # shift-invert on one dense LU of Q; a fixed start vector, since
+        # ARPACK's default one is drawn from OS entropy
+        vals, vecs = eigsh(Q, k=count, sigma=0, which="LM", v0=np.ones(N))
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
     lam = vals / mass

@@ -181,6 +181,16 @@ def test_classify_two_equal_charges_non_stationary():
     assert rep.min_hessian_eig is None
 
 
+@pytest.mark.parametrize("positions, exponent", [
+    ([[1e308], [1.0]], 3.0),        # finite gradient, NaN Hessian
+    ([[0.0], [1.0]], 1e308),        # NaN gradient
+])
+def test_classify_refuses_non_finite_configurations(positions, exponent):
+    with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="finite"):
+        classify(ChargeConfig(np.array(positions), np.array([RT2, RT2]),
+                              exponent))
+
+
 def test_translation_complement_dimensions():
     c = collinear()
     eigs = translation_complement_eigs(c)

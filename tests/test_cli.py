@@ -219,6 +219,21 @@ def test_toy_classify_smoke(tmp_path):
     assert summary["min_hessian_eig"] is None
 
 
+@pytest.mark.parametrize("positions, exponent", [
+    ([[1e308], [1.0]], 3.0),
+    ([[0.0], [1.0]], 1e308),
+])
+def test_toy_classify_non_finite_exits_3(tmp_path, positions, exponent):
+    doc = {"positions": positions, "masses": [2 ** -0.5, 2 ** -0.5],
+           "exponent": exponent}
+    with np.errstate(all="ignore"):
+        code, out = run_cli(tmp_path, "toy-classify", doc)
+    assert code == 3
+    assert not (out / "summary.json").exists()
+    record = json.loads((out / "error.json").read_text())
+    assert record["type"] == "RuntimeError" and "finite" in record["error"]
+
+
 def test_console_entry_point_subprocess(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"d": 2, "n": 1, "s": 0.5, "trials": 2,

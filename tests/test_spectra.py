@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -110,6 +111,49 @@ def test_iterative_solver_is_bit_reproducible(monkeypatch):
     monkeypatch.setattr(spectra, "DENSE_LIMIT", 4)
     runs = {dirichlet_eigs(A, KP, 3).eigenvalues.tobytes() for _ in range(6)}
     assert len(runs) == 1
+
+
+def two_rects(h=0.125):
+    g = GridSpec(n=2, h=h, L=1.0, copies=2)
+    x, y = g.cell_centers().T.reshape(2, *g.shape)
+    return MultiIndicator(g, [(np.abs(x) < 0.6) & (np.abs(y) < 0.4),
+                              (np.abs(x - 0.1) < 0.4) & (np.abs(y) < 0.7)])
+
+
+@pytest.mark.parametrize("A, kp", [
+    (interval(0.03125, -1.5, 1.0), KP),
+    (two_rects(), KernelParams(n=2, s=0.5)),
+])
+def test_eigsh_branch_matches_eigh(monkeypatch, A, kp):
+    dense = dirichlet_eigs(A, kp, 4)
+    monkeypatch.setattr(spectra, "DENSE_LIMIT", 4)
+    shifted = dirichlet_eigs(A, kp, 4)
+    assert shifted.eigenvalues == pytest.approx(dense.eigenvalues, rel=1e-12)
+    assert np.all(shifted.residuals <= spectra.RESIDUAL_RTOL)
+
+
+def test_eigsh_branch_count_equal_to_size_uses_eigh(monkeypatch):
+    A = interval(0.25, -1.0, 0.5)      # 6 cells
+    N = A.cell_count()
+    dense = dirichlet_eigs(A, KP, N)
+    monkeypatch.setattr(spectra, "DENSE_LIMIT", 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        full = dirichlet_eigs(A, KP, N)
+    assert np.array_equal(full.eigenvalues, dense.eigenvalues)
+
+
+def test_eigsh_branch_keeps_residual_contract(monkeypatch):
+    A = interval(0.0625, -1.5, 1.0)
+    eigsh = spectra.eigsh
+
+    def perturbed(*args, **kwargs):
+        vals, vecs = eigsh(*args, **kwargs)
+        return vals, vecs + 1e-6 * np.random.default_rng(0).normal(size=vecs.shape)
+    monkeypatch.setattr(spectra, "DENSE_LIMIT", 4)
+    monkeypatch.setattr(spectra, "eigsh", perturbed)
+    with pytest.raises(RuntimeError, match="residual"):
+        dirichlet_eigs(A, KP, 3)
 
 
 def test_min_max_ritz_consistency():
