@@ -17,29 +17,23 @@ import math
 import numpy as np
 
 from .form import assemble_form, interaction_energy
-from .grid import (GridSpec, KernelParams, LatticeField, MultiIndicator,
+from .grid import (KernelParams, LatticeField, MultiIndicator, cell_pairs,
                    component_signs, connected_components)
-from .spectra import SpectralResult, dirichlet_eigs, objective
+from .spectra import SpectralResult, dirichlet_eigs
 
 Move = tuple
 
-_TOL = 1e-12
 
-
-def _interior_ok(coords: np.ndarray, m: int) -> bool:
-    return bool(np.all(coords > 0) and np.all(coords < m - 1))
-
-
-def _open_face(mask: np.ndarray) -> np.ndarray:
-    """Cells with at least one face neighbor outside ``mask``; the outside
-    of the box counts as outside."""
-    out = np.zeros_like(mask)
-    off = ~mask
-    for axis in range(mask.ndim):
-        o, f = out.swapaxes(0, axis), off.swapaxes(0, axis)
-        o[1:] |= f[:-1]
-        o[:-1] |= f[1:]
-        o[0] = o[-1] = True
+def _open_face(masks: np.ndarray) -> np.ndarray:
+    """Cells with at least one face neighbor, in their own copy, outside
+    ``masks``; the outside of the box counts as outside."""
+    out = np.zeros_like(masks)
+    off = ~masks
+    for axis in range(1, masks.ndim):
+        o, f = out.swapaxes(1, axis), off.swapaxes(1, axis)
+        o[:, 1:] |= f[:, :-1]
+        o[:, :-1] |= f[:, 1:]
+        o[:, 0] = o[:, -1] = True
     return out
 
 
@@ -52,72 +46,51 @@ def enumerate_moves(A: MultiIndicator, min_cells: int = 1) -> list[Move]:
     (face adjacency) and stays strictly inside the box, so the chain grows
     and shrinks along boundaries rather than teleporting mass.
     """
-    grid = A.grid
-    m = grid.cells_per_side
-    moves: list[Move] = []
-    total = A.cell_count()
-    interior = np.zeros(grid.shape, dtype=bool)
-    interior[(slice(1, -1),) * grid.n] = True
-    for c, mask in enumerate(A.masks):
-        flips = ~mask & interior & _open_face(~mask)     # touches the shape
-        if total > min_cells:
-            flips |= mask & _open_face(mask)
-        moves.extend(("flip", c, int(idx)) for idx in np.flatnonzero(flips))
+    grid, masks = A.grid, A.masks
+    interior = grid.interior()
+    flips = ~masks & interior & _open_face(~masks)     # touches the shape
+    if A.cell_count() > min_cells:
+        flips |= masks & _open_face(masks)
+    moves: list[Move] = [("flip", c, f)
+                         for c, f in cell_pairs(grid, np.flatnonzero(flips))]
 
     decomp = connected_components(A)
-    comp_coords = []
-    for comp_copy, flats in decomp.cells:
-        comp_coords.append((comp_copy, np.column_stack(np.unravel_index(flats, grid.shape))))
-
-    for comp_id, (comp_copy, coords) in enumerate(comp_coords):
-        others = A.masks[comp_copy].copy()
-        others.reshape(-1)[decomp.cells[comp_id][1]] = False
+    comp_coords = [(c, np.unravel_index(f, grid.shape)) for c, f in decomp.cells]
+    for comp_id, (c, coords) in enumerate(comp_coords):
+        free = interior & ~masks[c]
+        free[coords] = True
         for axis in range(grid.n):
             for sign in (-1, 1):
-                shifted = coords.copy()
-                shifted[:, axis] += sign
-                if not _interior_ok(shifted, m):
-                    continue
-                if np.any(others[tuple(shifted.T)]):
-                    continue
-                moves.append(("translate", comp_id, axis, sign))
+                shifted = list(coords)
+                shifted[axis] = coords[axis] + sign
+                if free[tuple(shifted)].all():
+                    moves.append(("translate", comp_id, axis, sign))
 
-    for comp_id, (comp_copy, coords) in enumerate(comp_coords):
-        for target in range(grid.copies):
-            if target == comp_copy:
-                continue
-            if np.any(A.masks[target][tuple(coords.T)]):
-                continue
-            moves.append(("relocate", comp_id, target))
+    for comp_id, (c, coords) in enumerate(comp_coords):
+        free = ~masks[(slice(None), *coords)].any(axis=1)
+        free[c] = False
+        moves.extend(("relocate", comp_id, int(t)) for t in np.flatnonzero(free))
     return moves
 
 
 def apply_move(A: MultiIndicator, move: Move) -> MultiIndicator:
-    grid = A.grid
-    masks = [mk.copy() for mk in A.masks]
+    masks = A.masks.copy()
     if move[0] == "flip":
         _, c, idx = move
-        flat = masks[c].ravel()
-        flat[idx] = not flat[idx]
-        masks[c] = flat.reshape(grid.shape)
-        return MultiIndicator(grid, masks)
-    decomp = connected_components(A)
+        masks[c].ravel()[idx] ^= True
+        return MultiIndicator(A.grid, masks)
+    if move[0] not in ("translate", "relocate"):
+        raise ValueError(f"unknown move kind {move[0]!r}")
+    c, flat = connected_components(A).cells[move[1]]
+    coords = list(np.unravel_index(flat, A.grid.shape))
+    masks[(c, *coords)] = False
     if move[0] == "translate":
-        _, comp_id, axis, sign = move
-        comp_copy, flats = decomp.cells[comp_id]
-        coords = np.column_stack(np.unravel_index(flats, grid.shape))
-        masks[comp_copy][tuple(coords.T)] = False
-        coords[:, axis] += sign
-        masks[comp_copy][tuple(coords.T)] = True
-        return MultiIndicator(grid, masks)
-    if move[0] == "relocate":
-        _, comp_id, target = move
-        comp_copy, flats = decomp.cells[comp_id]
-        coords = np.column_stack(np.unravel_index(flats, grid.shape))
-        masks[comp_copy][tuple(coords.T)] = False
-        masks[target][tuple(coords.T)] = True
-        return MultiIndicator(grid, masks)
-    raise ValueError(f"unknown move kind {move[0]!r}")
+        _, _, axis, sign = move
+        coords[axis] += sign
+    else:
+        c = move[2]
+    masks[(c, *coords)] = True
+    return MultiIndicator(A.grid, masks)
 
 
 @dataclass
@@ -182,11 +155,7 @@ def minimize(init: MultiIndicator, kp: KernelParams, k: int = 1,
         moves = enumerate_moves(current, min_cells=k)
         move = moves[int(rng.integers(len(moves)))]
         candidate = apply_move(current, move)
-        try:
-            cand_obj, cand_spec = _score(candidate, kp, k)
-        except (ValueError, RuntimeError):
-            trace.append(TraceRow(step, temp, cur_obj, False, move[0]))
-            continue
+        cand_obj, cand_spec = _score(candidate, kp, k)
         delta = cand_obj - cur_obj
         accept = delta <= 0 or rng.random() < math.exp(-delta / temp)
         if accept:
@@ -219,30 +188,26 @@ def translation_gradient(u: LatticeField, A1, A2, direction,
     if direction.shape != (grid.n,) or np.sum(np.abs(direction)) != 1:
         raise ValueError("direction must be a lattice unit vector")
     axis = int(np.flatnonzero(direction)[0])
-    orient = int(direction[axis])
+    m, stack = grid.cells_per_side, (grid.copies, *grid.shape)
+    ids1 = np.array([c * grid.box_size + f for c, f in A1], dtype=int)
+    ids2 = np.array([c * grid.box_size + f for c, f in A2], dtype=int)
     out = []
-    for sign in (-orient, orient):
-        masks = [np.zeros(grid.shape, dtype=bool) for _ in range(grid.copies)]
-        shifted_vals = [np.zeros(grid.shape) for _ in range(grid.copies)]
-        cells2 = []
-        for c, flat in A1:
-            np.ravel(masks[c])[flat] = True
-            np.ravel(shifted_vals[c])[flat] = u.values[c].ravel()[flat]
-        for c, flat in A2:
-            coords = np.array(np.unravel_index(flat, grid.shape))
-            coords[axis] += sign
-            if np.any(coords <= 0) or np.any(coords >= grid.cells_per_side - 1):
-                raise ValueError("shifted group leaves the interior of the box")
-            nidx = int(np.ravel_multi_index(tuple(coords), grid.shape))
-            if masks[c].ravel()[nidx]:
-                raise ValueError("shifted group collides with the fixed group")
-            np.ravel(masks[c])[nidx] = True
-            np.ravel(shifted_vals[c])[nidx] = u.values[c].ravel()[flat]
-            cells2.append((c, nidx))
-        A = MultiIndicator(grid, masks)
-        F = assemble_form(A, kp)
-        v = LatticeField(grid, shifted_vals)
-        out.append(interaction_energy(F, v, list(A1), cells2))
+    for sign in (-int(direction[axis]), int(direction[axis])):
+        coords = list(np.unravel_index(ids2, stack))
+        coords[axis + 1] += sign
+        if not all(np.all((x > 0) & (x < m - 1)) for x in coords[1:]):
+            raise ValueError("shifted group leaves the interior of the box")
+        moved = np.ravel_multi_index(coords, stack)
+        if np.isin(moved, ids1).any():
+            raise ValueError("shifted group collides with the fixed group")
+        cells = np.concatenate([ids1, moved])
+        masks, vals = np.zeros(stack, dtype=bool), np.zeros(stack)
+        masks.ravel()[cells] = True
+        vals.ravel()[cells] = u.values.ravel()[np.concatenate([ids1, ids2])]
+        F = assemble_form(MultiIndicator(grid, masks), kp)
+        v = LatticeField(grid, vals)
+        out.append(interaction_energy(F, v, cell_pairs(grid, ids1),
+                                      cell_pairs(grid, moved)))
     return (out[1] - out[0]) / (2.0 * grid.h)
 
 
@@ -258,11 +223,8 @@ class DiagnosticsReport:
 
 
 def _boundary_cells(A: MultiIndicator) -> list[tuple[int, int]]:
-    """Active cells with at least one inactive face neighbor, per copy."""
-    out = []
-    for c, mask in enumerate(A.masks):
-        out.extend((c, int(idx)) for idx in np.flatnonzero(mask & _open_face(mask)))
-    return out
+    """Active (copy, flat) cells with at least one inactive face neighbor."""
+    return cell_pairs(A.grid, np.flatnonzero(A.masks & _open_face(A.masks)))
 
 
 def diagnostics(A: MultiIndicator, u: LatticeField, kp: KernelParams, radii,
@@ -279,19 +241,15 @@ def diagnostics(A: MultiIndicator, u: LatticeField, kp: KernelParams, radii,
     grid = A.grid
     decomp = connected_components(A)
     signs = component_signs(decomp, u)
-    scale = max(float(np.abs(v).max()) for v in u.values)
+    scale = float(np.abs(u.values).max())
     thr = tol * scale if scale > 0 else tol
 
     violations = 0
-    for c in range(grid.copies):
-        v = u.values[c]
-        if grid.n == 1:
-            pairs = [(v[:-1], v[1:])]
-        else:
-            pairs = [(v[:-1, :], v[1:, :]), (v[:, :-1], v[:, 1:])]
-        for a, b in pairs:
-            violations += int(np.sum((a > thr) & (b < -thr)))
-            violations += int(np.sum((a < -thr) & (b > thr)))
+    for axis in range(1, u.values.ndim):     # face neighbours within a copy
+        v = u.values.swapaxes(1, axis)
+        a, b = v[:, :-1], v[:, 1:]
+        violations += int(np.sum((a > thr) & (b < -thr)))
+        violations += int(np.sum((a < -thr) & (b > thr)))
 
     centers = grid.cell_centers()
     boundary = _boundary_cells(A)

@@ -189,7 +189,7 @@ def _shape_from_config(spec: dict, grid: GridSpec, rng=None) -> MultiIndicator:
         n = 1 if kind == "intervals" else 2
         if grid.n != n:
             raise ConfigError(f"shape kind '{kind}' requires n = {n}")
-        masks = [np.zeros(grid.shape, dtype=bool) for _ in range(grid.copies)]
+        masks = np.zeros((grid.copies, *grid.shape), dtype=bool)
         centers = grid.axis_centers()
         for c, *bounds in spec["items"]:
             # cells whose centre lies strictly inside the box, axis by axis
@@ -208,10 +208,10 @@ def _random_blob(grid: GridSpec, cells: int, copy: int, rng) -> MultiIndicator:
     """Seeded connected blob grown cell by cell from the box center: each
     step adds a uniform pick, in row-major order, of the strictly interior
     cells face-adjacent to the blob."""
-    mask = np.zeros(grid.shape, dtype=bool)
+    masks = np.zeros((grid.copies, *grid.shape), dtype=bool)
+    mask = masks[copy]            # grown in place
     mask[(grid.cells_per_side // 2,) * grid.n] = True
-    interior = np.zeros(grid.shape, dtype=bool)
-    interior[(slice(1, -1),) * grid.n] = True
+    interior = grid.interior()
     while int(mask.sum()) < cells:
         near = np.zeros(grid.shape, dtype=bool)
         for axis in range(grid.n):   # wrapped cells land on the box edge
@@ -220,8 +220,6 @@ def _random_blob(grid: GridSpec, cells: int, copy: int, rng) -> MultiIndicator:
         if not frontier.size:
             raise ConfigError("field 'cells' exceeds the strict interior")
         mask.flat[frontier[int(rng.integers(frontier.size))]] = True
-    masks = [np.zeros(grid.shape, dtype=bool) for _ in range(grid.copies)]
-    masks[copy] = mask
     return MultiIndicator(grid, masks)
 
 
@@ -248,13 +246,11 @@ def _run_eigs(cfg: dict, out: str, seed: int, timings: dict) -> dict:
     res = dirichlet_eigs(A, kp, count)
     timings["eigs_s"] = time.perf_counter() - t0
     if cfg["dump_fields"]:
-        cells = A.active_cells()
+        cols = [u.values[A.masks].tolist() for u in res.fields]   # in cell id order
         with open(os.path.join(out, "fields.csv"), "w") as f:
             f.write("copy,cell," + ",".join(f"u{j + 1}" for j in range(count)) + "\n")
-            for row, (c, idx) in enumerate(cells):
-                vals = ",".join(repr(float(res.fields[j].values[c].ravel()[idx]))
-                                for j in range(count))
-                f.write(f"{c},{idx},{vals}\n")
+            for (c, idx), *vals in zip(A.active_cells(), *cols):
+                f.write(f"{c},{idx}," + ",".join(map(repr, vals)) + "\n")
     return {
         "experiment": "eigs",
         "eigenvalues": [float(v) for v in res.eigenvalues],
@@ -352,13 +348,11 @@ def _run_rearrange_check(cfg: dict, out: str, seed: int, timings: dict) -> dict:
     F_u = assemble_form(A, kp)
     for t in range(trials):
         rng = np.random.default_rng([seed, _FIELD_TAG, t])
-        vals = [np.zeros(grid.shape) for _ in range(grid.copies)]
-        for c, mk in enumerate(A.masks):
-            vals[c][mk] = rng.uniform(0.1, 1.0, size=int(mk.sum()))
+        vals = np.zeros(A.masks.shape)
+        vals[A.masks] = rng.uniform(0.1, 1.0, size=A.cell_count())
         u = LatticeField(grid, vals)
         star = rearrange(u).field
-        F_star = assemble_form(MultiIndicator(
-            grid, [v > 0 for v in star.values]), kp)
+        F_star = assemble_form(MultiIndicator(grid, star.values > 0), kp)
         num = rayleigh(F_star, star) * star.norm_sq()
         den = rayleigh(F_u, u) * u.norm_sq()
         worst = max(worst, num / den)

@@ -40,7 +40,8 @@ import math
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .grid import GridSpec, KernelParams, LatticeField, MultiIndicator
+from .grid import (GridSpec, KernelParams, LatticeField, MultiIndicator,
+                   cell_pairs)
 
 _NSUB = 4          # subcells per axis in near-field quadrature
 _GL_NODES = 48     # Gauss-Legendre order for n=2 corner integrals
@@ -182,17 +183,28 @@ class FormMatrix:
 
     grid: GridSpec
     kp: KernelParams
-    cells: list                 # (copy, flat index), row-major per copy
-    positions: np.ndarray       # (N, n) cell centers
-    copy_ids: np.ndarray        # (N,)
-    flat_ids: np.ndarray        # (N,) flat cell index within its copy
+    ids: np.ndarray               # (N,) ascending flat indices into (copies, *box)
     quadratic_matrix: np.ndarray  # (N, N) Q with u^T Q u = B[u,u]
 
     _index: dict | None = None
 
     @property
     def size(self) -> int:
-        return len(self.cells)
+        return len(self.ids)
+
+    @property
+    def cells(self) -> list:
+        """(copy, flat index) of each active cell, in id order."""
+        return cell_pairs(self.grid, self.ids)
+
+    @property
+    def copy_ids(self) -> np.ndarray:
+        return self.ids // self.grid.box_size
+
+    @property
+    def positions(self) -> np.ndarray:
+        """(N, n) cell centers."""
+        return self.grid.cell_centers()[self.ids % self.grid.box_size]
 
     @property
     def weights(self) -> np.ndarray:
@@ -214,15 +226,10 @@ class FormMatrix:
 
     def field_vector(self, u: LatticeField) -> np.ndarray:
         """Active-cell value vector of u; errors if u lives outside the shape."""
-        vec = np.zeros(self.size)
-        for copy, (vals, mask) in enumerate(zip(u.values, u.support.masks)):
-            rows = self.copy_ids == copy
-            flat = self.flat_ids[rows]
-            inside = mask.ravel()[flat]
-            if np.count_nonzero(inside) != np.count_nonzero(mask):
-                raise ValueError("field support leaves the assembled shape")
-            vec[rows] = np.where(inside, vals.ravel()[flat], 0.0)
-        return vec
+        inside = u.support.masks.ravel()[self.ids]
+        if np.count_nonzero(inside) != u.support.cell_count():
+            raise ValueError("field support leaves the assembled shape")
+        return np.where(inside, u.values.ravel()[self.ids], 0.0)
 
 
 def assemble_form(A: MultiIndicator, kp: KernelParams) -> FormMatrix:
@@ -233,18 +240,16 @@ def assemble_form(A: MultiIndicator, kp: KernelParams) -> FormMatrix:
     if A.is_empty():
         raise ValueError("cannot assemble the form of an empty shape")
     w, diag = _box_stencil(grid, kp)
-    cells = A.active_cells()
-    copy_ids = np.array([c for c, _ in cells])
-    flat_ids = np.array([f for _, f in cells])
+    ids = np.flatnonzero(A.masks)
 
-    N = len(cells)
+    N = len(ids)
     Q = np.zeros((N, N))
     lo = 0
     for mask in A.masks:
         # per axis |coordinate difference|, folded into a flat index of w;
         # intp and in place, so np.take makes no index copy
         offset = None
-        for x in np.nonzero(mask):         # row-major, as in active_cells
+        for x in np.nonzero(mask):         # row-major, as in the cell ids
             d = np.subtract.outer(x, x)
             np.abs(d, out=d)
             if offset is None:
@@ -257,10 +262,8 @@ def assemble_form(A: MultiIndicator, kp: KernelParams) -> FormMatrix:
         np.take(w, offset, out=block, mode="clip")
         block *= -2.0
         lo = hi
-    np.fill_diagonal(Q, diag[flat_ids])
-    return FormMatrix(grid=grid, kp=kp, cells=cells,
-                      positions=grid.cell_centers()[flat_ids],
-                      copy_ids=copy_ids, flat_ids=flat_ids, quadratic_matrix=Q)
+    np.fill_diagonal(Q, diag[ids % grid.box_size])
+    return FormMatrix(grid=grid, kp=kp, ids=ids, quadratic_matrix=Q)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ A computational domain lives on k disjoint copies of the box [-L, L]^n,
 discretized into cells of side h with centers at -L + (i + 1/2) h.  Points
 in different copies are at infinite distance from each other, so every
 kernel weight between copies is exactly zero.  Shapes are boolean masks
-over the cells (one mask per copy), fields are real arrays supported on
-such masks.
+over the cells, stacked as one (copies, *box) array; fields are real arrays
+of the same shape supported on such masks.
 """
 
 from __future__ import annotations
@@ -46,6 +46,11 @@ class GridSpec:
         return (self.cells_per_side,) * self.n
 
     @property
+    def box_size(self) -> int:
+        """Cells in one copy's box."""
+        return self.cells_per_side ** self.n
+
+    @property
     def cell_volume(self) -> float:
         return self.h ** self.n
 
@@ -61,6 +66,12 @@ class GridSpec:
             return c[:, None]
         gx, gy = np.meshgrid(c, c, indexing="ij")
         return np.column_stack([gx.ravel(), gy.ravel()])
+
+    def interior(self) -> np.ndarray:
+        """Box mask of the cells strictly inside the box."""
+        out = np.zeros(self.shape, dtype=bool)
+        out[(slice(1, -1),) * self.n] = True
+        return out
 
 
 @dataclass(frozen=True)
@@ -91,28 +102,19 @@ class KernelParams:
 
 
 class MultiIndicator:
-    """A shape: one boolean cell mask per copy, all true cells strictly inside."""
+    """A shape: one read-only boolean array of shape (copies, *box), all true
+    cells strictly inside the box.  A cell's id is its flat index into the
+    array, so ids run copy-major, row-major within a copy."""
 
     def __init__(self, grid: GridSpec, masks):
-        if len(masks) != grid.copies:
-            raise ValueError(f"need {grid.copies} masks, got {len(masks)}")
-        clean = []
-        for m in masks:
-            m = np.asarray(m, dtype=bool)
-            if m.shape != grid.shape:
-                raise ValueError(f"mask shape {m.shape} != grid shape {grid.shape}")
-            clean.append(m.copy())
         self.grid = grid
-        self.masks = tuple(clean)
-        for m in self.masks:
-            if _touches_boundary(m):
-                raise ValueError("mask touches the box boundary")
-        for m in self.masks:
-            m.setflags(write=False)
+        self.masks = _stack(grid, masks, bool, "masks", "mask")
+        if np.any(self.masks & ~grid.interior()):
+            raise ValueError("mask touches the box boundary")
 
     @classmethod
     def empty(cls, grid: GridSpec) -> "MultiIndicator":
-        return cls(grid, [np.zeros(grid.shape, dtype=bool) for _ in range(grid.copies)])
+        return cls(grid, np.zeros((grid.copies, *grid.shape), dtype=bool))
 
     @classmethod
     def from_interval(cls, grid: GridSpec, lo: float, hi: float, copy: int = 0):
@@ -120,12 +122,12 @@ class MultiIndicator:
         if grid.n != 1:
             raise ValueError("from_interval requires n=1")
         c = grid.axis_centers()
-        masks = [np.zeros(grid.shape, dtype=bool) for _ in range(grid.copies)]
+        masks = np.zeros((grid.copies, *grid.shape), dtype=bool)
         masks[copy] = (c > lo) & (c < hi)
         return cls(grid, masks)
 
     def cell_count(self) -> int:
-        return int(sum(m.sum() for m in self.masks))
+        return int(self.masks.sum())
 
     def volume(self) -> float:
         return self.grid.cell_volume * self.cell_count()
@@ -139,88 +141,77 @@ class MultiIndicator:
         return MultiIndicator(self.grid, masks)
 
     def active_cells(self):
-        """Deterministic cell enumeration: list of (copy, flat index), row-major."""
-        out = []
-        for c, m in enumerate(self.masks):
-            out.extend((c, int(f)) for f in np.flatnonzero(m.ravel()))
-        return out
+        """Deterministic cell enumeration: list of (copy, flat index), in id order."""
+        return cell_pairs(self.grid, np.flatnonzero(self.masks))
 
     def __eq__(self, other):
         return (isinstance(other, MultiIndicator) and self.grid == other.grid
-                and all(np.array_equal(a, b) for a, b in zip(self.masks, other.masks)))
+                and np.array_equal(self.masks, other.masks))
 
 
-def _touches_boundary(mask: np.ndarray) -> bool:
-    if mask.ndim == 1:
-        return bool(mask[0] or mask[-1])
-    return bool(mask[0, :].any() or mask[-1, :].any()
-                or mask[:, 0].any() or mask[:, -1].any())
+def _stack(grid: GridSpec, arrays, dtype, plural: str, single: str) -> np.ndarray:
+    """One read-only (copies, *box) array from a sequence of per-copy arrays."""
+    if len(arrays) != grid.copies:
+        raise ValueError(f"need {grid.copies} {plural}, got {len(arrays)}")
+    bad = next((np.shape(a) for a in arrays if np.shape(a) != grid.shape), None)
+    if bad is not None:
+        raise ValueError(f"{single} shape {bad} != grid shape {grid.shape}")
+    out = np.array(arrays, dtype=dtype)
+    out.setflags(write=False)
+    return out
+
+
+def cell_pairs(grid: GridSpec, ids: np.ndarray) -> list:
+    """(copy, flat index within the copy) of each cell id."""
+    copies, flats = np.divmod(ids, grid.box_size)
+    return list(zip(copies.tolist(), flats.tolist()))
 
 
 class LatticeField:
-    """A real-valued function on the lattice, zero outside its support mask."""
+    """A real-valued function on the lattice, zero outside its support mask;
+    ``values`` is one read-only float array of shape (copies, *box)."""
 
     def __init__(self, grid: GridSpec, values, support: MultiIndicator | None = None):
-        if len(values) != grid.copies:
-            raise ValueError(f"need {grid.copies} value arrays, got {len(values)}")
-        vals = []
-        for v in values:
-            v = np.asarray(v, dtype=float)
-            if v.shape != grid.shape:
-                raise ValueError(f"value shape {v.shape} != grid shape {grid.shape}")
-            vals.append(v.copy())
-        if support is None:
-            support = MultiIndicator(grid, [v != 0 for v in vals])
-        else:
-            for v, m in zip(vals, support.masks):
-                if np.any(v[~m] != 0):
-                    raise ValueError("values nonzero outside the support mask")
         self.grid = grid
-        self.values = tuple(vals)
+        self.values = _stack(grid, values, float, "value arrays", "value")
+        if support is None:
+            support = MultiIndicator(grid, self.values != 0)
+        elif np.any(self.values[~support.masks] != 0):
+            raise ValueError("values nonzero outside the support mask")
         self.support = support
-        for v in self.values:
-            v.setflags(write=False)
 
     def norm_sq(self) -> float:
         """Cell-measure weighted squared l2 norm, h^n * sum(u^2)."""
+        # one sum per copy: a single sum over the stack rounds differently
         return self.grid.cell_volume * float(sum((v ** 2).sum() for v in self.values))
-
-    def on_active(self, cells) -> np.ndarray:
-        """Values at the given (copy, flat) cell list, in that order."""
-        flat = [v.ravel() for v in self.values]
-        return np.array([flat[c][f] for c, f in cells])
 
 
 @dataclass
 class ComponentDecomposition:
     """Face-adjacency connected components; each lies inside a single copy."""
 
-    labels: tuple                 # per copy, int array, -1 outside the shape
+    labels: np.ndarray            # (copies, *box) int array, -1 outside the shape
     count: int
     cells: list = field(default_factory=list)   # per component: (copy, flat array)
 
-    def copy_of(self, comp: int) -> int:
-        return self.cells[comp][0]
-
 
 def connected_components(A: MultiIndicator) -> ComponentDecomposition:
-    """Label face-adjacent components in deterministic row-major discovery order."""
+    """Label face-adjacent components, numbered in order of their first cell id."""
     # imported here: loading scipy.ndimage costs every CLI process ~0.1 s
-    from scipy.ndimage import label
+    from scipy.ndimage import generate_binary_structure, label
 
-    labels = []
-    cells = []
-    for copy, mask in enumerate(A.masks):
-        raw, count = label(mask, output=int)   # 1..count in raster-scan order
-        labels.append(np.where(raw > 0, raw + (len(cells) - 1), -1))
-        if count:
-            flat = np.flatnonzero(mask)
-            ids = raw.ravel()[flat]
-            bounds = np.cumsum(np.bincount(ids)[1:-1])
-            groups = np.split(flat[np.argsort(ids, kind="stable")], bounds)
-            cells.extend((copy, g) for g in groups)
-    return ComponentDecomposition(labels=tuple(labels), count=len(cells),
-                                  cells=cells)
+    # face neighbours within a copy, none along the copy axis
+    faces = np.zeros((3,) * (A.grid.n + 1), dtype=bool)
+    faces[1] = generate_binary_structure(A.grid.n, 1)
+    raw, count = label(A.masks, structure=faces, output=int)   # raster-scan order
+    cells, box = [], A.grid.box_size
+    if count:
+        ids = np.flatnonzero(A.masks)
+        comp = raw.ravel()[ids]
+        groups = np.split(ids[np.argsort(comp, kind="stable")],
+                          np.cumsum(np.bincount(comp)[1:-1]))
+        cells = [(int(g[0]) // box, g % box) for g in groups]
+    return ComponentDecomposition(labels=raw - 1, count=count, cells=cells)
 
 
 def component_signs(decomp: ComponentDecomposition, u: LatticeField,

@@ -25,13 +25,7 @@ def center_outward_order(grid: GridSpec) -> np.ndarray:
     centers = grid.cell_centers()
     dist = np.linalg.norm(centers, axis=1)
     order = np.lexsort((np.arange(len(dist)), dist))
-    m = grid.cells_per_side
-    if grid.n == 1:
-        interior = (order != 0) & (order != m - 1)
-    else:
-        ii, jj = np.unravel_index(order, grid.shape)
-        interior = (ii > 0) & (ii < m - 1) & (jj > 0) & (jj < m - 1)
-    return order[interior]
+    return order[grid.interior().ravel()[order]]
 
 
 @dataclass
@@ -42,7 +36,7 @@ class RearrangedField:
 
 def rearrange(u: LatticeField) -> RearrangedField:
     """Sort the nonzero values descending and refill center-outward."""
-    vals = np.concatenate([v.ravel() for v in u.values])
+    vals = u.values.ravel()
     if np.any(vals < 0):
         raise ValueError("rearrangement requires a nonnegative field")
     nz = np.sort(vals[vals > 0])[::-1]
@@ -50,10 +44,8 @@ def rearrange(u: LatticeField) -> RearrangedField:
     order = center_outward_order(grid)
     if len(nz) > len(order):
         raise ValueError("rearranged support does not fit strictly inside the box")
-    out = [np.zeros(grid.shape) for _ in range(grid.copies)]
-    flat0 = out[0].ravel()
-    flat0[order[:len(nz)]] = nz
-    out[0] = flat0.reshape(grid.shape)
+    out = np.zeros(u.values.shape)
+    out[0].ravel()[order[:len(nz)]] = nz
     checksum = hashlib.sha256(np.ascontiguousarray(nz).tobytes()).hexdigest()
     return RearrangedField(field=LatticeField(grid, out),
                            value_multiset_checksum=checksum)
@@ -69,10 +61,8 @@ def ball_indicator(volume: float, grid: GridSpec, copy: int = 0) -> MultiIndicat
     order = center_outward_order(grid)
     if count > len(order):
         raise ValueError("ball of that volume does not fit strictly inside the box")
-    masks = [np.zeros(grid.shape, dtype=bool) for _ in range(grid.copies)]
-    flat = masks[copy].ravel()
-    flat[order[:count]] = True
-    masks[copy] = flat.reshape(grid.shape)
+    masks = np.zeros((grid.copies, *grid.shape), dtype=bool)
+    masks[copy].ravel()[order[:count]] = True
     return MultiIndicator(grid, masks)
 
 

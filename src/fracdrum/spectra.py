@@ -18,7 +18,7 @@ from scipy.linalg import eigh
 from scipy.sparse.linalg import cg, eigsh
 
 from .form import FormMatrix, assemble_form
-from .grid import GridSpec, KernelParams, LatticeField, MultiIndicator
+from .grid import KernelParams, LatticeField, MultiIndicator
 
 # Active-cell count above which shift-invert eigsh on a dense LU replaces
 # eigh(subset_by_index).  Crossover for the 4 lowest pairs on a 2-core host:
@@ -38,12 +38,9 @@ def kernel_operator_constant(n: int, s: float) -> float:
 
 def _field_from_vector(F: FormMatrix, vec: np.ndarray) -> LatticeField:
     grid = F.grid
-    values = [np.zeros(grid.shape) for _ in range(grid.copies)]
-    for copy, v in enumerate(values):
-        rows = F.copy_ids == copy
-        v.ravel()[F.flat_ids[rows]] = vec[rows]
-    support = MultiIndicator(grid, [v != 0 for v in values])
-    return LatticeField(grid, values, support)
+    values = np.zeros((grid.copies, *grid.shape))
+    values.ravel()[F.ids] = vec
+    return LatticeField(grid, values, MultiIndicator(grid, values != 0))
 
 
 @dataclass
@@ -154,7 +151,4 @@ def gamma_distance(A: MultiIndicator, B: MultiIndicator, kp: KernelParams) -> fl
         raise ValueError("shapes live on different grids")
     ua = torsion_solve(A, kp).field
     ub = torsion_solve(B, kp).field
-    tot = 0.0
-    for va, vb in zip(ua.values, ub.values):
-        tot += float(np.abs(va - vb).sum())
-    return A.grid.cell_volume * tot
+    return A.grid.cell_volume * float(np.abs(ua.values - ub.values).sum())

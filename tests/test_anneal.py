@@ -246,3 +246,34 @@ def test_diagnostics_on_interval_ball():
     assert not rep.inconclusive
     rep2 = diagnostics(A, res.fields[0], KP, radii, multiple=True)
     assert rep2.inconclusive
+
+
+def test_scoring_failure_propagates_out_of_minimize(monkeypatch, tmp_path):
+    import json
+    import fracdrum.anneal as anneal
+    from fracdrum import cli
+    real, calls = anneal.dirichlet_eigs, []
+
+    def breaks_on_third_call(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise RuntimeError("residual exceeds the solver contract")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(anneal, "dirichlet_eigs", breaks_on_third_call)
+    g = GridSpec(n=1, h=0.25, L=2.0, copies=2)
+    init = MultiIndicator.from_interval(g, -0.5, 0.5)
+    with pytest.raises(RuntimeError, match="solver contract"):
+        minimize(init, KP, k=1, schedule=AnnealSchedule(steps=10, seed=7))
+    assert len(calls) == 3
+
+    calls.clear()
+    doc = {"n": 1, "s": 0.5, "h": 0.25, "L": 2.0, "copies": 2, "k": 1,
+           "steps": 10, "seed": 7,
+           "init": {"kind": "intervals", "items": [[0, -0.5, 0.5]]}}
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli.run("optimize-shape", str(tmp_path / "config.json"), str(out)) == 3
+    record = json.loads((out / "error.json").read_text())
+    assert record["type"] == "RuntimeError" and "solver contract" in record["error"]
+    assert not (out / "summary.json").exists()

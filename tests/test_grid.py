@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,40 @@ def test_indicator_masks_are_isolated():
     assert A.cell_count() == 1
 
 
+@pytest.mark.parametrize("make,noun", [
+    (lambda g, arrays: MultiIndicator(g, [a != 0 for a in arrays]), ("masks", "mask")),
+    (LatticeField, ("value arrays", "value")),
+], ids=["MultiIndicator", "LatticeField"])
+def test_wrong_copy_count_or_shape_is_refused_by_name(make, noun):
+    g = GridSpec(n=1, h=0.25, L=1.0, copies=2)
+    ok = np.zeros(g.shape)
+    with pytest.raises(ValueError, match=rf"^need 2 {noun[0]}, got 1$"):
+        make(g, [ok])
+    with pytest.raises(ValueError, match=rf"^need 2 {noun[0]}, got 3$"):
+        make(g, [ok, ok, ok])
+    # a wrong per-copy shape, and a ragged list numpy could not stack
+    for arrays in ([np.zeros((8, 1)), np.zeros((8, 1))], [ok, np.zeros(5)]):
+        shape = next(a.shape for a in arrays if a.shape != g.shape)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{noun[1]} shape {shape} != grid shape {g.shape}")):
+            make(g, arrays)
+
+
+def test_stacked_masks_and_values_index_per_copy():
+    g = GridSpec(n=2, h=0.25, L=1.0, copies=3)
+    masks = [np.zeros(g.shape, dtype=bool) for _ in range(g.copies)]
+    masks[0][2, 3] = masks[2][1, 1] = masks[2][4, 5] = True
+    A = MultiIndicator(g, masks)
+    assert A.masks.shape == (3, 8, 8) and not A.masks.flags.writeable
+    assert len(A.masks) == 3
+    assert all(np.array_equal(a, b) for a, b in zip(A.masks, masks))
+    assert A.active_cells() == [(0, 19), (2, 9), (2, 37)]
+    assert list(np.flatnonzero(A.masks)) == [19, 2 * 64 + 9, 2 * 64 + 37]
+    u = LatticeField(g, np.where(A.masks, 2.0, 0.0))
+    assert u.values[2][4, 5] == 2.0 and not u.values.flags.writeable
+    assert u.support == A
+
+
 def test_lattice_field_support_consistency():
     g = GridSpec(n=1, h=0.5, L=1.0)
     vals = np.zeros(g.shape)
@@ -150,9 +186,10 @@ def flood_fill_oracle(A):
     return labels, next_id, cells
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_connected_components_match_flood_fill(n):
-    g = GridSpec(n=n, h=1 / 32 if n == 1 else 1 / 8, L=1.0, copies=2)
+@pytest.mark.parametrize("n,copies", [(1, 2), (2, 2), (1, 3), (2, 3)],
+                         ids=["1", "2", "1-copies3", "2-copies3"])
+def test_connected_components_match_flood_fill(n, copies):
+    g = GridSpec(n=n, h=1 / 32 if n == 1 else 1 / 8, L=1.0, copies=copies)
     rng = np.random.default_rng(21 + n)
     for trial in range(40):
         masks = []
