@@ -40,7 +40,7 @@ class ChargeConfig:
         if self.exponent <= 0:
             raise ValueError("exponent must be positive")
         if pos.shape[0] > 1:
-            d = _pair_distances(pos)
+            _, d = _pair_geometry(pos)
             if d[np.triu_indices_from(d, k=1)].min() <= 0:
                 raise ValueError("positions must be pairwise distinct")
         object.__setattr__(self, "positions", pos)
@@ -67,24 +67,25 @@ class ChargeConfig:
         return replace(self, positions=np.asarray(positions, dtype=float))
 
 
-def _pair_distances(pos: np.ndarray) -> np.ndarray:
+def _pair_geometry(pos: np.ndarray):
+    """Pair differences ``x_i - x_j`` and the pair distance matrix."""
     diff = pos[:, None, :] - pos[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=-1))
+    return diff, np.sqrt(np.sum(diff * diff, axis=-1))
 
 
 def energy(c: ChargeConfig) -> float:
-    d = _pair_distances(c.positions)
+    _, d = _pair_geometry(c.positions)
     iu = np.triu_indices(c.count, k=1)
     mm = np.outer(c.masses, c.masses)[iu]
     return float(-4.0 * np.sum(mm * d[iu] ** (-c.exponent)))
 
 
 def gradient(c: ChargeConfig) -> np.ndarray:
-    p = c.exponent
-    pos, mas = c.positions, c.masses
-    diff = pos[:, None, :] - pos[None, :, :]
-    d = np.sqrt(np.sum(diff * diff, axis=-1))
-    np.fill_diagonal(d, np.inf)
+    return _gradient(*_pair_geometry(c.positions), c.masses, c.exponent)
+
+
+def _gradient(diff, d, mas, p) -> np.ndarray:
+    d = np.where(np.eye(len(d), dtype=bool), np.inf, d)
     coef = 4.0 * p * np.outer(mas, mas) * d ** (-p - 2.0)
     return np.sum(coef[:, :, None] * diff, axis=1)
 
@@ -211,7 +212,7 @@ def descend(c: ChargeConfig, max_steps: int = 5000,
     def trial_energy(p):
         """Energy of a bare position array; +inf for a coincident trial so
         the line search rejects it instead of stepping onto the pole."""
-        dv = _pair_distances(p)[iu]
+        dv = _pair_geometry(p)[1][iu]
         if dv.min() <= 0:
             return math.inf
         return float(np.sum(-4.0 * mm * dv ** (-c.exponent)))
@@ -222,21 +223,23 @@ def descend(c: ChargeConfig, max_steps: int = 5000,
     taken = 0
     divergence = None
     for it in range(max_steps):
-        if float(_pair_distances(pos)[iu].min()) < COLLAPSE_DIST:
+        diff, d = _pair_geometry(pos)
+        if float(d[iu].min()) < COLLAPSE_DIST:
             divergence = Stationarity.COLLAPSE_DIVERGED
             break
-        if _diameter(pos) > ESCAPE_DIAMETER:
+        diameter = float(d.max())
+        if diameter > ESCAPE_DIAMETER:
             divergence = Stationarity.ESCAPE_DIVERGED
             break
-        cur = c.with_positions(pos)
-        g = gradient(cur)
+        g = _gradient(diff, d, c.masses, c.exponent)
         gnorm = float(np.linalg.norm(g))
         if gnorm == 0.0:
+            cur = c.with_positions(pos)
             return DescentResult(cur, classify(cur), taken, e0, 0.0)
         # the floor bounds the displacement, not the raw step: near a
         # collapsing pair the gradient blows up and a fixed step floor
         # would still force trials that leap across the pole
-        floor = 1e-16 * max(1.0, _diameter(pos))
+        floor = 1e-16 * max(1.0, diameter)
         accepted = None
         while step * gnorm > floor:
             et = trial_energy(pos - step * g)
@@ -245,6 +248,7 @@ def descend(c: ChargeConfig, max_steps: int = 5000,
                 break
             step *= 0.5
         if accepted is None:
+            cur = c.with_positions(pos)
             return DescentResult(cur, classify(cur), taken, e0, gnorm)
         while True:
             s2 = accepted[0] * 2.0
@@ -264,11 +268,6 @@ def descend(c: ChargeConfig, max_steps: int = 5000,
         return DescentResult(cur, rep, taken, e0, float("nan"))
     return DescentResult(cur, classify(cur), taken, e0,
                          float(np.linalg.norm(gradient(cur))))
-
-
-def _diameter(pos: np.ndarray) -> float:
-    d = _pair_distances(pos)
-    return float(d.max())
 
 
 @dataclass

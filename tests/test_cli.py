@@ -248,6 +248,20 @@ def test_console_entry_point_subprocess(tmp_path):
     assert (out / "manifest.json").exists()
 
 
+def test_cli_import_leaves_fft_and_ndimage_unloaded():
+    # both are imported where they are used: every CLI process would pay
+    # their load time, including experiments that never touch them
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, fracdrum.cli; print(' '.join("
+         "m for m in ('scipy.fft', 'scipy.ndimage') if m in sys.modules))"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
 # ------------------------------------------------------------ config schema
 
 @pytest.mark.parametrize("experiment,doc,field", [
@@ -317,8 +331,9 @@ def test_unexpected_failure_exits_3_with_record(tmp_path, monkeypatch, capsys,
 
 def test_extension_residual_failure_exits_3(tmp_path, monkeypatch):
     import fracdrum.extension as extension
-    solve = extension.spsolve
-    monkeypatch.setattr(extension, "spsolve", lambda A, b: solve(A, b) * (1 + 1e-6))
+    solve = extension.solve_banded
+    monkeypatch.setattr(extension, "solve_banded",
+                        lambda lu, ab, b: solve(lu, ab, b) * (1 + 1e-6))
     doc = {"s": 0.5, "h": 0.0625, "L": 2.0, "field": {"kind": "bump"},
            "radii": [0.25]}
     code, out = run_cli(tmp_path, "weiss", doc)

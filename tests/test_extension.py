@@ -71,8 +71,9 @@ def test_grid_rejects_non_finite_cell_counts(L, H):
 
 def test_extension_residual_contract(monkeypatch):
     import fracdrum.extension as extension
-    solve = extension.spsolve
-    monkeypatch.setattr(extension, "spsolve", lambda A, b: solve(A, b) * (1 + 1e-6))
+    solve = extension.solve_banded
+    monkeypatch.setattr(extension, "solve_banded",
+                        lambda lu, ab, b: solve(lu, ab, b) * (1 + 1e-6))
     g = ExtensionGrid(hx=1 / 16, hy=1 / 16, L=2.0, H=2.0)
     tr = np.where(np.abs(g.x_nodes()) < 1.0, bump(g.x_nodes()), 0.0)
     with pytest.raises(RuntimeError, match="residual"):
@@ -91,26 +92,40 @@ def test_maximum_principle(s):
 @pytest.mark.parametrize("s", [0.3, 0.7])
 def test_interior_equation_residual(s):
     # conductances re-derived here by direct quadrature of the weight, so a
-    # closed-form slip in the solver would show up as a nonzero residual
+    # closed-form slip in the solver would show up as a nonzero residual;
+    # the boundary rows and columns see the trace below, the zero top and
+    # the zero side walls through their own conductances
     g = ExtensionGrid(hx=1 / 32, hy=1 / 32, L=2.0, H=2.0)
     tr = np.where(np.abs(g.x_nodes()) < 1.0, bump(g.x_nodes()), 0.0)
     sol = harmonic_extension(tr, g, s)
     a = 1.0 - 2.0 * s
+
+    def quad(f, lo, hi):
+        return integrate.quad(f, lo, hi, epsabs=1e-14, epsrel=1e-13)[0]
+
     yr = g.y_rows()
-    ch = np.array([integrate.quad(lambda y: y ** a, j * g.hy, (j + 1) * g.hy,
-                                  epsabs=1e-14, epsrel=1e-13)[0]
-                   for j in range(g.ny)]) / g.hx
-    cv = np.array([g.hx / integrate.quad(lambda y: y ** (-a), yr[j], yr[j + 1],
-                                         epsabs=1e-14, epsrel=1e-13)[0]
+    band = np.array([quad(lambda y: y ** a, j * g.hy, (j + 1) * g.hy)
+                     for j in range(g.ny)])
+    ch = band / g.hx
+    cside = band / (g.hx / 2)
+    cv = np.array([g.hx / quad(lambda y: y ** (-a), yr[j], yr[j + 1])
                    for j in range(g.ny - 1)])
-    ct = g.hx / integrate.quad(lambda y: y ** (-a), 0.0, g.hy / 2,
-                               epsabs=1e-14, epsrel=1e-13)[0]
+    ct = g.hx / quad(lambda y: y ** (-a), 0.0, g.hy / 2)
+    ctop = g.hx / quad(lambda y: y ** (-a), yr[-1], g.H)
     v = sol.values
-    res = (ch[None, 1:-1] * (2 * v[1:-1, 1:-1] - v[:-2, 1:-1] - v[2:, 1:-1])
-           + cv[None, 1:] * (v[1:-1, 1:-1] - v[1:-1, 2:])
-           + cv[None, :-1] * (v[1:-1, 1:-1] - v[1:-1, :-2]))
+    res = np.zeros_like(v)
+    res[1:-1] += ch * (2 * v[1:-1] - v[:-2] - v[2:])
+    res[0] += ch * (v[0] - v[1]) + cside * v[0]
+    res[-1] += ch * (v[-1] - v[-2]) + cside * v[-1]
+    res[:, 1:-1] += (cv[1:] * (v[:, 1:-1] - v[:, 2:])
+                     + cv[:-1] * (v[:, 1:-1] - v[:, :-2]))
+    res[:, 0] += cv[0] * (v[:, 0] - v[:, 1]) + ct * (v[:, 0] - tr)
+    res[:, -1] += cv[-1] * (v[:, -1] - v[:, -2]) + ctop * v[:, -1]
     scale = np.abs(ct * tr).max()
-    assert np.abs(res).max() / scale < 1e-8
+    for where, rows in [("interior", res[1:-1, 1:-1]), ("bottom", res[:, 0]),
+                        ("top", res[:, -1]), ("left", res[0]),
+                        ("right", res[-1])]:
+        assert np.abs(rows).max() / scale < 1e-8, where
 
 
 def test_homogeneous_profile_values():
