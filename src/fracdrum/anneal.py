@@ -17,24 +17,11 @@ import math
 import numpy as np
 
 from .form import assemble_form, interaction_energy
-from .grid import (KernelParams, LatticeField, MultiIndicator, cell_pairs,
-                   component_signs, connected_components)
+from .grid import (KernelParams, LatticeField, MultiIndicator, _open_face,
+                   cell_pairs, component_signs, connected_components)
 from .spectra import SpectralResult, dirichlet_eigs
 
 Move = tuple
-
-
-def _open_face(masks: np.ndarray) -> np.ndarray:
-    """Cells with at least one face neighbor, in their own copy, outside
-    ``masks``; the outside of the box counts as outside."""
-    out = np.zeros_like(masks)
-    off = ~masks
-    for axis in range(1, masks.ndim):
-        o, f = out.swapaxes(1, axis), off.swapaxes(1, axis)
-        o[:, 1:] |= f[:, :-1]
-        o[:, :-1] |= f[:, 1:]
-        o[:, 0] = o[:, -1] = True
-    return out
 
 
 def enumerate_moves(A: MultiIndicator, min_cells: int = 1) -> list[Move]:
@@ -157,7 +144,9 @@ def minimize(init: MultiIndicator, kp: KernelParams, k: int = 1,
         candidate = apply_move(current, move)
         cand_obj, cand_spec = _score(candidate, kp, k)
         delta = cand_obj - cur_obj
-        accept = delta <= 0 or rng.random() < math.exp(-delta / temp)
+        # once the temperature underflows to 0, an uphill move is rejected
+        # without a draw
+        accept = delta <= 0 or (temp > 0 and rng.random() < math.exp(-delta / temp))
         if accept:
             current, cur_obj, cur_spec = candidate, cand_obj, cand_spec
             if cur_obj < best_obj:
@@ -228,7 +217,7 @@ def _boundary_cells(A: MultiIndicator) -> list[tuple[int, int]]:
 
 
 def diagnostics(A: MultiIndicator, u: LatticeField, kp: KernelParams, radii,
-                multiple: bool = False, tol: float = 1e-9) -> DiagnosticsReport:
+                multiple: bool = False) -> DiagnosticsReport:
     """Boundary-behavior audit of an eigenfield on its shape.
 
     For every cell of ``A`` that touches the complement, and every radius r
@@ -242,7 +231,7 @@ def diagnostics(A: MultiIndicator, u: LatticeField, kp: KernelParams, radii,
     decomp = connected_components(A)
     signs = component_signs(decomp, u)
     scale = float(np.abs(u.values).max())
-    thr = tol * scale if scale > 0 else tol
+    thr = 1e-9 * scale if scale > 0 else 1e-9    # |u| at or below counts as zero
 
     violations = 0
     for axis in range(1, u.values.ndim):     # face neighbours within a copy

@@ -159,18 +159,17 @@ class StationarityReport:
     euler_residual: float
 
 
-def classify(c: ChargeConfig, grad_tol: float = GRAD_TOL,
-             eig_tol: float = EIG_TOL) -> StationarityReport:
-    """Stationary iff the gradient norm is below ``grad_tol``; stable then
+def classify(c: ChargeConfig) -> StationarityReport:
+    """Stationary iff the gradient norm is below GRAD_TOL; stable then
     requires every translation-complement Hessian eigenvalue above
-    ``eig_tol``.  The scaling direction sits at an exact zero for any
+    EIG_TOL.  The scaling direction sits at an exact zero for any
     stationary point, so a strict positive threshold is the honest test.
     A non-finite gradient norm or eigenvalue (overflow in the pair powers)
     raises RuntimeError rather than passing for stationary."""
     g = float(np.linalg.norm(gradient(c)))
     if not math.isfinite(g):
         raise RuntimeError(f"gradient norm is not finite ({g})")
-    if g >= grad_tol:
+    if g >= GRAD_TOL:
         return StationarityReport(Stationarity.NON_STATIONARY, g, None,
                                   euler_residual(c))
     eigs = translation_complement_eigs(c)
@@ -178,7 +177,7 @@ def classify(c: ChargeConfig, grad_tol: float = GRAD_TOL,
         raise RuntimeError("translation-complement Hessian has a non-finite "
                            "eigenvalue")
     min_eig = float(eigs[0]) if eigs.size else float("inf")
-    cls = (Stationarity.STATIONARY_STABLE if min_eig > eig_tol
+    cls = (Stationarity.STATIONARY_STABLE if min_eig > EIG_TOL
            else Stationarity.STATIONARY_UNSTABLE)
     return StationarityReport(cls, g, min_eig, euler_residual(c))
 
@@ -192,8 +191,7 @@ class DescentResult:
     final_gradient_norm: float
 
 
-def descend(c: ChargeConfig, max_steps: int = 5000,
-            init_step: float = 1.0) -> DescentResult:
+def descend(c: ChargeConfig, max_steps: int = 5000) -> DescentResult:
     """Gradient descent with backtracking and greedy step expansion.
 
     Exits: collapse when the closest pair crosses COLLAPSE_DIST, escape
@@ -218,7 +216,7 @@ def descend(c: ChargeConfig, max_steps: int = 5000,
         return float(np.sum(-4.0 * mm * dv ** (-c.exponent)))
 
     pos = c.positions.copy()
-    step = float(init_step)
+    step = 1.0
     e0 = energy(c)
     taken = 0
     divergence = None

@@ -39,7 +39,7 @@ from .charges import ChargeConfig, classify, conjecture_sweep, energy
 from .extension import (ExtensionGrid, harmonic_extension, homogeneous_profile,
                         monotonicity_report, weiss_functional, ExtensionSolution)
 from .form import assemble_form, rayleigh
-from .grid import GridSpec, KernelParams, LatticeField, MultiIndicator
+from .grid import GridSpec, KernelParams, LatticeField, MultiIndicator, _open_face
 from .rearrange import ball_energy_check, ball_indicator, rearrange
 from .spectra import dirichlet_eigs, torsion_solve
 
@@ -209,17 +209,13 @@ def _random_blob(grid: GridSpec, cells: int, copy: int, rng) -> MultiIndicator:
     step adds a uniform pick, in row-major order, of the strictly interior
     cells face-adjacent to the blob."""
     masks = np.zeros((grid.copies, *grid.shape), dtype=bool)
-    mask = masks[copy]            # grown in place
-    mask[(grid.cells_per_side // 2,) * grid.n] = True
+    masks[(copy, *(grid.cells_per_side // 2,) * grid.n)] = True
     interior = grid.interior()
-    while int(mask.sum()) < cells:
-        near = np.zeros(grid.shape, dtype=bool)
-        for axis in range(grid.n):   # wrapped cells land on the box edge
-            near |= np.roll(mask, 1, axis) | np.roll(mask, -1, axis)
-        frontier = np.flatnonzero(near & interior & ~mask)
+    while int(masks.sum()) < cells:
+        frontier = np.flatnonzero(~masks & interior & _open_face(~masks))
         if not frontier.size:
             raise ConfigError("field 'cells' exceeds the strict interior")
-        mask.flat[frontier[int(rng.integers(frontier.size))]] = True
+        masks.flat[frontier[int(rng.integers(frontier.size))]] = True
     return MultiIndicator(grid, masks)
 
 
@@ -246,7 +242,7 @@ def _run_eigs(cfg: dict, out: str, seed: int, timings: dict) -> dict:
     res = dirichlet_eigs(A, kp, count)
     timings["eigs_s"] = time.perf_counter() - t0
     if cfg["dump_fields"]:
-        cols = [u.values[A.masks].tolist() for u in res.fields]   # in cell id order
+        cols = res.vectors.T.tolist()       # rows in cell id order
         with open(os.path.join(out, "fields.csv"), "w") as f:
             f.write("copy,cell," + ",".join(f"u{j + 1}" for j in range(count)) + "\n")
             for (c, idx), *vals in zip(A.active_cells(), *cols):
@@ -271,13 +267,11 @@ def _run_torsion_validate(cfg: dict, out: str, seed: int, timings: dict) -> dict
     t0 = time.perf_counter()
     res = torsion_solve(A, kp)
     timings["torsion_s"] = time.perf_counter() - t0
-    centers = grid.cell_centers()[:, 0]
-    active = A.masks[0]
-    x = centers[active]
+    x = grid.cell_centers()[:, 0][A.masks[0]]
     c_ball = (2.0 ** (-2 * s) * math.gamma(0.5)
               / (math.gamma((1 + 2 * s) / 2) * math.gamma(1 + s)))
     exact = c_ball * np.maximum(1 - x ** 2, 0.0) ** s
-    u = res.field.values[0][active]
+    u = res.vector
     max_norm = float(np.max(np.abs(u - exact)) / np.max(exact))
     e_exact = -0.5 * c_ball * math.sqrt(math.pi) * math.gamma(s + 1) / math.gamma(s + 1.5)
     e_rel = abs(res.energy - e_exact) / abs(e_exact)
@@ -321,7 +315,8 @@ def _run_optimize_shape(cfg: dict, out: str, seed: int, timings: dict) -> dict:
     }
     if cfg["diagnostics"]:
         radii = [4 * grid.h, 8 * grid.h, 16 * grid.h]
-        rep = diagnostics(res.best, res.best_spectrum.fields[k - 1], kp, radii,
+        u = res.best.field(res.best_spectrum.vectors[:, k - 1])
+        rep = diagnostics(res.best, u, kp, radii,
                           multiple=res.best_spectrum.is_numerically_multiple(k))
         summary["diagnostics"] = {
             "component_signs": [str(v) for v in rep.component_signs],
@@ -383,6 +378,8 @@ def _run_toy_classify(cfg: dict, out: str, seed: int, timings: dict) -> dict:
     s, exponent = cfg["s"], cfg["exponent"]
     if (s is None) == (exponent is None):
         raise ConfigError("exactly one of 's' and 'exponent' is required")
+    if len(positions) < 2:
+        raise ConfigError("field 'positions' must hold at least two charges")
     if len({len(p) for p in positions}) > 1:
         raise ConfigError("field 'positions' must hold points of one dimension")
     if s is not None:

@@ -25,6 +25,7 @@ import math
 import numpy as np
 from scipy.linalg import solve_banded
 
+_NSUB = 4              # bulk quadrature subpoints per axis
 _SPHERE_NODES = 360
 
 
@@ -181,10 +182,10 @@ def homogeneous_profile(x, y, s: float):
     return half ** s
 
 
-def trace_support_intervals(trace, g: ExtensionGrid, tol: float = 0.0):
-    """Maximal x-intervals covered by cells where |trace| > tol."""
+def trace_support_intervals(trace, g: ExtensionGrid):
+    """Maximal x-intervals covered by cells where the trace is nonzero."""
     xs = g.x_nodes()
-    nz = np.abs(np.asarray(trace, dtype=float)) > tol
+    nz = np.abs(np.asarray(trace, dtype=float)) > 0
     edges = np.flatnonzero(np.diff(nz, prepend=False, append=False))
     return [(xs[i] - g.hx / 2, xs[j - 1] + g.hx / 2)
             for i, j in zip(edges[::2], edges[1::2])]
@@ -234,10 +235,10 @@ def monotonicity_report(curve: WeissCurve) -> dict:
 
 
 def weiss_functional(sol: ExtensionSolution, center: float, radii,
-                     support_intervals=None, nsub: int = 4) -> WeissCurve:
+                     support_intervals=None) -> WeissCurve:
     """Evaluate the scaled energy-minus-boundary quantity at each radius.
 
-    Bulk gradients use per-cell corner interpolation with nsub x nsub
+    Bulk gradients use per-cell corner interpolation with 4 x 4 (_NSUB)
     subpoints and the exact weight at each subpoint; the bottom strip
     between the trace line and the first row gets its own boundary-layer
     quadrature, since the field there varies like y^(1-a) and a naive
@@ -266,7 +267,7 @@ def weiss_functional(sol: ExtensionSolution, center: float, radii,
     I = I[I + 1 < g.nx]
     J = np.arange(g.ny - 1)
     J = J[yr[J] <= rmax + 2 * hy]
-    t = (np.arange(nsub) + 0.5) / nsub
+    t = (np.arange(_NSUB) + 0.5) / _NSUB
     XI, ETA = np.meshgrid(t, t, indexing="ij")
 
     ii, jj = np.meshgrid(I, J, indexing="ij")
@@ -282,7 +283,7 @@ def weiss_functional(sol: ExtensionSolution, center: float, radii,
           + (v11 - v10)[..., None, None] * XI[None, None]) / hy
     dens_int = py ** a * (ux ** 2 + uy ** 2)
     r2_int = (px - center) ** 2 + py ** 2
-    area_sub = hx * hy / nsub ** 2
+    area_sub = hx * hy / _NSUB ** 2
 
     Is = I
     tr0, tr1 = trace[Is], trace[Is + 1]
@@ -292,8 +293,8 @@ def weiss_functional(sol: ExtensionSolution, center: float, radii,
           - tr0[:, None] * (1 - t)[None, :] - tr1[:, None] * t[None, :])
     dtr = (tr1 - tr0) / hx
     drow = (w1 - w0) / hx
-    wsub = hx / nsub
-    tysub = (np.arange(nsub) + 0.5) / nsub
+    wsub = hx / _NSUB
+    tysub = (np.arange(_NSUB) + 0.5) / _NSUB
 
     out_w, out_bulk, out_thin, out_sph = [], [], [], []
     for r in radii:
@@ -310,7 +311,7 @@ def weiss_functional(sol: ExtensionSolution, center: float, radii,
         eta = ysub / y0
         uxs = dtr[:, None, None] * (1 - eta) + drow[:, None, None] * eta
         ux_term = float(np.sum(ysub_safe ** a * uxs ** 2
-                               * (cut[..., None] / nsub) * wsub
+                               * (cut[..., None] / _NSUB) * wsub
                                * hit[..., None]))
         bulk_total = 2.0 * (bulk + uy_term + ux_term)
 

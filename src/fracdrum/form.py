@@ -7,7 +7,7 @@ the energy is
 
 where the first sum runs over ordered pairs of active cells.  w_pq is the
 cell-pair kernel weight: the midpoint rule h^{2n} |x_p - x_q|^{-(n+2s)} for
-pairs farther apart than near_field_radius cells, and 4-per-axis subcell
+pairs more than 3 cells apart (_NEAR_RADIUS), and 4-per-axis subcell
 midpoint quadrature for near pairs, whose error would otherwise dominate.
 Pairs in different copies get weight exactly 0, and the same-cell weight is
 0 because a piecewise-constant field has no within-cell increment.
@@ -43,11 +43,11 @@ from numpy.polynomial.legendre import leggauss
 from .grid import (GridSpec, KernelParams, LatticeField, MultiIndicator,
                    cell_pairs)
 
+_NEAR_RADIUS = 3   # center distance, in cells, up to which pairs are near
 _NSUB = 4          # subcells per axis in near-field quadrature
 _GL_NODES = 48     # Gauss-Legendre order for n=2 corner integrals
 
 
-@lru_cache(maxsize=None)
 def _near_offsets(n: int, radius: int):
     """Integer cell offsets with 0 < |delta| <= radius, up to reflection."""
     out = []
@@ -89,12 +89,6 @@ def _tail_1d(x: np.ndarray, L: float, s: float) -> np.ndarray:
     return ((L - x) ** (-2 * s) + (L + x) ** (-2 * s)) / (2 * s)
 
 
-@lru_cache(maxsize=None)
-def _gl_rule():
-    nodes, weights = leggauss(_GL_NODES)
-    return nodes, weights
-
-
 def _halfplane_const(s: float) -> float:
     return math.sqrt(math.pi) * math.gamma(s + 0.5) / (2 * s * math.gamma(1 + s))
 
@@ -105,7 +99,7 @@ def _corner_integral(gx: np.ndarray, gy: np.ndarray, s: float) -> np.ndarray:
     Polar form: (2s)^{-1} int_0^{pi/2} min(cos(phi)/gx, sin(phi)/gy)^{2s} dphi,
     split at the corner angle so both pieces are smooth.
     """
-    nodes, weights = _gl_rule()
+    nodes, weights = leggauss(_GL_NODES)
     phic = np.arctan2(gy, gx)
     out = np.zeros_like(gx, dtype=float)
     # piece 1: phi in (0, phic), radial cutoff set by the u > gy face
@@ -155,7 +149,7 @@ def _box_stencil(grid: GridSpec, kp: KernelParams):
     2 (T_f + h^n tail_f) for box cell f (flat index), with T_f the weight of f
     against every cell of its box, summed over offsets by prefix sums of w.
     """
-    m, n, h, R = grid.cells_per_side, grid.n, grid.h, kp.near_field_radius
+    m, n, h, R = grid.cells_per_side, grid.n, grid.h, _NEAR_RADIUS
     offsets = np.meshgrid(*[np.arange(m)] * n, indexing="ij")
     r2 = sum(o * o for o in offsets)
     far = r2 > R * R

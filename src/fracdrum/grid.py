@@ -79,22 +79,17 @@ class KernelParams:
     """Interaction kernel |x-y|^{-(n+2s)} with the cross-copy zero convention.
 
     Energies built from this kernel are reported in bare seminorm units:
-    the kernel carries no multiplicative constant.  near_field_radius is the
-    center-distance cutoff, in cells, below which pair weights switch from
-    the midpoint rule to subcell quadrature.
+    the kernel carries no multiplicative constant.
     """
 
     n: int
     s: float
-    near_field_radius: int = 3
 
     def __post_init__(self):
         if not 0 < self.s < 1:
             raise ValueError(f"s must lie in (0,1), got {self.s}")
         if self.n not in (1, 2):
             raise ValueError(f"n must be 1 or 2, got {self.n}")
-        if self.near_field_radius < 1:
-            raise ValueError("near_field_radius must be >= 1")
 
     @property
     def exponent(self) -> float:
@@ -144,6 +139,13 @@ class MultiIndicator:
         """Deterministic cell enumeration: list of (copy, flat index), in id order."""
         return cell_pairs(self.grid, np.flatnonzero(self.masks))
 
+    def field(self, vec) -> "LatticeField":
+        """The field taking the values ``vec``, in id order, on the active
+        cells and zero elsewhere."""
+        values = np.zeros(self.masks.shape)
+        values[self.masks] = vec
+        return LatticeField(self.grid, values)
+
     def __eq__(self, other):
         return (isinstance(other, MultiIndicator) and self.grid == other.grid
                 and np.array_equal(self.masks, other.masks))
@@ -158,6 +160,19 @@ def _stack(grid: GridSpec, arrays, dtype, plural: str, single: str) -> np.ndarra
         raise ValueError(f"{single} shape {bad} != grid shape {grid.shape}")
     out = np.array(arrays, dtype=dtype)
     out.setflags(write=False)
+    return out
+
+
+def _open_face(masks: np.ndarray) -> np.ndarray:
+    """Cells with at least one face neighbor, in their own copy, outside
+    ``masks``; the outside of the box counts as outside."""
+    out = np.zeros_like(masks)
+    off = ~masks
+    for axis in range(1, masks.ndim):
+        o, f = out.swapaxes(1, axis), off.swapaxes(1, axis)
+        o[:, 1:] |= f[:, :-1]
+        o[:, :-1] |= f[:, 1:]
+        o[:, 0] = o[:, -1] = True
     return out
 
 
@@ -214,14 +229,14 @@ def connected_components(A: MultiIndicator) -> ComponentDecomposition:
     return ComponentDecomposition(labels=raw - 1, count=count, cells=cells)
 
 
-def component_signs(decomp: ComponentDecomposition, u: LatticeField,
-                    tol: float = 1e-12):
-    """Sign of the field on each component: +1, -1, 0, or 'mixed'."""
+def component_signs(decomp: ComponentDecomposition, u: LatticeField):
+    """Sign of the field on each component: +1, -1, 0, or 'mixed'; values
+    within 1e-12 of zero count as zero."""
     out = []
     for copy, flat in decomp.cells:
         vals = u.values[copy].ravel()[flat]
-        pos = np.any(vals > tol)
-        neg = np.any(vals < -tol)
+        pos = np.any(vals > 1e-12)
+        neg = np.any(vals < -1e-12)
         if pos and neg:
             out.append("mixed")
         elif pos:

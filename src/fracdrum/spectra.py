@@ -18,7 +18,7 @@ from scipy.linalg import eigh
 from scipy.sparse.linalg import cg, eigsh
 
 from .form import FormMatrix, assemble_form
-from .grid import KernelParams, LatticeField, MultiIndicator
+from .grid import KernelParams, MultiIndicator
 
 # Active-cell count above which shift-invert eigsh on a dense LU replaces
 # eigh(subset_by_index).  Crossover for the 4 lowest pairs on a 2-core host:
@@ -36,19 +36,14 @@ def kernel_operator_constant(n: int, s: float) -> float:
             / (math.pi ** (n / 2) * math.gamma(1 - s)))
 
 
-def _field_from_vector(F: FormMatrix, vec: np.ndarray) -> LatticeField:
-    grid = F.grid
-    values = np.zeros((grid.copies, *grid.shape))
-    values.ravel()[F.ids] = vec
-    return LatticeField(grid, values, MultiIndicator(grid, values != 0))
-
-
 @dataclass
 class SpectralResult:
-    """Ascending eigenvalues with cell-measure orthonormal eigenfields."""
+    """Ascending eigenvalues with cell-measure orthonormal eigenvectors:
+    column j of ``vectors`` belongs to eigenvalue j, its rows in cell-id
+    order (``np.flatnonzero(A.masks)``); ``A.field(v)`` makes it a field."""
 
     eigenvalues: np.ndarray
-    fields: list
+    vectors: np.ndarray
     residuals: np.ndarray
     multiplicity_gaps: np.ndarray
 
@@ -84,7 +79,6 @@ def dirichlet_eigs(A: MultiIndicator, kp: KernelParams, count: int,
     if lam[0] <= 0:
         raise RuntimeError("form lost definiteness: nonpositive bottom eigenvalue")
 
-    fields = []
     residuals = np.zeros(count)
     vecs = vecs / math.sqrt(mass)      # orthonormal in the h^n-weighted norm
     for j in range(count):
@@ -98,9 +92,8 @@ def dirichlet_eigs(A: MultiIndicator, kp: KernelParams, count: int,
         if residuals[j] > RESIDUAL_RTOL:
             raise RuntimeError(f"eigenpair {j + 1} residual {residuals[j]:.2e} "
                                "exceeds the solver contract")
-        fields.append(_field_from_vector(F, v))
     gaps = np.diff(lam)
-    return SpectralResult(eigenvalues=lam, fields=fields,
+    return SpectralResult(eigenvalues=lam, vectors=vecs,
                           residuals=residuals, multiplicity_gaps=gaps)
 
 
@@ -113,7 +106,7 @@ def objective(A: MultiIndicator, kp: KernelParams, k: int,
 
 @dataclass
 class TorsionResult:
-    field: LatticeField
+    vector: np.ndarray           # (N,) torsion values in cell-id order
     energy: float
 
 
@@ -141,7 +134,7 @@ def torsion_solve(A: MultiIndicator, kp: KernelParams,
         raise RuntimeError("torsion field lost positivity")
     u = np.maximum(u, 0.0)
     energy = -0.5 * F.grid.cell_volume * float(u.sum())
-    return TorsionResult(field=_field_from_vector(F, u), energy=energy)
+    return TorsionResult(vector=u, energy=energy)
 
 
 def gamma_distance(A: MultiIndicator, B: MultiIndicator, kp: KernelParams) -> float:
@@ -149,6 +142,6 @@ def gamma_distance(A: MultiIndicator, B: MultiIndicator, kp: KernelParams) -> fl
     by zero to the whole lattice."""
     if A.grid != B.grid:
         raise ValueError("shapes live on different grids")
-    ua = torsion_solve(A, kp).field
-    ub = torsion_solve(B, kp).field
+    ua = A.field(torsion_solve(A, kp).vector)
+    ub = B.field(torsion_solve(B, kp).vector)
     return A.grid.cell_volume * float(np.abs(ua.values - ub.values).sum())

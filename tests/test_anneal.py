@@ -130,6 +130,33 @@ def test_minimize_determinism_and_regression():
     assert all(np.array_equal(x, y) for x, y in zip(a.best.masks, b.best.masks))
 
 
+def test_minimize_survives_temperature_underflow():
+    g = GridSpec(n=1, h=0.25, L=2.0)
+    init = MultiIndicator.from_interval(g, -0.5, 0.5)
+    sched = AnnealSchedule(steps=100, cooling=0.5, initial_temperature=1e-300)
+    res = minimize(init, KP, k=1, schedule=sched)
+    assert len(res.trace) == 100
+    cold = [i for i, row in enumerate(res.trace) if row.temperature == 0.0]
+    assert cold
+    # at zero temperature only moves that do not raise the objective pass
+    assert all(res.trace[i].objective <= res.trace[i - 1].objective for i in cold)
+
+
+def test_minimize_builds_no_lattice_field(monkeypatch):
+    import fracdrum.grid as grid
+    real, built = grid.LatticeField.__init__, []
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(grid.LatticeField, "__init__", counting)
+    g = GridSpec(n=1, h=0.25, L=2.0, copies=2)
+    init = MultiIndicator.from_interval(g, -0.5, 0.5)
+    minimize(init, KP, k=2, schedule=AnnealSchedule(steps=20, seed=7))
+    assert built == []
+
+
 def test_best_objective_reevaluates_identically():
     g = GridSpec(n=1, h=0.25, L=2.0, copies=2)
     init = MultiIndicator.from_interval(g, -0.5, 0.5)
@@ -236,7 +263,8 @@ def test_diagnostics_on_interval_ball():
     A = MultiIndicator.from_interval(g, -1.0, 1.0)
     res = dirichlet_eigs(A, KP, 1)
     radii = (4 * g.h, 8 * g.h, 16 * g.h)
-    rep = diagnostics(A, res.fields[0], KP, radii)
+    u = A.field(res.vectors[:, 0])
+    rep = diagnostics(A, u, KP, radii)
     assert rep.component_signs == [1]
     assert rep.adjacency_violations == 0
     assert set(rep.growth_ratios) == {0.25, 0.5, 1.0}
@@ -244,7 +272,7 @@ def test_diagnostics_on_interval_ball():
     assert rep.fitted_c0 == min(rep.growth_ratios.values())
     assert all(v > 0 for v in rep.positive_density.values())
     assert not rep.inconclusive
-    rep2 = diagnostics(A, res.fields[0], KP, radii, multiple=True)
+    rep2 = diagnostics(A, u, KP, radii, multiple=True)
     assert rep2.inconclusive
 
 

@@ -294,6 +294,10 @@ def test_cli_import_leaves_fft_and_ndimage_unloaded():
               "shape": {"kind": "random-blob", "cells": 2}}, "shape.kind"),
     ("toy-classify", {"positions": [[0.0], [1.0, 0.0]], "masses": [0.6, 0.8],
                       "exponent": 3.0}, "positions"),
+    # one charge has no pair, and its empty Hessian spectrum would be
+    # reported as min_hessian_eig = Infinity, which is not JSON
+    ("toy-classify", {"positions": [[0.0]], "masses": [1.0], "exponent": 3.0},
+     "positions"),
 ])
 def test_malformed_field_exits_2_naming_it(tmp_path, capsys, experiment, doc, field):
     code, out = run_cli(tmp_path, experiment, doc)

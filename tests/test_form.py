@@ -457,7 +457,6 @@ def test_refinement_consistency_recorded():
 
 @pytest.mark.parametrize("n,h,copies,seed", [(1, 0.125, 3, 0), (2, 0.25, 2, 1)])
 def test_field_scatter_and_gather_match_cell_loops(n, h, copies, seed):
-    from fracdrum.spectra import _field_from_vector
     g = GridSpec(n=n, h=h, L=1.0, copies=copies)
     A, u = random_shape_and_field(seed, g, 9)
     F = assemble_form(A, KernelParams(n=n, s=0.5))
@@ -468,7 +467,7 @@ def test_field_scatter_and_gather_match_cell_loops(n, h, copies, seed):
     ref = [np.zeros(g.shape) for _ in range(copies)]
     for (c, f), val in zip(F.cells, vec):
         ref[c].ravel()[f] = val
-    field = _field_from_vector(F, vec)
+    field = A.field(vec)
     assert all(np.array_equal(a, b) for a, b in zip(field.values, ref))
     assert np.array_equal(F.field_vector(field), vec)
     # a field loaded on one cell outside the shape is refused

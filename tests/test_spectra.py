@@ -35,8 +35,7 @@ def test_interval_spectrum_regression():
 def test_orthonormality_residuals_and_sign():
     A = interval(0.0625, -1.5, 0.75)
     res = dirichlet_eigs(A, KP, 5)
-    F = assemble_form(A, KP)
-    V = np.column_stack([F.field_vector(u) for u in res.fields])
+    V = res.vectors
     gram = A.grid.cell_volume * (V.T @ V)
     assert np.max(np.abs(gram - np.eye(5))) <= 1e-10
     assert np.all(res.residuals <= spectra.RESIDUAL_RTOL)
@@ -49,8 +48,7 @@ def test_orthonormality_residuals_and_sign():
 def test_first_eigenfield_positive_on_connected_shape():
     A = interval(0.0625)
     res = dirichlet_eigs(A, KP, 1)
-    F = assemble_form(A, KP)
-    v = F.field_vector(res.fields[0])
+    v = res.vectors[:, 0]
     assert np.all(v > 0)
 
 
@@ -104,6 +102,34 @@ def test_iterative_solver_matches_dense(monkeypatch):
     monkeypatch.setattr(spectra, "DENSE_LIMIT", 4)
     iterative = dirichlet_eigs(A, KP, 3).eigenvalues
     assert iterative == pytest.approx(dense, rel=1e-8)
+
+
+def test_solvers_return_id_ordered_vectors_and_build_no_shapes(monkeypatch):
+    import fracdrum.grid as grid
+    A = interval(0.0625, -1.5, 1.0)
+    F = assemble_form(A, KP)
+    built = []
+
+    def counted(init):
+        def wrapper(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+        return wrapper
+
+    for cls in (grid.LatticeField, grid.MultiIndicator):
+        monkeypatch.setattr(cls, "__init__", counted(cls.__init__))
+    dense = dirichlet_eigs(A, KP, 3, F=F)
+    monkeypatch.setattr(spectra, "DENSE_LIMIT", 4)
+    iterative = dirichlet_eigs(A, KP, 3, F=F)
+    torsion = torsion_solve(A, KP, F=F)
+    assert built == []
+    assert dense.vectors.shape == iterative.vectors.shape == (F.size, 3)
+    assert torsion.vector.shape == (F.size,)
+    # rows follow the cell ids: the Rayleigh quotient on the form's rows
+    Q, vol = F.quadratic_matrix, A.grid.cell_volume
+    for res in (dense, iterative):
+        for lam, v in zip(res.eigenvalues, res.vectors.T):
+            assert v @ Q @ v / (vol * v @ v) == pytest.approx(lam, rel=1e-9)
 
 
 def test_iterative_solver_is_bit_reproducible(monkeypatch):
@@ -170,7 +196,7 @@ def test_min_max_ritz_consistency():
                 np.linalg.solve(S.T @ S, S.T @ Q @ S))
             assert ritz[-1] >= res.eigenvalues[j - 1] - 1e-9
         # the eigenvector span attains it
-        V = np.column_stack([F.field_vector(u) for u in res.fields[:j]])
+        V = res.vectors[:, :j]
         ritz = np.linalg.eigvalsh(np.linalg.solve(V.T @ V, V.T @ Q @ V))
         assert ritz[-1] == pytest.approx(res.eigenvalues[j - 1], rel=1e-9)
 
@@ -190,8 +216,9 @@ def test_linf_scaling_diagnostic_recorded():
     power = 1 / (4 * KP.s)   # n / 4s
     ratios = []
     for h in (0.125, 0.0625, 0.03125):
-        res = dirichlet_eigs(interval(h), KP, 1)
-        u = res.fields[0]
+        A = interval(h)
+        res = dirichlet_eigs(A, KP, 1)
+        u = A.field(res.vectors[:, 0])
         sup = max(float(np.abs(v).max()) for v in u.values)
         ratios.append(sup / (res.eigenvalues[0] ** power
                              * math.sqrt(u.norm_sq())))
@@ -234,11 +261,11 @@ def test_torsion_interval_profile_and_energy():
     x = A.grid.cell_centers()[:, 0]
     on = A.masks[0]
     exact = np.sqrt(np.maximum(1 - x[on] ** 2, 0.0))
-    err = np.max(np.abs(res.field.values[0][on] - exact))
+    err = np.max(np.abs(res.vector - exact))
     assert err <= 0.05 * exact.max()
     assert res.energy == pytest.approx(-math.pi / 4, rel=0.05)
     assert res.energy <= 0
-    assert np.all(res.field.values[0] >= 0)
+    assert np.all(res.vector >= 0)
 
 
 def test_torsion_energy_regression():
@@ -255,7 +282,7 @@ def test_torsion_positive_on_random_shapes():
         if m.sum() < 2:
             continue
         res = torsion_solve(MultiIndicator(g, [m]), KP)
-        assert np.all(res.field.values[0] >= 0)
+        assert np.all(res.vector >= 0)
         assert res.energy <= 0
 
 
@@ -281,8 +308,8 @@ def test_gamma_distance_properties():
     assert d_ab == gamma_distance(B, A, KP)
     assert d_ab > 0
     # B inside A: comparison makes the absolute sum collapse to a plain sum
-    ua = torsion_solve(A, KP).field.values[0]
-    ub = torsion_solve(B, KP).field.values[0]
+    ua = A.field(torsion_solve(A, KP).vector).values[0]
+    ub = B.field(torsion_solve(B, KP).vector).values[0]
     assert np.all(ua - ub >= -1e-9)
     assert d_ab == pytest.approx(A.grid.cell_volume * float((ua - ub).sum()),
                                  rel=1e-9)
