@@ -1,12 +1,13 @@
 """Simulated annealing over multi-copy cell shapes.
 
 Moves are enumerated in a fixed lexicographic order so that a seeded run is
-bit-reproducible: single-cell flips first (by copy, then flat index), then
-whole-component translations (by component id, axis, then -/+ sign), then
-whole-component relocations to another copy (by component id, then target
-copy).  Every accepted state is re-scored from a fresh assembly; there is
-no incremental eigenvalue update, which keeps the chain trivially
-deterministic at the cost of a full solve per proposal.
+bit-reproducible: single-cell flips first (by id), then whole-component
+translations (by component id, axis, then -/+ sign), then whole-component
+relocations to another copy (by component id, then target copy).  A cell's
+id is its flat index into the (copies, *box) mask.  Every accepted state is
+re-scored from a fresh assembly; there is no incremental eigenvalue update,
+which keeps the chain trivially deterministic at the cost of a full solve
+per proposal.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .form import assemble_form, interaction_energy
 from .grid import (KernelParams, LatticeField, MultiIndicator, _open_face,
-                   cell_pairs, component_signs, connected_components)
+                   component_signs, connected_components)
 from .spectra import SpectralResult, dirichlet_eigs
 
 Move = tuple
@@ -38,24 +39,24 @@ def enumerate_moves(A: MultiIndicator, min_cells: int = 1) -> list[Move]:
     flips = ~masks & interior & _open_face(~masks)     # touches the shape
     if A.cell_count() > min_cells:
         flips |= masks & _open_face(masks)
-    moves: list[Move] = [("flip", c, f)
-                         for c, f in cell_pairs(grid, np.flatnonzero(flips))]
+    moves: list[Move] = [("flip", i) for i in np.flatnonzero(flips).tolist()]
 
     decomp = connected_components(A)
-    comp_coords = [(c, np.unravel_index(f, grid.shape)) for c, f in decomp.cells]
-    for comp_id, (c, coords) in enumerate(comp_coords):
-        free = interior & ~masks[c]
-        free[coords] = True
-        for axis in range(grid.n):
+    comp_coords = [np.unravel_index(ids, masks.shape) for ids in decomp.cells]
+    for comp_id, coords in enumerate(comp_coords):
+        for axis in range(1, masks.ndim):
             for sign in (-1, 1):
                 shifted = list(coords)
                 shifted[axis] = coords[axis] + sign
-                if free[tuple(shifted)].all():
-                    moves.append(("translate", comp_id, axis, sign))
+                # each shifted cell is interior and empty or in the component
+                label = decomp.labels[tuple(shifted)]
+                if (interior[tuple(shifted[1:])]
+                        & ((label < 0) | (label == comp_id))).all():
+                    moves.append(("translate", comp_id, axis - 1, sign))
 
-    for comp_id, (c, coords) in enumerate(comp_coords):
+    for comp_id, (c, *coords) in enumerate(comp_coords):
         free = ~masks[(slice(None), *coords)].any(axis=1)
-        free[c] = False
+        free[c[0]] = False
         moves.extend(("relocate", comp_id, int(t)) for t in np.flatnonzero(free))
     return moves
 
@@ -63,20 +64,18 @@ def enumerate_moves(A: MultiIndicator, min_cells: int = 1) -> list[Move]:
 def apply_move(A: MultiIndicator, move: Move) -> MultiIndicator:
     masks = A.masks.copy()
     if move[0] == "flip":
-        _, c, idx = move
-        masks[c].ravel()[idx] ^= True
+        masks.ravel()[move[1]] ^= True
         return MultiIndicator(A.grid, masks)
     if move[0] not in ("translate", "relocate"):
         raise ValueError(f"unknown move kind {move[0]!r}")
-    c, flat = connected_components(A).cells[move[1]]
-    coords = list(np.unravel_index(flat, A.grid.shape))
-    masks[(c, *coords)] = False
+    coords = list(np.unravel_index(connected_components(A).cells[move[1]], masks.shape))
+    masks[tuple(coords)] = False
     if move[0] == "translate":
         _, _, axis, sign = move
-        coords[axis] += sign
+        coords[axis + 1] += sign
     else:
-        c = move[2]
-    masks[(c, *coords)] = True
+        coords[0] = move[2]
+    masks[tuple(coords)] = True
     return MultiIndicator(A.grid, masks)
 
 
@@ -140,6 +139,9 @@ def minimize(init: MultiIndicator, kp: KernelParams, k: int = 1,
     for step in range(schedule.steps):
         temp = t0 * schedule.cooling ** step
         moves = enumerate_moves(current, min_cells=k)
+        if not moves:
+            raise ValueError(f"no legal move: the shape has k = {k} cells, so none "
+                             "may be removed, and none can be added or moved")
         move = moves[int(rng.integers(len(moves)))]
         candidate = apply_move(current, move)
         cand_obj, cand_spec = _score(candidate, kp, k)
@@ -168,7 +170,7 @@ def translation_gradient(u: LatticeField, A1, A2, direction,
     group slides one cell along ``direction``, per unit length.
 
     ``direction`` is a lattice unit vector (one entry is +-1, the rest 0).
-    ``A1`` and ``A2`` are disjoint iterables of ``(copy, flat)`` cells; the
+    ``A1`` and ``A2`` are disjoint sequences of cell ids; the
     field must vanish outside their union.  A negative value means moving
     the group along ``direction`` lowers the interaction energy.
     """
@@ -178,8 +180,7 @@ def translation_gradient(u: LatticeField, A1, A2, direction,
         raise ValueError("direction must be a lattice unit vector")
     axis = int(np.flatnonzero(direction)[0])
     m, stack = grid.cells_per_side, (grid.copies, *grid.shape)
-    ids1 = np.array([c * grid.box_size + f for c, f in A1], dtype=int)
-    ids2 = np.array([c * grid.box_size + f for c, f in A2], dtype=int)
+    ids1, ids2 = np.asarray(A1, dtype=int), np.asarray(A2, dtype=int)
     out = []
     for sign in (-int(direction[axis]), int(direction[axis])):
         coords = list(np.unravel_index(ids2, stack))
@@ -195,8 +196,7 @@ def translation_gradient(u: LatticeField, A1, A2, direction,
         vals.ravel()[cells] = u.values.ravel()[np.concatenate([ids1, ids2])]
         F = assemble_form(MultiIndicator(grid, masks), kp)
         v = LatticeField(grid, vals)
-        out.append(interaction_energy(F, v, cell_pairs(grid, ids1),
-                                      cell_pairs(grid, moved)))
+        out.append(interaction_energy(F, v, ids1, moved))
     return (out[1] - out[0]) / (2.0 * grid.h)
 
 
@@ -209,11 +209,6 @@ class DiagnosticsReport:
     positive_density: dict
     zero_density: dict
     inconclusive: bool
-
-
-def _boundary_cells(A: MultiIndicator) -> list[tuple[int, int]]:
-    """Active (copy, flat) cells with at least one inactive face neighbor."""
-    return cell_pairs(A.grid, np.flatnonzero(A.masks & _open_face(A.masks)))
 
 
 def diagnostics(A: MultiIndicator, u: LatticeField, kp: KernelParams, radii,
@@ -241,15 +236,17 @@ def diagnostics(A: MultiIndicator, u: LatticeField, kp: KernelParams, radii,
         violations += int(np.sum((a < -thr) & (b > thr)))
 
     centers = grid.cell_centers()
-    boundary = _boundary_cells(A)
-    if not boundary:
+    # active cells with at least one inactive face neighbor
+    copies, flats = np.divmod(np.flatnonzero(A.masks & _open_face(A.masks)),
+                              grid.box_size)
+    if not copies.size:
         raise ValueError("shape has no boundary cells")
     growth: dict[float, float] = {}
     pos_density: dict[float, float] = {}
     zero_density: dict[float, float] = {}
     for r in radii:
         sup_ratios, pos_r, zero_r = [], [], []
-        for c, idx in boundary:
+        for c, idx in zip(copies, flats):
             ball = np.linalg.norm(centers - centers[idx], axis=1) <= r + 1e-12
             vals = u.values[c].ravel()[ball]
             sup_ratios.append(float(np.abs(vals).max()) / r ** kp.s)

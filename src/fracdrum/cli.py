@@ -245,7 +245,8 @@ def _run_eigs(cfg: dict, out: str, seed: int, timings: dict) -> dict:
         cols = res.vectors.T.tolist()       # rows in cell id order
         with open(os.path.join(out, "fields.csv"), "w") as f:
             f.write("copy,cell," + ",".join(f"u{j + 1}" for j in range(count)) + "\n")
-            for (c, idx), *vals in zip(A.active_cells(), *cols):
+            copies, cells = np.divmod(np.flatnonzero(A.masks), grid.box_size)
+            for c, idx, *vals in zip(copies.tolist(), cells.tolist(), *cols):
                 f.write(f"{c},{idx}," + ",".join(map(repr, vals)) + "\n")
     return {
         "experiment": "eigs",
@@ -479,9 +480,11 @@ def run(experiment: str, config_path: str, out_dir: str,
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
 
-    enforced = threads is not None and _limit_threads(threads)
     timings: dict[str, float] = {}
     try:
+        if threads is not None:
+            threads = _value(threads, {"type": int, "ge": 1}, "threads")
+        enforced = threads is not None and _limit_threads(threads)
         if experiment not in _EXPERIMENTS:
             raise ConfigError(f"unknown experiment '{experiment}'")
         if not isinstance(cfg, dict):

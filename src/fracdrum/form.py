@@ -40,8 +40,7 @@ import math
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .grid import (GridSpec, KernelParams, LatticeField, MultiIndicator,
-                   cell_pairs)
+from .grid import GridSpec, KernelParams, LatticeField, MultiIndicator
 
 _NEAR_RADIUS = 3   # center distance, in cells, up to which pairs are near
 _NSUB = 4          # subcells per axis in near-field quadrature
@@ -180,20 +179,9 @@ class FormMatrix:
     ids: np.ndarray               # (N,) ascending flat indices into (copies, *box)
     quadratic_matrix: np.ndarray  # (N, N) Q with u^T Q u = B[u,u]
 
-    _index: dict | None = None
-
     @property
     def size(self) -> int:
         return len(self.ids)
-
-    @property
-    def cells(self) -> list:
-        """(copy, flat index) of each active cell, in id order."""
-        return cell_pairs(self.grid, self.ids)
-
-    @property
-    def copy_ids(self) -> np.ndarray:
-        return self.ids // self.grid.box_size
 
     @property
     def positions(self) -> np.ndarray:
@@ -211,12 +199,6 @@ class FormMatrix:
     def exterior(self) -> np.ndarray:
         """(N,) exterior coefficients e_p = Q_pp - 2 sum_q w_pq."""
         return np.diag(self.quadratic_matrix) - 2.0 * self.weights.sum(axis=1)
-
-    @property
-    def index(self) -> dict:
-        if self._index is None:
-            self._index = {cell: i for i, cell in enumerate(self.cells)}
-        return self._index
 
     def field_vector(self, u: LatticeField) -> np.ndarray:
         """Active-cell value vector of u; errors if u lives outside the shape."""
@@ -297,20 +279,20 @@ class EnergyDecomposition:
         return float(sum(self.parts.values()))
 
 
-def _rows_of(F: FormMatrix, cell_set) -> np.ndarray:
-    idx = F.index
-    rows = []
-    for cell in cell_set:
-        key = (int(cell[0]), int(cell[1]))
-        if key not in idx:
-            raise ValueError(f"cell {key} is not in the assembled shape")
-        rows.append(idx[key])
-    return np.array(sorted(rows), dtype=int)
+def _rows_of(F: FormMatrix, ids) -> np.ndarray:
+    """Sorted rows of F holding the cell ids ``ids``, duplicates kept."""
+    ids = np.sort(np.asarray(ids, dtype=int))
+    rows = np.searchsorted(F.ids, ids)
+    missing = F.ids[np.minimum(rows, F.size - 1)] != ids
+    if missing.any():
+        raise ValueError(f"cell {ids[missing][0]} is not in the assembled shape")
+    return rows
 
 
 def energy_decomposition(F: FormMatrix, u: LatticeField, A1, A2) -> EnergyDecomposition:
     """Split B[u,u] by membership of each integration variable in A1, A2, or
-    the exterior region; A1 and A2 must not overlap and must carry all of u."""
+    the exterior region; A1 and A2 are sequences of cell ids that must not
+    overlap and must carry all of u."""
     r1 = _rows_of(F, A1)
     r2 = _rows_of(F, A2)
     if np.intersect1d(r1, r2).size:
@@ -351,7 +333,8 @@ def energy_decomposition(F: FormMatrix, u: LatticeField, A1, A2) -> EnergyDecomp
 
 
 def interaction_energy(F: FormMatrix, u: LatticeField, A1, A2) -> float:
-    """The translation-sensitive interaction piece alone."""
+    """The translation-sensitive interaction piece alone; A1 and A2 are
+    sequences of cell ids."""
     r1 = _rows_of(F, A1)
     r2 = _rows_of(F, A2)
     if np.intersect1d(r1, r2).size:

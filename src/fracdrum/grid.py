@@ -130,15 +130,6 @@ class MultiIndicator:
     def is_empty(self) -> bool:
         return self.cell_count() == 0
 
-    def with_mask(self, copy: int, mask: np.ndarray) -> "MultiIndicator":
-        masks = list(self.masks)
-        masks[copy] = mask
-        return MultiIndicator(self.grid, masks)
-
-    def active_cells(self):
-        """Deterministic cell enumeration: list of (copy, flat index), in id order."""
-        return cell_pairs(self.grid, np.flatnonzero(self.masks))
-
     def field(self, vec) -> "LatticeField":
         """The field taking the values ``vec``, in id order, on the active
         cells and zero elsewhere."""
@@ -176,24 +167,14 @@ def _open_face(masks: np.ndarray) -> np.ndarray:
     return out
 
 
-def cell_pairs(grid: GridSpec, ids: np.ndarray) -> list:
-    """(copy, flat index within the copy) of each cell id."""
-    copies, flats = np.divmod(ids, grid.box_size)
-    return list(zip(copies.tolist(), flats.tolist()))
-
-
 class LatticeField:
     """A real-valued function on the lattice, zero outside its support mask;
     ``values`` is one read-only float array of shape (copies, *box)."""
 
-    def __init__(self, grid: GridSpec, values, support: MultiIndicator | None = None):
+    def __init__(self, grid: GridSpec, values):
         self.grid = grid
         self.values = _stack(grid, values, float, "value arrays", "value")
-        if support is None:
-            support = MultiIndicator(grid, self.values != 0)
-        elif np.any(self.values[~support.masks] != 0):
-            raise ValueError("values nonzero outside the support mask")
-        self.support = support
+        self.support = MultiIndicator(grid, self.values != 0)
 
     def norm_sq(self) -> float:
         """Cell-measure weighted squared l2 norm, h^n * sum(u^2)."""
@@ -207,7 +188,7 @@ class ComponentDecomposition:
 
     labels: np.ndarray            # (copies, *box) int array, -1 outside the shape
     count: int
-    cells: list = field(default_factory=list)   # per component: (copy, flat array)
+    cells: list = field(default_factory=list)   # per component: ascending ids
 
 
 def connected_components(A: MultiIndicator) -> ComponentDecomposition:
@@ -219,13 +200,12 @@ def connected_components(A: MultiIndicator) -> ComponentDecomposition:
     faces = np.zeros((3,) * (A.grid.n + 1), dtype=bool)
     faces[1] = generate_binary_structure(A.grid.n, 1)
     raw, count = label(A.masks, structure=faces, output=int)   # raster-scan order
-    cells, box = [], A.grid.box_size
+    cells = []
     if count:
         ids = np.flatnonzero(A.masks)
         comp = raw.ravel()[ids]
-        groups = np.split(ids[np.argsort(comp, kind="stable")],
-                          np.cumsum(np.bincount(comp)[1:-1]))
-        cells = [(int(g[0]) // box, g % box) for g in groups]
+        cells = np.split(ids[np.argsort(comp, kind="stable")],
+                         np.cumsum(np.bincount(comp)[1:-1]))
     return ComponentDecomposition(labels=raw - 1, count=count, cells=cells)
 
 
@@ -233,8 +213,9 @@ def component_signs(decomp: ComponentDecomposition, u: LatticeField):
     """Sign of the field on each component: +1, -1, 0, or 'mixed'; values
     within 1e-12 of zero count as zero."""
     out = []
-    for copy, flat in decomp.cells:
-        vals = u.values[copy].ravel()[flat]
+    flat = u.values.ravel()
+    for ids in decomp.cells:
+        vals = flat[ids]
         pos = np.any(vals > 1e-12)
         neg = np.any(vals < -1e-12)
         if pos and neg:

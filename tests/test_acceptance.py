@@ -153,13 +153,13 @@ def test_criterion_4_energy_decomposition():
         A = MultiIndicator(g, [a1.masks[0] | a2.masks[0]])
         rng = np.random.default_rng(11)
         vals = np.zeros(g.shape)
-        for _, f in a1.active_cells():
+        ids1, ids2 = np.flatnonzero(a1.masks), np.flatnonzero(a2.masks)
+        for f in ids1:
             vals[f] = rng.normal()
-        for _, f in a2.active_cells():
+        for f in ids2:
             vals[f] = rng.normal()
         u = LatticeField(g, [vals])
-        dec = energy_decomposition(assemble_form(A, KP), u,
-                                   a1.active_cells(), a2.active_cells())
+        dec = energy_decomposition(assemble_form(A, KP), u, ids1, ids2)
         return dec
 
     d0, d1 = instance(0), instance(1)
@@ -176,16 +176,16 @@ def test_criterion_4_energy_decomposition():
     B = MultiIndicator(g2, [m1, m2])
     FB = assemble_form(B, KP)
     ub = LatticeField(g2, [np.where(m1, 1.0, 0.0), np.where(m2, 1.0, 0.0)])
-    lb = [(0, int(f)) for f in np.flatnonzero(m1)]
-    rb = [(1, int(f)) for f in np.flatnonzero(m2)]
+    lb = np.flatnonzero(m1)
+    rb = g2.box_size + np.flatnonzero(m2)
     assert interaction_energy(FB, ub, lb, rb) == 0.0
 
     # same-copy sign rule: like signs attract (negative cross term) and
     # opposite signs repel
     A = MultiIndicator(g2, [m1 | m2, np.zeros(g2.shape, dtype=bool)])
     F = assemble_form(A, KP)
-    la = [(0, int(f)) for f in np.flatnonzero(m1)]
-    ra = [(0, int(f)) for f in np.flatnonzero(m2)]
+    la = np.flatnonzero(m1)
+    ra = np.flatnonzero(m2)
     same = LatticeField(g2, [np.where(m1 | m2, 1.0, 0.0), np.zeros(g2.shape)])
     oppo = LatticeField(g2, [np.where(m1, 1.0, 0.0) - np.where(m2, 1.0, 0.0),
                              np.zeros(g2.shape)])

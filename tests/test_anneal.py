@@ -21,14 +21,14 @@ def test_move_enumeration_order_and_legality():
     A = small_two_copy()
     moves = enumerate_moves(A, min_cells=1)
     assert moves == [
-        ("flip", 0, 1), ("flip", 0, 2), ("flip", 0, 3), ("flip", 0, 4),
+        ("flip", 1), ("flip", 2), ("flip", 3), ("flip", 4),
         ("translate", 0, 0, -1), ("translate", 0, 0, 1),
         ("relocate", 0, 1),
     ]
     # raising the floor removes the two removal flips only
     moves2 = enumerate_moves(A, min_cells=2)
     assert moves2 == [
-        ("flip", 0, 1), ("flip", 0, 4),
+        ("flip", 1), ("flip", 4),
         ("translate", 0, 0, -1), ("translate", 0, 0, 1),
         ("relocate", 0, 1),
     ]
@@ -41,8 +41,8 @@ def test_moves_respect_box_interior():
     moves = enumerate_moves(MultiIndicator(g, [m]), min_cells=1)
     assert ("translate", 0, 0, -1) not in moves
     assert ("translate", 0, 0, 1) in moves
-    assert ("flip", 0, 0) not in moves
-    assert ("flip", 0, 2) in moves
+    assert ("flip", 0) not in moves
+    assert ("flip", 2) in moves
 
 
 def test_translate_may_close_a_gap():
@@ -61,9 +61,9 @@ def test_translate_may_close_a_gap():
 
 def test_apply_move_flip_translate_relocate():
     A = small_two_copy()
-    added = apply_move(A, ("flip", 0, 4))
+    added = apply_move(A, ("flip", 4))
     assert added.masks[0][4] and added.cell_count() == 3
-    removed = apply_move(A, ("flip", 0, 3))
+    removed = apply_move(A, ("flip", 3))
     assert not removed.masks[0][3] and removed.cell_count() == 1
     shifted = apply_move(A, ("translate", 0, 0, 1))
     assert list(np.flatnonzero(shifted.masks[0])) == [3, 4]
@@ -171,8 +171,8 @@ def test_relocate_changes_only_cross_pieces():
     m[2:4] = True
     m[5:7] = True
     A = MultiIndicator(g, [m, np.zeros(g.shape, dtype=bool)])
-    left = [(0, 2), (0, 3)]
-    right = [(0, 5), (0, 6)]
+    left = [2, 3]
+    right = [5, 6]
     vals = np.zeros(g.shape)
     vals[[2, 3]] = 1.0
     vals[[5, 6]] = 2.0
@@ -185,7 +185,7 @@ def test_relocate_changes_only_cross_pieces():
     vals1 = np.zeros(g.shape)
     vals1[[5, 6]] = 2.0
     u2 = LatticeField(g, [vals0, vals1])
-    right2 = [(1, 5), (1, 6)]
+    right2 = [g.box_size + 5, g.box_size + 6]
     after = energy_decomposition(assemble_form(moved, KP), u2, left, right2)
 
     for key in (("A1", "A1"), ("A2", "A2")):
@@ -201,8 +201,8 @@ def two_interval_field(sign=1.0, sep_cells=8):
     hi = 8 + sep_cells
     m[hi:hi + 4] = True
     A = MultiIndicator(g, [m])
-    left = [(0, int(f)) for f in range(4, 8)]
-    right = [(0, int(f)) for f in range(hi, hi + 4)]
+    left = list(range(4, 8))
+    right = list(range(hi, hi + 4))
     vals = np.zeros(g.shape)
     vals[4:8] = 1.0
     vals[hi:hi + 4] = sign
@@ -231,7 +231,7 @@ def test_translation_gradient_zero_across_copies():
     v1 = np.zeros(g.shape)
     v1[5:7] = 1.0
     u = LatticeField(g, [v0, v1])
-    out = translation_gradient(u, [(0, 2), (0, 3)], [(1, 5), (1, 6)], [1], KP)
+    out = translation_gradient(u, [2, 3], [g.box_size + 5, g.box_size + 6], [1], KP)
     assert out == 0.0
 
 
@@ -242,20 +242,20 @@ def test_translation_gradient_validation():
     with pytest.raises(ValueError):
         translation_gradient(u, left, right, [1, 0], KP)
     g = GridSpec(n=1, h=0.125, L=2.0)
-    edge_right = [(0, int(f)) for f in range(27, 31)]   # touches interior edge
+    edge_right = list(range(27, 31))   # touches interior edge
     m = np.zeros(g.shape, dtype=bool)
     m[4:8] = True
     m[27:31] = True
     vals = np.where(m, 1.0, 0.0)
     u2 = LatticeField(g, [vals])
     with pytest.raises(ValueError):
-        translation_gradient(u2, [(0, f) for f in range(4, 8)], edge_right, [1], KP)
-    adjacent = [(0, int(f)) for f in range(8, 12)]      # collides when shifted left
+        translation_gradient(u2, list(range(4, 8)), edge_right, [1], KP)
+    adjacent = list(range(8, 12))      # collides when shifted left
     m3 = np.zeros(g.shape, dtype=bool)
     m3[4:12] = True
     u3 = LatticeField(g, [np.where(m3, 1.0, 0.0)])
     with pytest.raises(ValueError):
-        translation_gradient(u3, [(0, f) for f in range(4, 8)], adjacent, [1], KP)
+        translation_gradient(u3, list(range(4, 8)), adjacent, [1], KP)
 
 
 def test_diagnostics_on_interval_ball():

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracdrum import cli
+from fracdrum import GridSpec, MultiIndicator, cli
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -154,6 +154,21 @@ def test_eigs_smoke_and_field_dump(tmp_path):
     lines = (out / "fields.csv").read_text().strip().split("\n")
     assert lines[0] == "copy,cell,u1,u2,u3"
     assert len(lines) == 17
+
+    # two copies: the rows run over the active cell ids in order
+    doc = dict(doc, copies=2, count=2, shape={
+        "kind": "intervals", "items": [[0, -1.0, -0.5], [1, 0.25, 1.0]]})
+    code, out = run_cli(tmp_path, "eigs", doc, subdir="two")
+    assert code == 0
+    g = GridSpec(n=1, h=0.125, L=2.0, copies=2)
+    masks = [MultiIndicator.from_interval(g, -1.0, -0.5).masks[0],
+             MultiIndicator.from_interval(g, 0.25, 1.0, copy=1).masks[1]]
+    copies, cells = np.divmod(np.flatnonzero(masks), g.box_size)
+    rows = [line.split(",") for line in
+            (out / "fields.csv").read_text().strip().split("\n")[1:]]
+    assert [(int(r[0]), int(r[1])) for r in rows] \
+        == list(zip(copies.tolist(), cells.tolist()))
+    assert set(copies.tolist()) == {0, 1}
 
 
 def test_torsion_validate_summary(tmp_path):
@@ -355,6 +370,24 @@ def test_threads_request_is_recorded_in_manifest(tmp_path):
     enforced = importlib.util.find_spec("threadpoolctl") is not None
     assert manifest["threads"] == {"requested": 1, "enforced": enforced}
     assert "threads" not in json.loads((out / "summary.json").read_text())
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_threads_below_one_exits_2_naming_it(tmp_path, capsys, threads):
+    doc = {"d": 2, "n": 1, "s": 0.5, "trials": 2, "max_steps": 50}
+    code, out = run_cli(tmp_path, "toy-sweep", doc, threads=threads)
+    assert code == 2
+    assert f"field 'threads' must be >= 1, got {threads}" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_annealer_with_no_legal_move_exits_2_naming_k(tmp_path, capsys):
+    # both interior cells are filled and k = 2 forbids any removal
+    doc = {"n": 1, "s": 0.5, "h": 0.5, "L": 1.0, "k": 2, "steps": 3,
+           "init": {"kind": "intervals", "items": [[0, -0.5, 0.5]]}}
+    code, _ = run_cli(tmp_path, "optimize-shape", doc)
+    assert code == 2
+    assert "k = 2" in capsys.readouterr().err
 
 
 def test_readme_command_line_examples_run(tmp_path):

@@ -74,7 +74,7 @@ def oracle_energy(A, kp, u, tails=None):
     """Independent double lattice sum: pairs, box complement, beyond-box tail."""
     g = A.grid
     centers = g.cell_centers()
-    cells = A.active_cells()
+    cells = [divmod(int(i), g.box_size) for i in np.flatnonzero(A.masks)]
     vals = [u.values[c].ravel()[f] for c, f in cells]
     total = 0.0
     for i, (ci, fi) in enumerate(cells):
@@ -213,13 +213,13 @@ def test_form_positivity():
 def test_matrix_invariants_and_cross_copy_block():
     g = GridSpec(n=1, h=0.25, L=2.0, copies=2)
     kp = KernelParams(n=1, s=0.5)
-    A = MultiIndicator.from_interval(g, -1.0, 0.0, copy=0).with_mask(
-        1, MultiIndicator.from_interval(g, 0.0, 1.0, copy=0).masks[0])
+    A = MultiIndicator(g, [MultiIndicator.from_interval(g, -1.0, 0.0).masks[0],
+                           MultiIndicator.from_interval(g, 0.0, 1.0).masks[0]])
     F = assemble_form(A, kp)
     assert np.array_equal(F.weights, F.weights.T)
     assert np.all(F.weights >= 0.0)
     assert np.all(np.diag(F.weights) == 0.0)
-    c0 = F.copy_ids == 0
+    c0 = F.ids < g.box_size
     assert np.all(F.weights[np.ix_(c0, ~c0)] == 0.0)
     Q = F.quadratic_matrix
     assert np.array_equal(Q, Q.T)
@@ -241,7 +241,7 @@ def test_subshape_matrix_is_a_principal_submatrix(n, h, L, s):
     small = [m & (rng.random(g.shape) < 0.5) for m in big]
     FA = assemble_form(MultiIndicator(g, big), kp)
     FB = assemble_form(MultiIndicator(g, small), kp)
-    rows = [FA.index[cell] for cell in FB.cells]
+    rows = np.searchsorted(FA.ids, FB.ids)
     assert np.array_equal(FA.quadratic_matrix[np.ix_(rows, rows)],
                           FB.quadratic_matrix)
 
@@ -258,7 +258,7 @@ def test_translated_component_keeps_its_off_diagonal_block():
     def own_block(shift):
         moved = np.roll(blob, shift, axis=(0, 1))
         F = assemble_form(MultiIndicator(g, [fixed | moved]), kp)
-        rows = [F.index[(0, int(f))] for f in np.flatnonzero(moved)]
+        rows = np.searchsorted(F.ids, np.flatnonzero(moved))
         blk = F.quadratic_matrix[np.ix_(rows, rows)]
         return blk[~np.eye(len(rows), dtype=bool)]
 
@@ -314,23 +314,22 @@ def test_interaction_two_cell_example():
     F = assemble_form(A, kp)
     vals = np.where(m, 1.0, 0.0)
     u = LatticeField(g, [vals])
-    got = interaction_energy(F, u, [(0, 1)], [(0, 5)])
+    got = interaction_energy(F, u, [1], [5])
     assert got == pytest.approx(-0.25, rel=1e-14)
 
 
 def test_interaction_sign_and_empty_side():
     g = GridSpec(n=1, h=0.25, L=2.0)
     kp = KernelParams(n=1, s=0.5)
-    A = MultiIndicator.from_interval(g, -1.5, -0.5).with_mask(
-        0, MultiIndicator.from_interval(g, -1.5, -0.5).masks[0]
-        | MultiIndicator.from_interval(g, 0.5, 1.5).masks[0])
+    A = MultiIndicator(g, [MultiIndicator.from_interval(g, -1.5, -0.5).masks[0]
+                           | MultiIndicator.from_interval(g, 0.5, 1.5).masks[0]])
     F = assemble_form(A, kp)
-    left = [(0, f) for _, f in MultiIndicator.from_interval(g, -1.5, -0.5).active_cells()]
-    right = [(0, f) for _, f in MultiIndicator.from_interval(g, 0.5, 1.5).active_cells()]
+    left = np.flatnonzero(MultiIndicator.from_interval(g, -1.5, -0.5).masks).tolist()
+    right = np.flatnonzero(MultiIndicator.from_interval(g, 0.5, 1.5).masks).tolist()
     vals = np.zeros(g.shape)
-    for _, f in left:
+    for f in left:
         vals[f] = 1.0
-    for _, f in right:
+    for f in right:
         vals[f] = -1.0
     u = LatticeField(g, [vals])
     assert interaction_energy(F, u, left, right) > 0.0
@@ -345,13 +344,13 @@ def two_group_instance(shift=0):
     a1 = MultiIndicator.from_interval(g, -2.0, -1.0)
     a2 = MultiIndicator.from_interval(g, 0.5 + shift * g.h, 1.5 + shift * g.h)
     A = MultiIndicator(g, [a1.masks[0] | a2.masks[0]])
-    left = a1.active_cells()
-    right = a2.active_cells()
+    left = np.flatnonzero(a1.masks).tolist()
+    right = np.flatnonzero(a2.masks).tolist()
     rng = np.random.default_rng(11)
     vals = np.zeros(g.shape)
-    for _, f in left:
+    for f in left:
         vals[f] = rng.normal()
-    for _, f in right:
+    for f in right:
         vals[f] = rng.normal()
     u = LatticeField(g, [vals])
     return g, kp, u, left, right, A
@@ -377,8 +376,8 @@ def test_decomposition_cross_sign_and_cross_copy():
     F = assemble_form(A, kp)
     vals = np.where(m | m2, 1.0, 0.0)
     u = LatticeField(g, [vals, np.zeros(g.shape)])
-    left = [(0, int(f)) for f in np.flatnonzero(m)]
-    right = [(0, int(f)) for f in np.flatnonzero(m2)]
+    left = np.flatnonzero(m).tolist()
+    right = np.flatnonzero(m2).tolist()
     dec = energy_decomposition(F, u, left, right)
     assert dec.cross_term < 0.0
     assert dec.cross_term == pytest.approx(interaction_energy(F, u, left, right), rel=1e-14)
@@ -386,8 +385,8 @@ def test_decomposition_cross_sign_and_cross_copy():
     B = MultiIndicator(g, [m, m2])
     FB = assemble_form(B, kp)
     ub = LatticeField(g, [np.where(m, 1.0, 0.0), np.where(m2, 1.0, 0.0)])
-    lb = [(0, int(f)) for f in np.flatnonzero(m)]
-    rb = [(1, int(f)) for f in np.flatnonzero(m2)]
+    lb = np.flatnonzero(m).tolist()
+    rb = (g.box_size + np.flatnonzero(m2)).tolist()
     decb = energy_decomposition(FB, ub, lb, rb)
     assert decb.cross_term == 0.0
     assert decb.parts[("A1", "A2")] == 0.0
@@ -409,14 +408,14 @@ def test_translation_changes_only_cross_pieces():
     def cross_pieces(ucur, left, right, A):
         vals = ucur.values[0].ravel()
         pair = 0.0
-        for _, fi in left:
-            for _, fj in right:
+        for fi in left:
+            for fj in right:
                 w = oracle_pair_weight(centers[fi], centers[fj], g.h, kp)
                 pair += 2.0 * w * (vals[fi] - vals[fj]) ** 2
         ext = 0.0
         mask = A.masks[0].ravel()
         for group in (left, right):
-            for _, fi in group:
+            for fi in group:
                 e = 0.0
                 for f2 in range(mask.size):
                     if not mask[f2]:
@@ -437,6 +436,21 @@ def test_decomposition_errors():
         energy_decomposition(F, u, left, left)
     with pytest.raises(ValueError):
         energy_decomposition(F, u, left[:-1], right)   # drops a loaded cell
+
+
+@pytest.mark.parametrize("bad", [2, 5, 12], ids=["below", "between", "past"])
+def test_cell_groups_refuse_an_id_outside_the_shape(bad):
+    # active ids 3, 4, 7, 8: an id before the first, in the gap, and after
+    # the last, which searchsorted places one past the end
+    g = GridSpec(n=1, h=0.25, L=2.0)
+    m = np.zeros(g.shape, dtype=bool)
+    m[[3, 4, 7, 8]] = True
+    F = assemble_form(MultiIndicator(g, [m]), KernelParams(n=1, s=0.5))
+    u = LatticeField(g, [np.where(m, 1.0, 0.0)])
+    for fn in (interaction_energy, energy_decomposition):
+        with pytest.raises(ValueError,
+                           match=f"^cell {bad} is not in the assembled shape$"):
+            fn(F, u, [3, 4], [7, bad])
 
 
 def test_refinement_consistency_recorded():
@@ -461,11 +475,12 @@ def test_field_scatter_and_gather_match_cell_loops(n, h, copies, seed):
     A, u = random_shape_and_field(seed, g, 9)
     F = assemble_form(A, KernelParams(n=n, s=0.5))
     # the per-cell loops the scatter and gather replace, compared bitwise
-    want = np.array([u.values[c].ravel()[f] for c, f in F.cells])
+    cells = [divmod(int(i), g.box_size) for i in F.ids]
+    want = np.array([u.values[c].ravel()[f] for c, f in cells])
     assert np.array_equal(F.field_vector(u), want)
     vec = np.random.default_rng(seed).normal(size=F.size)
     ref = [np.zeros(g.shape) for _ in range(copies)]
-    for (c, f), val in zip(F.cells, vec):
+    for (c, f), val in zip(cells, vec):
         ref[c].ravel()[f] = val
     field = A.field(vec)
     assert all(np.array_equal(a, b) for a, b in zip(field.values, ref))

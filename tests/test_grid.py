@@ -61,14 +61,13 @@ def test_indicator_boundary_enforcement():
     assert A.volume() == pytest.approx(0.5)
 
 
-def test_from_interval_and_active_cells():
+def test_from_interval_and_cell_ids():
     g = GridSpec(n=1, h=0.25, L=2.0, copies=2)
     A = MultiIndicator.from_interval(g, -1.0, 1.0, copy=1)
     assert A.cell_count() == 8
-    cells = A.active_cells()
-    assert all(c == 1 for c, _ in cells)
-    flats = [f for _, f in cells]
-    assert flats == sorted(flats)
+    copies, flats = np.divmod(np.flatnonzero(A.masks), g.box_size)
+    assert all(copies == 1)
+    assert list(flats) == sorted(flats)
 
     empty = MultiIndicator.empty(g)
     assert empty.is_empty()
@@ -111,7 +110,8 @@ def test_stacked_masks_and_values_index_per_copy():
     assert A.masks.shape == (3, 8, 8) and not A.masks.flags.writeable
     assert len(A.masks) == 3
     assert all(np.array_equal(a, b) for a, b in zip(A.masks, masks))
-    assert A.active_cells() == [(0, 19), (2, 9), (2, 37)]
+    assert [divmod(int(i), g.box_size) for i in np.flatnonzero(A.masks)] \
+        == [(0, 19), (2, 9), (2, 37)]
     assert list(np.flatnonzero(A.masks)) == [19, 2 * 64 + 9, 2 * 64 + 37]
     u = LatticeField(g, np.where(A.masks, 2.0, 0.0))
     assert u.values[2][4, 5] == 2.0 and not u.values.flags.writeable
@@ -124,9 +124,6 @@ def test_lattice_field_support_consistency():
     vals[1] = 2.0
     u = LatticeField(g, [vals])
     assert u.norm_sq() == pytest.approx(0.5 * 4.0)
-    support = MultiIndicator(g, [np.zeros(g.shape, dtype=bool)])
-    with pytest.raises(ValueError):
-        LatticeField(g, [vals], support=support)
 
 
 def test_connected_components_1d():
@@ -139,7 +136,7 @@ def test_connected_components_1d():
     A = MultiIndicator(g, [m0, m1])
     decomp = connected_components(A)
     assert decomp.count == 3
-    assert [c for c, _ in decomp.cells] == [0, 0, 1]
+    assert [int(ids[0]) // g.box_size for ids in decomp.cells] == [0, 0, 1]
     assert decomp.labels[0][2] == decomp.labels[0][4]
     assert decomp.labels[0][2] != decomp.labels[0][8]
     assert decomp.labels[0][0] == -1
@@ -204,7 +201,8 @@ def test_connected_components_match_flood_fill(n, copies):
         assert decomp.count == count
         for got, want in zip(decomp.labels, labels):
             assert np.array_equal(got, want)
-        assert [(c, f.tolist()) for c, f in decomp.cells] == cells
+        assert [ids.tolist() for ids in decomp.cells] \
+            == [[c * g.box_size + f for f in flats] for c, flats in cells]
 
 
 def test_component_signs():

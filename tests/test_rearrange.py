@@ -127,9 +127,8 @@ def test_ball_energy_check_on_ball_and_split_shape():
     assert rep.passed
     assert rep.energy_ball == pytest.approx(rep.energy_shape, rel=1e-9)
 
-    split = MultiIndicator.from_interval(g, -1.5, -1.0).with_mask(
-        0, MultiIndicator.from_interval(g, -1.5, -1.0).masks[0]
-        | MultiIndicator.from_interval(g, 1.0, 1.5).masks[0])
+    split = MultiIndicator(g, [MultiIndicator.from_interval(g, -1.5, -1.0).masks[0]
+                               | MultiIndicator.from_interval(g, 1.0, 1.5).masks[0]])
     rep2 = ball_energy_check(split, kp)
     assert rep2.passed
     assert rep2.energy_ball < rep2.energy_shape   # strictly better, no slack
