@@ -20,6 +20,7 @@ GRAD_TOL = 1e-9
 EIG_TOL = 1e-8
 COLLAPSE_DIST = 1e-6
 ESCAPE_DIAMETER = 1e6
+SWEEP_BLOCK = 256    # trials descended together; memory is O(block d^2 n)
 
 
 @dataclass(frozen=True)
@@ -68,8 +69,9 @@ class ChargeConfig:
 
 
 def _pair_geometry(pos: np.ndarray):
-    """Pair differences ``x_i - x_j`` and the pair distance matrix."""
-    diff = pos[:, None, :] - pos[None, :, :]
+    """Pair differences ``x_i - x_j`` and the pair distance matrix of a
+    ``(d, n)`` position array, or of each one in a ``(trials, d, n)`` stack."""
+    diff = pos[..., :, None, :] - pos[..., None, :, :]
     return diff, np.sqrt(np.sum(diff * diff, axis=-1))
 
 
@@ -85,9 +87,9 @@ def gradient(c: ChargeConfig) -> np.ndarray:
 
 
 def _gradient(diff, d, mas, p) -> np.ndarray:
-    d = np.where(np.eye(len(d), dtype=bool), np.inf, d)
-    coef = 4.0 * p * np.outer(mas, mas) * d ** (-p - 2.0)
-    return np.sum(coef[:, :, None] * diff, axis=1)
+    d = np.where(np.eye(d.shape[-1], dtype=bool), np.inf, d)
+    coef = 4.0 * p * (mas[..., :, None] * mas[..., None, :]) * d ** (-p - 2.0)
+    return np.sum(coef[..., None] * diff, axis=-2)
 
 
 def hessian(c: ChargeConfig) -> np.ndarray:
@@ -191,81 +193,161 @@ class DescentResult:
     final_gradient_norm: float
 
 
+def _upper(a, pairs):
+    """Upper-triangle pair entries of a ``(trials, d, d)`` stack, one C-ordered
+    row per trial: fancy indexing would hand back a transposed layout, and a
+    row sum over it adds in another order than a lone trial's sum."""
+    return np.take(a.reshape(len(a), -1), pairs, axis=1)
+
+
+def _require_pairs(count: int) -> None:
+    if count < 2:
+        raise ValueError(f"descent needs at least two charges, got {count}")
+
+
 def descend(c: ChargeConfig, max_steps: int = 5000) -> DescentResult:
-    """Gradient descent with backtracking and greedy step expansion.
+    """Descend one configuration: ``descend_batch`` on a batch of one."""
+    return descend_batch([c], max_steps)[0]
 
-    Exits: collapse when the closest pair crosses COLLAPSE_DIST, escape
-    when the diameter crosses ESCAPE_DIAMETER, stationary when the line
-    search stalls at its floor (adjudicated by classify), or the step
-    budget.  A raw small-gradient exit would be wrong here: a scattering
-    trajectory passes through arbitrarily small gradients on its way out
-    while the energy still decreases along the separation direction, so
-    the stall of the line search is the test, not the gradient norm.
+
+def descend_batch(configs, max_steps: int = 5000) -> list[DescentResult]:
+    """Gradient descent with backtracking and greedy step expansion, run in
+    lockstep on configurations sharing charge count, dimension and exponent.
+
+    Exits, in the order they are tested: the step budget; collapse when the
+    closest pair crosses COLLAPSE_DIST; escape when the diameter crosses
+    ESCAPE_DIAMETER; and stationary when the line search stalls at its
+    floor (adjudicated by classify).  A zero gradient is a stall at once,
+    since step times gradient norm is then below any floor.  A raw
+    small-gradient exit would be wrong here: a scattering trajectory passes
+    through arbitrarily small gradients on its way out while the energy
+    still decreases along the separation direction, so the stall of the
+    line search is the test, not the gradient norm.
+
+    Each trial keeps its own step, energy, line-search phase and exit.
+    Every round evaluates one trial energy for each trial still running, and
+    a trial that exits drops out.  The arithmetic of a trial does not depend
+    on the rest of the batch, so its result is bitwise that of descending it
+    alone.  Results come back in the order of ``configs``.
     """
-    if c.count < 2:
-        return DescentResult(c, classify(c), 0, energy(c), 0.0)
-    iu = np.triu_indices(c.count, k=1)
-    mm = np.outer(c.masses, c.masses)[iu]
+    configs = list(configs)
+    if not configs:
+        return []
+    shape = (configs[0].count, configs[0].dim, configs[0].exponent)
+    _require_pairs(shape[0])
+    if any((c.count, c.dim, c.exponent) != shape for c in configs):
+        raise ValueError("a descent batch must share charge count, dimension "
+                         "and exponent")
+    p = shape[2]
+    pairs = np.ravel_multi_index(np.triu_indices(shape[0], k=1),
+                                 (shape[0], shape[0]))
 
-    def trial_energy(p):
-        """Energy of a bare position array; +inf for a coincident trial so
-        the line search rejects it instead of stepping onto the pole."""
-        dv = _pair_geometry(p)[1][iu]
-        if dv.min() <= 0:
-            return math.inf
-        return float(np.sum(-4.0 * mm * dv ** (-c.exponent)))
+    results: list = [None] * len(configs)
+    ids = np.arange(len(configs))
+    pos = np.stack([c.positions for c in configs])
+    mas = np.stack([c.masses for c in configs])
+    mm = _upper(mas[:, :, None] * mas[:, None, :], pairs)
+    e0 = -4.0 * np.sum(mm * _upper(_pair_geometry(pos)[1], pairs) ** (-p),
+                       axis=-1)
+    mm4 = -4.0 * mm     # the first product of a trial's -4.0 * mm * dv ** -p
+    step = np.ones(len(ids))            # while expanding: the accepted step
+    acc_e = np.full(len(ids), np.inf)   # energy at the accepted step
+    taken = np.zeros(len(ids), dtype=int)
+    g = np.zeros_like(pos)
+    gnorm = np.zeros(len(ids))
+    floor = np.zeros(len(ids))
+    expanding = np.zeros(len(ids), dtype=bool)
+    fresh = np.ones(len(ids), dtype=bool)   # at the top of a descent step
 
-    pos = c.positions.copy()
-    step = 1.0
-    e0 = energy(c)
-    taken = 0
-    divergence = None
-    for it in range(max_steps):
-        diff, d = _pair_geometry(pos)
-        if float(d[iu].min()) < COLLAPSE_DIST:
-            divergence = Stationarity.COLLAPSE_DIVERGED
-            break
-        diameter = float(d.max())
-        if diameter > ESCAPE_DIAMETER:
-            divergence = Stationarity.ESCAPE_DIVERGED
-            break
-        g = _gradient(diff, d, c.masses, c.exponent)
-        gnorm = float(np.linalg.norm(g))
-        if gnorm == 0.0:
-            cur = c.with_positions(pos)
-            return DescentResult(cur, classify(cur), taken, e0, 0.0)
-        # the floor bounds the displacement, not the raw step: near a
-        # collapsing pair the gradient blows up and a fixed step floor
-        # would still force trials that leap across the pole
-        floor = 1e-16 * max(1.0, diameter)
-        accepted = None
-        while step * gnorm > floor:
-            et = trial_energy(pos - step * g)
-            if math.isfinite(et) and et <= e0 - 1e-4 * step * gnorm * gnorm:
-                accepted = (step, et)
-                break
-            step *= 0.5
-        if accepted is None:
-            cur = c.with_positions(pos)
-            return DescentResult(cur, classify(cur), taken, e0, gnorm)
+    # non-finite values are handled explicitly: a trial with a coincident
+    # pair or an overflowing term has a non-finite energy and is rejected
+    with np.errstate(all="ignore"):
         while True:
-            s2 = accepted[0] * 2.0
-            et2 = trial_energy(pos - s2 * g)
-            if math.isfinite(et2) and et2 < accepted[1] \
-                    and et2 <= e0 - 1e-4 * s2 * gnorm * gnorm:
-                accepted = (s2, et2)
-            else:
-                break
-        step, e0 = accepted
-        pos = pos - step * g
-        taken = it + 1
+            over, diverged = set(), {}  # running indices: spent, diverged
+            if fresh.any():
+                top = np.flatnonzero(fresh)
+                fresh[:] = False
+                spent = taken[top] >= max_steps
+                over, top = set(top[spent].tolist()), top[~spent]
+                if top.size:
+                    diverged = _start_steps(pos, mas, p, pairs, top, g, gnorm,
+                                            floor)
+            out = ~expanding & ~(step * gnorm > floor)   # stalled
+            out[[*over, *diverged]] = True
+            if out.any():
+                for j in np.flatnonzero(out).tolist():
+                    results[ids[j]] = _stopped(
+                        configs[ids[j]], pos[j].copy(), taken[j], e0[j],
+                        diverged.get(j), None if j in over else gnorm[j])
+                keep = ~out
+                (ids, pos, mas, mm4, e0, step, acc_e, taken, g, gnorm, floor,
+                 expanding, fresh) = (
+                    a[keep] for a in (ids, pos, mas, mm4, e0, step, acc_e,
+                                      taken, g, gnorm, floor, expanding,
+                                      fresh))
+                if not ids.size:
+                    break
 
+            # one trial energy per running trial: a backtracking trial tries
+            # its step, an expanding one twice its accepted step; acc_e is
+            # +inf while backtracking, so one test serves both phases
+            s = np.where(expanding, step * 2.0, step)
+            dv = _upper(_pair_geometry(pos - s[:, None, None] * g)[1], pairs)
+            et = np.sum(mm4 * dv ** (-p), axis=-1)
+            better = (np.isfinite(et) & (et <= e0 - 1e-4 * s * gnorm * gnorm)
+                      & (et < acc_e))
+            commit = expanding & ~better
+            step = np.where(better, s, step)
+            step[~(better | expanding)] *= 0.5
+            acc_e = np.where(better, et, acc_e)
+            expanding |= better
+            if commit.any():
+                e0[commit] = acc_e[commit]
+                acc_e[commit] = np.inf
+                pos[commit] = (pos[commit]
+                               - step[commit][:, None, None] * g[commit])
+                taken[commit] += 1
+                expanding[commit] = False
+                fresh[commit] = True
+    return results
+
+
+def _start_steps(pos, mas, p, pairs, top, g, gnorm, floor) -> dict:
+    """Geometry at the top of a descent step for the running trials ``top``:
+    writes their gradient, its norm and the line-search floor into ``g``,
+    ``gnorm`` and ``floor``, and maps each diverged trial to its exit."""
+    diff, d = _pair_geometry(pos[top])
+    collapse = _upper(d, pairs).min(axis=1) < COLLAPSE_DIST
+    diameter = d.max(axis=(1, 2))
+    escape = ~collapse & (diameter > ESCAPE_DIAMETER)
+    gt = _gradient(diff, d, mas[top], p)
+    g[top] = gt
+    flat = gt.reshape(len(top), 1, -1)
+    # (1, k) @ (k, 1) is the same ddot np.linalg.norm makes
+    gnorm[top] = np.sqrt(flat @ flat.transpose(0, 2, 1))[:, 0, 0]
+    # the floor bounds the displacement, not the raw step: near a collapsing
+    # pair the gradient blows up and a fixed step floor would still force
+    # trials that leap across the pole
+    floor[top] = 1e-16 * np.fmax(1.0, diameter)
+    diverged = dict.fromkeys(top[collapse].tolist(),
+                             Stationarity.COLLAPSE_DIVERGED)
+    diverged.update(dict.fromkeys(top[escape].tolist(),
+                                  Stationarity.ESCAPE_DIVERGED))
+    return diverged
+
+
+def _stopped(c, pos, taken, e0, divergence, gnorm) -> DescentResult:
+    """Result of a trial that exits at ``pos``: diverged, or judged by
+    classify with final gradient norm ``gnorm`` (None: recompute it)."""
     cur = c.with_positions(pos)
     if divergence is not None:
-        rep = StationarityReport(divergence, float("nan"), None, float("nan"))
-        return DescentResult(cur, rep, taken, e0, float("nan"))
-    return DescentResult(cur, classify(cur), taken, e0,
-                         float(np.linalg.norm(gradient(cur))))
+        nan = float("nan")
+        rep = StationarityReport(divergence, nan, None, nan)
+        return DescentResult(cur, rep, int(taken), float(e0), nan)
+    rep = classify(cur)
+    if gnorm is None:
+        gnorm = np.linalg.norm(gradient(cur))
+    return DescentResult(cur, rep, int(taken), float(e0), float(gnorm))
 
 
 @dataclass
@@ -278,22 +360,43 @@ class SweepSummary:
     stable_finds: list
 
 
-def conjecture_sweep(d: int, n: int, s: float, trials: int, seed: int = 0,
-                     max_steps: int = 5000) -> SweepSummary:
-    """Random restarts of descent; any stable stationary find is kept with
-    full-precision coordinates.  Trial t uses rng seeded by (seed, t), so
-    any single trial can be replayed in isolation.
+def sweep_trials(d: int, n: int, s: float, trials: int, seed: int = 0,
+                 max_steps: int = 5000):
+    """Descent results of a sweep's random restarts, yielded in trial order.
+
+    Trial t draws positions uniform in [-0.5, 0.5)^n and masses normal on
+    the unit sphere from rng seeded by (seed, t).  Trials descend in
+    lockstep, SWEEP_BLOCK at a time, and each result is bitwise what
+    ``descend`` gives for that trial alone, so any single trial can be
+    replayed in isolation.
     """
-    counts: dict[str, int] = {k.value: 0 for k in Stationarity}
-    finds = []
+    _require_pairs(d)
     exponent = n + 2.0 * s
-    for t in range(trials):
+
+    def trial(t):
         rng = np.random.default_rng([seed, t])
         pos = rng.uniform(-0.5, 0.5, size=(d, n))
         m = rng.normal(size=d)
         m /= np.linalg.norm(m)
-        cfg = ChargeConfig(pos, m, exponent)
-        res = descend(cfg, max_steps=max_steps)
+        return ChargeConfig(pos, m, exponent)
+
+    for start in range(0, trials, SWEEP_BLOCK):
+        stop = min(start + SWEEP_BLOCK, trials)
+        yield from descend_batch([trial(t) for t in range(start, stop)],
+                                 max_steps)
+
+
+def conjecture_sweep(d: int, n: int, s: float, trials: int, seed: int = 0,
+                     max_steps: int = 5000) -> SweepSummary:
+    """Random restarts of descent; any stable stationary find is kept with
+    full-precision coordinates.  Trial t uses rng seeded by (seed, t) (see
+    ``sweep_trials``).  The trials descend in lockstep, SWEEP_BLOCK at a
+    time, and a trial replayed alone through ``descend`` gives the same
+    bits, so any find can be reproduced in isolation.
+    """
+    counts: dict[str, int] = {k.value: 0 for k in Stationarity}
+    finds = []
+    for t, res in enumerate(sweep_trials(d, n, s, trials, seed, max_steps)):
         counts[res.report.classification.value] += 1
         if res.report.classification is Stationarity.STATIONARY_STABLE:
             finds.append({
@@ -304,5 +407,5 @@ def conjecture_sweep(d: int, n: int, s: float, trials: int, seed: int = 0,
                 "gradient_norm": res.report.gradient_norm,
                 "min_hessian_eig": res.report.min_hessian_eig,
             })
-    return SweepSummary(count=trials, exponent=exponent, dim=n, charges=d,
+    return SweepSummary(count=trials, exponent=n + 2.0 * s, dim=n, charges=d,
                         counts=counts, stable_finds=finds)

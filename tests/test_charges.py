@@ -1,12 +1,16 @@
+import hashlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from fracdrum import charges
 from fracdrum.charges import (ChargeConfig, Stationarity, classify,
-                              conjecture_sweep, descend, energy,
-                              euler_residual, gradient, hessian,
-                              translation_basis, translation_complement_eigs)
+                              conjecture_sweep, descend, descend_batch,
+                              energy, euler_residual, gradient, hessian,
+                              sweep_trials, translation_basis,
+                              translation_complement_eigs)
 
 RT2 = 1 / math.sqrt(2)
 
@@ -214,6 +218,16 @@ def test_descend_leaves_perturbed_stationary_point():
     assert res.report.classification is not Stationarity.STATIONARY_STABLE
 
 
+def test_descend_stops_at_a_zero_gradient():
+    c = collinear()
+    res = descend(c)
+    assert res.steps == 0
+    assert res.report.classification is Stationarity.STATIONARY_UNSTABLE
+    assert res.final_gradient_norm == 0.0
+    assert res.energy == energy(c)
+    assert np.array_equal(res.config.positions, c.positions)
+
+
 def test_descend_never_mutates_masses():
     c = pair()
     before = c.masses.copy()
@@ -234,3 +248,125 @@ def test_sweep_is_deterministic():
     a = conjecture_sweep(d=3, n=1, s=0.5, trials=10, seed=5)
     b = conjecture_sweep(d=3, n=1, s=0.5, trials=10, seed=5)
     assert a.counts == b.counts
+
+
+@pytest.mark.parametrize("run", [
+    lambda c: descend(c),
+    lambda c: conjecture_sweep(1, 2, 0.5, trials=3, seed=0),
+    lambda c: conjecture_sweep(1, 2, 0.5, trials=0, seed=0),
+])
+def test_descent_refuses_a_single_charge(run):
+    c = ChargeConfig(np.array([[0.3, 0.1]]), np.array([1.0]), 3.0)
+    with pytest.raises(ValueError, match="at least two charges, got 1"):
+        run(c)
+
+
+def result_key(r):
+    """Every output of one descent, floats by repr so NaN compares equal."""
+    rep = r.report
+    return (rep.classification, r.steps, r.config.positions.tobytes(),
+            r.config.masses.tobytes(), repr(r.energy),
+            repr(r.final_gradient_norm), repr(rep.gradient_norm),
+            repr(rep.min_hessian_eig), repr(rep.euler_residual))
+
+
+def exit_of(r, max_steps):
+    kind = r.report.classification.value
+    if kind.endswith("diverged"):
+        return kind
+    return "budget" if r.steps == max_steps else "stall"
+
+
+# sha256 over each trial's (classification, steps, positions bytes, energy),
+# in trial order, and the classification counts, all at seed 99.  Recorded
+# from the one-trial-at-a-time descent that preceded the lockstep batch.
+FROZEN_SWEEPS = {
+    # (d, n, trials, max_steps): the three criterion-8 sweeps, a d=7 sweep
+    # whose 21-term pair sums catch a change of summation order, a d=8
+    # sweep and a budget-bound sweep
+    (3, 1, 200, 5000): (
+        "31093c704ce453701593cbfb16a5d73c96df83e92d7bec0def945cd000b487b5",
+        {"collapse-diverged": 194, "escape-diverged": 6}),
+    (4, 1, 150, 5000): (
+        "4eb3ff4c6a24a13626e74bae7f07e94d9bb8b146b149a041eb2a89c2bc792ff3",
+        {"collapse-diverged": 133, "escape-diverged": 17}),
+    (5, 2, 150, 5000): (
+        "81c8e8c328ea8a8cfe82de2890d4979ed6a7c32a2bceb8359ec785d6a4105847",
+        {"collapse-diverged": 148, "escape-diverged": 2}),
+    (7, 1, 60, 5000): (
+        "8bbbc356483262304350b7ac4496c789a54c4dd6b5d8434be3ec2d71096b92fc",
+        {"collapse-diverged": 60}),
+    (8, 2, 40, 5000): (
+        "dd0de113f383504f6f79676b0b3d43d863e2673313f010b829001cb0b2812270",
+        {"collapse-diverged": 40}),
+    (4, 2, 40, 7): (
+        "7d0b45a5aa54390f217f9c02eb6f7f146b4d59cb8fa9cbd410e2da63a3ac2c44",
+        {"escape-diverged": 5, "non-stationary": 34,
+         "stationary-unstable": 1}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN_SWEEPS),
+                         ids="d{0[0]}-n{0[1]}-trials{0[2]}-steps{0[3]}".format)
+def test_sweep_trials_match_frozen_per_trial_digests(case):
+    d, n, trials, max_steps = case
+    want_digest, want_counts = FROZEN_SWEEPS[case]
+    h = hashlib.sha256()
+    counts = Counter()
+    for r in sweep_trials(d, n, 0.5, trials, seed=99, max_steps=max_steps):
+        counts[r.report.classification.value] += 1
+        h.update(r.report.classification.value.encode())
+        h.update(str(r.steps).encode())
+        h.update(r.config.positions.tobytes())
+        h.update(float(r.energy).hex().encode())
+    assert dict(counts) == want_counts
+    assert h.hexdigest() == want_digest
+
+
+def sweep_configs(d, n, s, trials, seed):
+    """The configurations sweep_trials draws, rebuilt here as its contract."""
+    out = []
+    for t in range(trials):
+        rng = np.random.default_rng([seed, t])
+        pos = rng.uniform(-0.5, 0.5, size=(d, n))
+        m = rng.normal(size=d)
+        m /= np.linalg.norm(m)
+        out.append(ChargeConfig(pos, m, n + 2.0 * s))
+    return out
+
+
+def test_batched_trials_match_lone_descents_on_every_exit():
+    # two charges in R^3, budget 12: this batch leaves by collapse, escape,
+    # a stalled line search judged by classify, and the budget
+    configs = sweep_configs(2, 3, 0.5, 16, seed=99)
+    batch = descend_batch(configs, max_steps=12)
+    assert {exit_of(r, 12) for r in batch} == {
+        "collapse-diverged", "escape-diverged", "stall", "budget"}
+    assert any(exit_of(r, 12) == "stall" and r.report.classification
+               is not Stationarity.NON_STATIONARY for r in batch)
+    for c, r in zip(configs, batch):
+        assert result_key(r) == result_key(descend(c, max_steps=12))
+    # a sub-batch in another order gives each trial the same bits
+    picked = [5, 13, 0, 7]
+    again = descend_batch([configs[i] for i in picked], max_steps=12)
+    assert [result_key(r) for r in again] == [result_key(batch[i])
+                                              for i in picked]
+
+
+def test_sweep_blocks_concatenate(monkeypatch):
+    whole = [result_key(r) for r in sweep_trials(4, 1, 0.5, 20, seed=2,
+                                                 max_steps=20)]
+    monkeypatch.setattr(charges, "SWEEP_BLOCK", 7)
+    blocked = [result_key(r) for r in sweep_trials(4, 1, 0.5, 20, seed=2,
+                                                   max_steps=20)]
+    assert blocked == whole
+    configs = sweep_configs(4, 1, 0.5, 20, seed=2)
+    parts = [descend_batch(configs[i:i + 7], max_steps=20)
+             for i in range(0, 20, 7)]
+    assert [result_key(r) for part in parts for r in part] == whole
+
+
+def test_descend_batch_refuses_mixed_configurations():
+    assert descend_batch([]) == []
+    with pytest.raises(ValueError, match="share"):
+        descend_batch([pair(p=2.0), pair(p=3.0)])
