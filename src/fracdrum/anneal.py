@@ -4,10 +4,15 @@ Moves are enumerated in a fixed lexicographic order so that a seeded run is
 bit-reproducible: single-cell flips first (by id), then whole-component
 translations (by component id, axis, then -/+ sign), then whole-component
 relocations to another copy (by component id, then target copy).  A cell's
-id is its flat index into the (copies, *box) mask.  Every accepted state is
-re-scored from a fresh assembly; there is no incremental eigenvalue update,
-which keeps the chain trivially deterministic at the cost of a full solve
-per proposal.
+id is its flat index into the (copies, *box) mask.
+
+Each distinct shape is scored once per run: ``minimize`` keeps every
+objective it computes, keyed by the shape's masks packed one bit per cell, so
+a shape proposed again is neither assembled nor solved.  Scoring is a pure
+function of the shape and there is no incremental eigenvalue update, so the
+chain is the same bit for bit as one that solves every proposal.  A shape
+is labelled once (``MultiIndicator.components``) and its move list built
+once, however many proposals start from it.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import numpy as np
 
 from .form import assemble_form, interaction_energy
 from .grid import (KernelParams, LatticeField, MultiIndicator, _open_face,
-                   component_signs, connected_components)
+                   component_signs)
 from .spectra import SpectralResult, dirichlet_eigs
 
 Move = tuple
@@ -33,7 +38,18 @@ def enumerate_moves(A: MultiIndicator, min_cells: int = 1) -> list[Move]:
     ``min_cells``; additions take an inactive cell that touches the shape
     (face adjacency) and stays strictly inside the box, so the chain grows
     and shrinks along boundaries rather than teleporting mass.
+
+    The list is built once per shape and ``min_cells`` and kept on ``A``;
+    each call returns a fresh copy of it.
     """
+    # a shape's masks are read-only, so its move lists never go stale
+    built = A.__dict__.setdefault("_moves", {})
+    if min_cells not in built:
+        built[min_cells] = tuple(_legal_moves(A, min_cells))
+    return list(built[min_cells])
+
+
+def _legal_moves(A: MultiIndicator, min_cells: int) -> list[Move]:
     grid, masks = A.grid, A.masks
     interior = grid.interior()
     flips = ~masks & interior & _open_face(~masks)     # touches the shape
@@ -41,7 +57,7 @@ def enumerate_moves(A: MultiIndicator, min_cells: int = 1) -> list[Move]:
         flips |= masks & _open_face(masks)
     moves: list[Move] = [("flip", i) for i in np.flatnonzero(flips).tolist()]
 
-    decomp = connected_components(A)
+    decomp = A.components
     comp_coords = [np.unravel_index(ids, masks.shape) for ids in decomp.cells]
     for comp_id, coords in enumerate(comp_coords):
         for axis in range(1, masks.ndim):
@@ -68,13 +84,25 @@ def apply_move(A: MultiIndicator, move: Move) -> MultiIndicator:
         return MultiIndicator(A.grid, masks)
     if move[0] not in ("translate", "relocate"):
         raise ValueError(f"unknown move kind {move[0]!r}")
-    coords = list(np.unravel_index(connected_components(A).cells[move[1]], masks.shape))
+    decomp = A.components
+    if not 0 <= move[1] < decomp.count:
+        raise ValueError(f"{move!r}: the shape has no component {move[1]!r}")
+    coords = list(np.unravel_index(decomp.cells[move[1]], masks.shape))
     masks[tuple(coords)] = False
     if move[0] == "translate":
+        # a one-cell shift cannot reach another component: that cell would
+        # be a face neighbour, so in this component
         _, _, axis, sign = move
         coords[axis + 1] += sign
     else:
-        coords[0] = move[2]
+        target, copies = move[2], A.grid.copies
+        if not 0 <= target < copies or target == coords[0][0]:
+            raise ValueError(f"{move!r}: the target copy must be another one "
+                             f"of 0..{copies - 1}")
+        coords[0] = target
+        if (decomp.labels[tuple(coords)] >= 0).any():
+            raise ValueError(f"{move!r}: the target cells are held by another "
+                             "component")
     masks[tuple(coords)] = True
     return MultiIndicator(A.grid, masks)
 
@@ -130,11 +158,13 @@ def minimize(init: MultiIndicator, kp: KernelParams, k: int = 1,
         raise ValueError("initial shape has fewer cells than requested eigenvalues")
     rng = np.random.default_rng(schedule.seed)
     current = init
-    cur_obj, cur_spec = _score(current, kp, k)
+    cur_obj, best_spec = _score(current, kp, k)
+    # the objective of every shape scored so far, keyed by its packed masks
+    scored = {np.packbits(current.masks).tobytes(): cur_obj}
     t0 = schedule.initial_temperature
     if t0 is None:
         t0 = 0.1 * abs(cur_obj)
-    best, best_obj, best_spec = current, cur_obj, cur_spec
+    best, best_obj = current, cur_obj
     trace: list[TraceRow] = []
     for step in range(schedule.steps):
         temp = t0 * schedule.cooling ** step
@@ -144,15 +174,21 @@ def minimize(init: MultiIndicator, kp: KernelParams, k: int = 1,
                              "may be removed, and none can be added or moved")
         move = moves[int(rng.integers(len(moves)))]
         candidate = apply_move(current, move)
-        cand_obj, cand_spec = _score(candidate, kp, k)
+        key = np.packbits(candidate.masks).tobytes()
+        cand_obj = scored.get(key)
+        if cand_obj is None:
+            cand_obj, spec = _score(candidate, kp, k)
+            scored[key] = cand_obj
+            # best_obj <= cur_obj, so a shape below the best is downhill and
+            # accepted without a draw; a shape scored earlier never is
+            if cand_obj < best_obj:
+                best, best_obj, best_spec = candidate, cand_obj, spec
         delta = cand_obj - cur_obj
         # once the temperature underflows to 0, an uphill move is rejected
         # without a draw
         accept = delta <= 0 or (temp > 0 and rng.random() < math.exp(-delta / temp))
         if accept:
-            current, cur_obj, cur_spec = candidate, cand_obj, cand_spec
-            if cur_obj < best_obj:
-                best, best_obj, best_spec = current, cur_obj, cur_spec
+            current, cur_obj = candidate, cand_obj
         trace.append(TraceRow(step, temp, cur_obj, accept, move[0]))
     return AnnealResult(best=best, best_objective=best_obj, best_spectrum=best_spec,
                         final=current, final_objective=cur_obj, trace=trace)
@@ -223,8 +259,7 @@ def diagnostics(A: MultiIndicator, u: LatticeField, kp: KernelParams, radii,
     persist the report and read it after the fact.
     """
     grid = A.grid
-    decomp = connected_components(A)
-    signs = component_signs(decomp, u)
+    signs = component_signs(A.components, u)
     scale = float(np.abs(u.values).max())
     thr = 1e-9 * scale if scale > 0 else 1e-9    # |u| at or below counts as zero
 

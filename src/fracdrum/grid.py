@@ -11,6 +11,7 @@ of the same shape supported on such masks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 import math
 
 import numpy as np
@@ -99,7 +100,8 @@ class KernelParams:
 class MultiIndicator:
     """A shape: one read-only boolean array of shape (copies, *box), all true
     cells strictly inside the box.  A cell's id is its flat index into the
-    array, so ids run copy-major, row-major within a copy."""
+    array, so ids run copy-major, row-major within a copy.  Since the masks
+    never change, ``components`` labels the shape once, on first use."""
 
     def __init__(self, grid: GridSpec, masks):
         self.grid = grid
@@ -136,6 +138,11 @@ class MultiIndicator:
         values = np.zeros(self.masks.shape)
         values[self.masks] = vec
         return LatticeField(self.grid, values)
+
+    @cached_property
+    def components(self) -> "ComponentDecomposition":
+        """The face-adjacency components, from one ``connected_components``."""
+        return connected_components(self)
 
     def __eq__(self, other):
         return (isinstance(other, MultiIndicator) and self.grid == other.grid
@@ -206,7 +213,9 @@ def connected_components(A: MultiIndicator) -> ComponentDecomposition:
         comp = raw.ravel()[ids]
         cells = np.split(ids[np.argsort(comp, kind="stable")],
                          np.cumsum(np.bincount(comp)[1:-1]))
-    return ComponentDecomposition(labels=raw - 1, count=count, cells=cells)
+    labels = raw - 1
+    labels.setflags(write=False)     # shared through MultiIndicator.components
+    return ComponentDecomposition(labels=labels, count=count, cells=cells)
 
 
 def component_signs(decomp: ComponentDecomposition, u: LatticeField):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -20,11 +22,15 @@ def small_two_copy():
 def test_move_enumeration_order_and_legality():
     A = small_two_copy()
     moves = enumerate_moves(A, min_cells=1)
-    assert moves == [
+    expected = [
         ("flip", 1), ("flip", 2), ("flip", 3), ("flip", 4),
         ("translate", 0, 0, -1), ("translate", 0, 0, 1),
         ("relocate", 0, 1),
     ]
+    assert moves == expected
+    # the list is kept on the shape, and each call returns its own copy
+    moves.clear()
+    assert enumerate_moves(A, min_cells=1) == expected
     # raising the floor removes the two removal flips only
     moves2 = enumerate_moves(A, min_cells=2)
     assert moves2 == [
@@ -72,6 +78,129 @@ def test_apply_move_flip_translate_relocate():
     assert list(np.flatnonzero(moved.masks[1])) == [2, 3]
     with pytest.raises(ValueError):
         apply_move(A, ("teleport", 0, 0))
+
+
+def test_apply_move_rejects_illegal_component_moves():
+    g = GridSpec(n=1, h=0.25, L=1.0, copies=2)
+    m0, m1 = np.zeros(g.shape, dtype=bool), np.zeros(g.shape, dtype=bool)
+    m0[2:4] = True
+    m1[3:5] = True
+    A = MultiIndicator(g, [m0, m1])
+    # the target cells 2-3 of copy 1 overlap the other component's cell 3
+    with pytest.raises(ValueError, match="held by another component"):
+        apply_move(A, ("relocate", 0, 1))
+    for move in (("relocate", 2, 1), ("relocate", -1, 1), ("translate", 2, 0, 1)):
+        with pytest.raises(ValueError, match="no component"):
+            apply_move(A, move)
+    for target in (-1, 2, 0):
+        with pytest.raises(ValueError, match="target copy"):
+            apply_move(A, ("relocate", 0, target))
+    # the legal moves of the same shape still apply
+    B = small_two_copy()
+    assert apply_move(B, ("relocate", 0, 1)).cell_count() == 2
+
+
+def chain_digest(res) -> str:
+    """sha256 of a chain's trace, best and final masks and best eigenvalues,
+    with every float written exactly (``float.hex``)."""
+    h = hashlib.sha256()
+    for r in res.trace:
+        h.update(f"{r.step},{r.temperature.hex()},{r.objective.hex()},"
+                 f"{int(r.accepted)},{r.kind}\n".encode())
+    h.update(res.best.masks.tobytes())
+    h.update(res.final.masks.tobytes())
+    h.update(",".join(float(v).hex() for v in res.best_spectrum.eigenvalues).encode())
+    return h.hexdigest()
+
+
+def two_interval_chain(steps=600):
+    """A 1-D two-copy k=2 chain that proposes flips, translates and
+    relocates, and ends with its best shape split across both copies."""
+    g = GridSpec(n=1, h=0.125, L=1.0, copies=2)
+    m = np.zeros(g.shape, dtype=bool)
+    m[3:6] = True
+    m[9:13] = True
+    init = MultiIndicator(g, [m, np.zeros(g.shape, dtype=bool)])
+    return minimize(init, KP, k=2,
+                    schedule=AnnealSchedule(steps=steps, cooling=0.995,
+                                            initial_temperature=0.3, seed=11))
+
+
+def test_frozen_chain_digests():
+    # recorded from a build that assembled and solved every proposal; the
+    # bytes hold for one numpy/scipy build and BLAS
+    res = two_interval_chain()
+    assert {r.kind for r in res.trace} == {"flip", "translate", "relocate"}
+    assert chain_digest(res) == (
+        "81b12dcd4214746896cc160238b7816cfa12930cb8e3e03dd2df581ed29c7648")
+
+    g = GridSpec(n=2, h=0.125, L=1.0, copies=2)
+    c = g.axis_centers()
+    x, y = np.meshgrid(c, c, indexing="ij")
+    init = MultiIndicator(g, [x ** 2 + y ** 2 < 0.3 ** 2, np.zeros(g.shape, dtype=bool)])
+    res = minimize(init, KernelParams(n=2, s=0.5), k=2,
+                   schedule=AnnealSchedule(steps=40, initial_temperature=0.3, seed=4))
+    assert chain_digest(res) == (
+        "d5a77c084169be37652c9b346aaaf0211bfdf3cbf24d9fbf6038aaf8d61b47a8")
+
+
+def test_minimize_scores_each_distinct_shape_once(monkeypatch):
+    import fracdrum.anneal as anneal
+    real_assemble, real_apply = anneal.assemble_form, anneal.apply_move
+    assembled, shapes = [], []
+
+    def counting_assemble(A, *args, **kwargs):
+        assembled.append(A)
+        return real_assemble(A, *args, **kwargs)
+
+    def recording_apply(A, move):
+        shapes.append(real_apply(A, move))
+        return shapes[-1]
+
+    monkeypatch.setattr(anneal, "assemble_form", counting_assemble)
+    monkeypatch.setattr(anneal, "apply_move", recording_apply)
+    res = two_interval_chain(steps=200)
+    distinct = {A.masks.tobytes() for A in [assembled[0], *shapes]}
+    assert len(shapes) == 200
+    assert len(assembled) == len(distinct) < 200
+    assert len({A.masks.tobytes() for A in assembled}) == len(assembled)
+
+    fresh = dirichlet_eigs(res.best, KP, 2)
+    assert np.array_equal(res.best_spectrum.eigenvalues, fresh.eigenvalues)
+    assert np.array_equal(res.best_spectrum.vectors, fresh.vectors)
+
+
+def test_each_shape_is_labelled_once(monkeypatch):
+    import fracdrum.grid as grid
+    real, labelled = grid.connected_components, []
+
+    def counting(A):
+        labelled.append(A)
+        return real(A)
+
+    monkeypatch.setattr(grid, "connected_components", counting)
+    A = small_two_copy()
+    enumerate_moves(A, min_cells=1)
+    enumerate_moves(A, min_cells=2)
+    apply_move(A, ("translate", 0, 0, 1))
+    apply_move(A, ("relocate", 0, 1))
+    u = A.field(dirichlet_eigs(A, KP, 1).vectors[:, 0])
+    diagnostics(A, u, KP, (0.25,))
+    assert labelled == [A]
+
+    # along a chain, no shape object is labelled twice
+    labelled.clear()
+    two_interval_chain(steps=100)
+    assert len({id(B) for B in labelled}) == len(labelled) > 1
+
+
+def test_moved_shape_gets_its_own_decomposition():
+    A = small_two_copy()
+    before = A.components
+    B = apply_move(A, ("relocate", 0, 1))
+    assert B.components is not before
+    assert B.components.labels[1][2] == 0 and B.components.labels[0][2] == -1
+    assert A.components is before and before.labels[0][2] == 0
 
 
 def test_schedule_validation():
