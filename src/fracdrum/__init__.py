@@ -15,9 +15,9 @@ from .extension import (ExtensionGrid, ExtensionSolution, WeissCurve,
                         equivalence_constant, harmonic_extension,
                         homogeneous_profile, monotonicity_report,
                         trace_support_intervals, weiss_functional)
-from .form import (EnergyDecomposition, FormMatrix, assemble_form, bilinear,
-                   energy_decomposition, exterior_tail, interaction_energy,
-                   rayleigh)
+from .form import (EnergyDecomposition, FormMatrix, FormOperator,
+                   assemble_form, bilinear, energy_decomposition,
+                   exterior_tail, form_operator, interaction_energy, rayleigh)
 from .grid import (ComponentDecomposition, GridSpec, KernelParams,
                    LatticeField, MultiIndicator, component_signs,
                    connected_components)

@@ -28,7 +28,9 @@ whole box is Toeplitz (n=1) or block-Toeplitz (n=2).  One offset table and
 one per-box-cell diagonal are cached per (grid, kernel), and the matrix of
 any shape is gathered from them as a principal submatrix:
 Q_pp = 2 (T_p + h^n tail_p), with T_p the weight of p against its whole box,
-and Q_pq = -2 w_pq.  Hence e_p = Q_pp - 2 sum_q w_pq.
+and Q_pq = -2 w_pq.  Hence e_p = Q_pp - 2 sum_q w_pq.  The same two tables
+also apply Q without forming it: the off-diagonal part is a convolution with
+w, done by FFT (``form_operator``), for shapes too large for a dense matrix.
 """
 
 from __future__ import annotations
@@ -171,6 +173,83 @@ def _box_stencil(grid: GridSpec, kp: KernelParams):
 
 
 @dataclass
+class FormOperator:
+    """Matrix-free Q of one shape, applied to (N,) vectors or (N, k) blocks.
+
+    Q u = d∘u - 2 P (K ⋆ Pᵀu).  Pᵀ scatters the N values into a stack of
+    periodic boxes, one per copy, 2b cells per axis for a shape b cells wide;
+    K is the offset table w folded by minimum image onto that box, and ⋆ is
+    one batched real FFT over the stack.  Offsets inside the shape stay below
+    b, so the periodic convolution is the linear one and P gathers exactly
+    the rows of Q.  The same circulant with max(d) on its diagonal, whose
+    eigenvalues are ``symbol``, is the preconditioner (T. Chan's optimal
+    circulant, SISC 1988, applied to a principal submatrix).
+    """
+
+    ids: np.ndarray          # (N,) ascending cell ids, as in FormMatrix
+    diagonal: np.ndarray     # (N,) d, the diagonal of Q
+    cells: np.ndarray        # (N,) flat index of each cell into the stack
+    stack: tuple             # (copies, 2b per axis)
+    kernel_hat: np.ndarray   # real half spectrum of K on the periodic box
+    symbol: np.ndarray       # max(d) - 2 kernel_hat, positive
+
+    @property
+    def size(self) -> int:
+        return len(self.ids)
+
+    def _convolve(self, U: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+        X = U.reshape(self.size, -1)
+        buf = np.zeros((X.shape[1], math.prod(self.stack)))
+        buf[:, self.cells] = X.T
+        box = self.stack[1:]
+        axes = tuple(range(2, 2 + len(box)))
+        Y = np.fft.rfftn(buf.reshape(-1, *self.stack), axes=axes)
+        Y *= spectrum
+        Y = np.fft.irfftn(Y, s=box, axes=axes)
+        return Y.reshape(X.shape[1], -1)[:, self.cells].T.reshape(U.shape)
+
+    def apply(self, U: np.ndarray) -> np.ndarray:
+        """Q U."""
+        D = self.diagonal.reshape(-1, *(1,) * (U.ndim - 1))
+        return D * U - 2.0 * self._convolve(U, self.kernel_hat)
+
+    def precondition(self, R: np.ndarray) -> np.ndarray:
+        """P C⁻¹ Pᵀ R, with C the circulant whose eigenvalues are ``symbol``."""
+        return self._convolve(R, 1.0 / self.symbol)
+
+
+def _checked_ids(A: MultiIndicator, kp: KernelParams) -> np.ndarray:
+    if kp.n != A.grid.n:
+        raise ValueError("kernel and grid dimension disagree")
+    if A.is_empty():
+        raise ValueError("cannot assemble the form of an empty shape")
+    return np.flatnonzero(A.masks)
+
+
+def form_operator(A: MultiIndicator, kp: KernelParams) -> FormOperator:
+    """The shape's Q as an FFT operator; no N x N array is built."""
+    ids = _checked_ids(A, kp)
+    w, diag = _box_stencil(A.grid, kp)
+    copy, *coords = np.unravel_index(ids, A.masks.shape)
+    lo = [x.min() for x in coords]
+    period = [2 * int(x.max() - x0 + 1) for x, x0 in zip(coords, lo)]
+    stack = (A.grid.copies, *period)
+    cells = np.ravel_multi_index(
+        (copy, *(x - x0 for x, x0 in zip(coords, lo))), stack)
+    # b <= m - 2 for a shape inside the box, so offsets up to b are in w
+    fold = [np.minimum(np.arange(p), p - np.arange(p)) for p in period]
+    # K is real and even, so its spectrum is real
+    kernel_hat = np.fft.rfftn(w[np.ix_(*fold)]).real
+    d = diag[ids % A.grid.box_size]
+    symbol = d.max() - 2.0 * kernel_hat
+    if not symbol.min() > 0:
+        raise RuntimeError(f"circulant preconditioner symbol {symbol.min():.2e} "
+                           "is not positive")
+    return FormOperator(ids=ids, diagonal=d, cells=cells, stack=stack,
+                        kernel_hat=kernel_hat, symbol=symbol)
+
+
+@dataclass
 class FormMatrix:
     """Assembled quadratic form over the active cells of one shape."""
 
@@ -211,12 +290,8 @@ class FormMatrix:
 def assemble_form(A: MultiIndicator, kp: KernelParams) -> FormMatrix:
     """Gather the shape's Q as a principal submatrix of the box operator."""
     grid = A.grid
-    if kp.n != grid.n:
-        raise ValueError("kernel and grid dimension disagree")
-    if A.is_empty():
-        raise ValueError("cannot assemble the form of an empty shape")
+    ids = _checked_ids(A, kp)
     w, diag = _box_stencil(grid, kp)
-    ids = np.flatnonzero(A.masks)
 
     N = len(ids)
     Q = np.zeros((N, N))

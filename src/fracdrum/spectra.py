@@ -1,4 +1,4 @@
-"""Eigenvalue and torsion solvers on top of the assembled quadratic form.
+"""Eigenvalue and torsion solvers on top of the quadratic form.
 
 Eigenvalues are reported in bare seminorm units: the Rayleigh quotient of
 the raw double-integral energy against the cell-measure weighted mass
@@ -6,27 +6,36 @@ h^n sum u^2, with no kernel constant.  The torsion problem is the one
 place the classical operator normalization enters, because its closed-form
 ball solution and energy are stated in those units; the conversion is a
 single multiplicative constant on the form.
+
+Up to DENSE_LIMIT active cells both solvers work on the assembled dense Q:
+``eigh`` for eigenpairs, ``cg`` for torsion.  Above it no N x N array is
+built: they apply Q matrix-free by FFT (``form.form_operator``) and are
+preconditioned by its circulant, eigenpairs by LOBPCG (Knyazev, SISC 2001)
+and torsion by preconditioned CG.  Every solve checks its residual.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 import math
+import warnings
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.sparse.linalg import cg, eigsh
+from scipy.sparse.linalg import LinearOperator, cg, lobpcg
 
-from .form import FormMatrix, assemble_form
+from .form import FormMatrix, FormOperator, assemble_form, form_operator
 from .grid import KernelParams, MultiIndicator
 
-# Active-cell count above which shift-invert eigsh on a dense LU replaces
-# eigh(subset_by_index).  Crossover for the 4 lowest pairs on a 2-core host:
-# eigh wins at N=512 (0.010 vs 0.012 s), the two tie near N=700-1000, and
-# eigsh wins from N=1024 (0.049 vs 0.067 s; 0.27 vs 0.54 s at N=2048).
+# Active-cell count above which both solvers go matrix-free.  Crossover for
+# the 4 lowest pairs, assembly included, 1-D interval and 2-D ball, on a
+# 2-core host: eigh wins up to N=784 (0.057 s against 0.053-0.085 s), LOBPCG
+# from N=1024 (0.054-0.092 s against 0.16 s; 0.065 s against 0.31 s at
+# N=1536).  Anneal forms (N <= about 300) stay on eigh.
 DENSE_LIMIT = 1000
 MULTIPLICITY_RTOL = 1e-6      # gap below this (relative) flags a numeric tie
 RESIDUAL_RTOL = 1e-8
+LOBPCG_MAXITER = 400
 
 
 def kernel_operator_constant(n: int, s: float) -> float:
@@ -59,22 +68,27 @@ class SpectralResult:
 
 def dirichlet_eigs(A: MultiIndicator, kp: KernelParams, count: int,
                    F: FormMatrix | None = None) -> SpectralResult:
-    """Smallest eigenpairs of the form against the cell-measure mass."""
-    if F is None:
-        F = assemble_form(A, kp)
-    N = F.size
+    """Smallest eigenpairs of the form against the cell-measure mass.
+
+    ``F`` is the shape's assembled form, built if not given; it goes unread
+    when the solve is matrix-free (above DENSE_LIMIT cells, and a count
+    small enough for LOBPCG's block).
+    """
+    N = A.cell_count()
     if count < 1 or count > N:
         raise ValueError(f"count must be in 1..{N}, got {count}")
-    Q = F.quadratic_matrix
-    mass = F.grid.cell_volume
-    if N <= DENSE_LIMIT or count >= N:
+    block = max(2 * count, 8)
+    # below 5 blocks lobpcg itself would fall back to a dense solve
+    if N <= DENSE_LIMIT or N < 5 * block:
+        if F is None:
+            F = assemble_form(A, kp)
+        Q = F.quadratic_matrix
         vals, vecs = eigh(Q, subset_by_index=[0, count - 1])
     else:
-        # shift-invert on one dense LU of Q; a fixed start vector, since
-        # ARPACK's default one is drawn from OS entropy
-        vals, vecs = eigsh(Q, k=count, sigma=0, which="LM", v0=np.ones(N))
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
+        op = form_operator(A, kp)
+        Q = _linear_operator(op, op.apply)
+        vals, vecs = _lobpcg(Q, op, count, block)
+    mass = A.grid.cell_volume
     lam = vals / mass
     if lam[0] <= 0:
         raise RuntimeError("form lost definiteness: nonpositive bottom eigenvalue")
@@ -97,6 +111,29 @@ def dirichlet_eigs(A: MultiIndicator, kp: KernelParams, count: int,
                           residuals=residuals, multiplicity_gaps=gaps)
 
 
+def _linear_operator(op: FormOperator, fn) -> LinearOperator:
+    return LinearOperator((op.size, op.size), matvec=fn, matmat=fn, dtype=float)
+
+
+def _lobpcg(Q: LinearOperator, op: FormOperator, count: int, block: int):
+    """The ``count`` lowest eigenpairs of Q, the operator ``op`` applies, by
+    LOBPCG preconditioned with its circulant, on a ``block``-column start
+    drawn from a fixed generator."""
+    X = np.random.default_rng(0).standard_normal((op.size, block))
+    # lobpcg's tol bounds the absolute residual |Q x - mu x| of a unit x;
+    # min(symbol) sits below mu_1 on every shape tried, so this keeps the
+    # relative residual a tenth of the contract without over-solving
+    tol = 0.1 * RESIDUAL_RTOL * float(op.symbol.min())
+    with warnings.catch_warnings():
+        # lobpcg warns when any column of the block, the spare ones too,
+        # misses tol; the residual check on the requested pairs decides
+        warnings.filterwarnings("ignore", "(Exited|Failed) ", UserWarning)
+        vals, vecs = lobpcg(Q, X, M=_linear_operator(op, op.precondition),
+                            tol=tol, maxiter=LOBPCG_MAXITER, largest=False)
+    order = np.argsort(vals)[:count]
+    return vals[order], vecs[:, order]
+
+
 def objective(A: MultiIndicator, kp: KernelParams, k: int,
               F: FormMatrix | None = None) -> float:
     """k-th eigenvalue plus shape volume, the quantity the optimizer drives."""
@@ -116,15 +153,24 @@ def torsion_solve(A: MultiIndicator, kp: KernelParams,
 
     The system is (c/2) Q u = h^n on active cells, with c the classical
     operator constant, so u matches the closed-form ball solution and the
-    energy at the minimizer reduces to -(1/2) h^n sum u.
+    energy at the minimizer reduces to -(1/2) h^n sum u.  Above DENSE_LIMIT
+    cells CG runs matrix-free, preconditioned by the circulant, and ``F``
+    goes unread.
     """
-    if F is None:
-        F = assemble_form(A, kp)
-    c = kernel_operator_constant(kp.n, kp.s)
-    M = 0.5 * c * F.quadratic_matrix
-    rhs = np.full(F.size, F.grid.cell_volume)
-    u, info = cg(M, rhs, x0=np.zeros(F.size), rtol=1e-10, atol=0.0,
-                 maxiter=20 * F.size)
+    half_c = 0.5 * kernel_operator_constant(kp.n, kp.s)
+    N = A.cell_count()
+    rhs = np.full(N, A.grid.cell_volume)
+    if N <= DENSE_LIMIT:
+        if F is None:
+            F = assemble_form(A, kp)
+        M = half_c * F.quadratic_matrix
+        precond = None
+    else:
+        op = form_operator(A, kp)
+        M = _linear_operator(op, lambda u: half_c * op.apply(u))
+        precond = _linear_operator(op, lambda r: op.precondition(r) / half_c)
+    u, info = cg(M, rhs, x0=np.zeros(N), rtol=1e-10, atol=0.0,
+                 maxiter=20 * N, M=precond)
     if info != 0:
         raise RuntimeError(f"torsion solve failed to converge (cg info {info})")
     resid = np.linalg.norm(M @ u - rhs) / np.linalg.norm(rhs)
@@ -133,7 +179,7 @@ def torsion_solve(A: MultiIndicator, kp: KernelParams,
     if u.min() < -1e-9 * max(u.max(), 1.0):
         raise RuntimeError("torsion field lost positivity")
     u = np.maximum(u, 0.0)
-    energy = -0.5 * F.grid.cell_volume * float(u.sum())
+    energy = -0.5 * A.grid.cell_volume * float(u.sum())
     return TorsionResult(vector=u, energy=energy)
 
 

@@ -6,9 +6,9 @@ import pytest
 
 import fracdrum.spectra as spectra
 from fracdrum import (GridSpec, KernelParams, LatticeField, MultiIndicator,
-                      assemble_form, dirichlet_eigs, gamma_distance,
-                      kernel_operator_constant, objective, rayleigh,
-                      torsion_solve)
+                      assemble_form, dirichlet_eigs, form_operator,
+                      gamma_distance, kernel_operator_constant, objective,
+                      rayleigh, torsion_solve)
 
 
 def interval(h, lo=-1.0, hi=1.0, L=2.0, copies=1, copy=0):
@@ -146,19 +146,61 @@ def two_rects(h=0.125):
                               (np.abs(x - 0.1) < 0.4) & (np.abs(y) < 0.7)])
 
 
+def two_copy_intervals(h=1 / 64):
+    g = GridSpec(n=1, h=h, L=2.0, copies=2)
+    c = g.axis_centers()
+    return MultiIndicator(g, [(np.abs(c) < 0.5) | ((c > 0.8) & (c < 1.5)),
+                              (c > -1.7) & (c < -0.2)])
+
+
+@pytest.mark.parametrize("A, kp", [
+    (two_copy_intervals(), KP),
+    (two_rects(), KernelParams(n=2, s=0.5)),
+])
+def test_form_operator_matches_dense_form(A, kp):
+    Q = assemble_form(A, kp).quadratic_matrix
+    op = form_operator(A, kp)
+    assert np.array_equal(op.ids, np.flatnonzero(A.masks))
+    X = np.random.default_rng(2).normal(size=(op.size, 5))
+    ref = Q @ X
+    for got, want in ((op.apply(X), ref), (op.apply(X[:, 0]), ref[:, 0])):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # the preconditioner P C^-1 P^T is symmetric positive definite
+    assert op.symbol.min() > 0
+    C_inv = op.precondition(np.eye(op.size))
+    assert np.allclose(C_inv, C_inv.T, rtol=0, atol=1e-13 * np.abs(C_inv).max())
+    assert np.linalg.eigvalsh(C_inv).min() > 0
+
+
+def test_form_operator_refuses_a_nonpositive_symbol(monkeypatch):
+    import fracdrum.form as form
+    stencil = form._box_stencil
+
+    def weak_diagonal(grid, kp):
+        w, diag = stencil(grid, kp)
+        return w, 0.1 * diag
+    monkeypatch.setattr(form, "_box_stencil", weak_diagonal)
+    with pytest.raises(RuntimeError, match="symbol"):
+        form_operator(two_rects(), KernelParams(n=2, s=0.5))
+
+
 @pytest.mark.parametrize("A, kp", [
     (interval(0.03125, -1.5, 1.0), KP),
     (two_rects(), KernelParams(n=2, s=0.5)),
 ])
-def test_eigsh_branch_matches_eigh(monkeypatch, A, kp):
+def test_lobpcg_branch_matches_eigh(monkeypatch, A, kp):
     dense = dirichlet_eigs(A, kp, 4)
     monkeypatch.setattr(spectra, "DENSE_LIMIT", 4)
-    shifted = dirichlet_eigs(A, kp, 4)
-    assert shifted.eigenvalues == pytest.approx(dense.eigenvalues, rel=1e-12)
-    assert np.all(shifted.residuals <= spectra.RESIDUAL_RTOL)
+    # scipy's lobpcg warns when it falls back to a dense solve
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        iterative = dirichlet_eigs(A, kp, 4)
+    assert iterative.eigenvalues == pytest.approx(dense.eigenvalues, rel=1e-12)
+    assert np.all(iterative.residuals <= spectra.RESIDUAL_RTOL)
 
 
-def test_eigsh_branch_count_equal_to_size_uses_eigh(monkeypatch):
+def test_lobpcg_branch_count_equal_to_size_uses_eigh(monkeypatch):
     A = interval(0.25, -1.0, 0.5)      # 6 cells
     N = A.cell_count()
     dense = dirichlet_eigs(A, KP, N)
@@ -169,17 +211,58 @@ def test_eigsh_branch_count_equal_to_size_uses_eigh(monkeypatch):
     assert np.array_equal(full.eigenvalues, dense.eigenvalues)
 
 
-def test_eigsh_branch_keeps_residual_contract(monkeypatch):
+def test_lobpcg_branch_count_that_overfills_the_block_uses_eigh(monkeypatch):
+    A = interval(0.0625, -1.5, 1.0)    # 40 cells: a block of 10 needs 50
+    dense = dirichlet_eigs(A, KP, 5)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("lobpcg called")
+    monkeypatch.setattr(spectra, "DENSE_LIMIT", 4)
+    monkeypatch.setattr(spectra, "lobpcg", refuse)
+    assert np.array_equal(dirichlet_eigs(A, KP, 5).eigenvalues, dense.eigenvalues)
+    with pytest.raises(AssertionError, match="lobpcg called"):
+        dirichlet_eigs(A, KP, 4)
+
+
+def test_lobpcg_branch_keeps_residual_contract(monkeypatch):
     A = interval(0.0625, -1.5, 1.0)
-    eigsh = spectra.eigsh
+    lobpcg = spectra.lobpcg
 
     def perturbed(*args, **kwargs):
-        vals, vecs = eigsh(*args, **kwargs)
+        vals, vecs = lobpcg(*args, **kwargs)
         return vals, vecs + 1e-6 * np.random.default_rng(0).normal(size=vecs.shape)
     monkeypatch.setattr(spectra, "DENSE_LIMIT", 4)
-    monkeypatch.setattr(spectra, "eigsh", perturbed)
+    monkeypatch.setattr(spectra, "lobpcg", perturbed)
     with pytest.raises(RuntimeError, match="residual"):
         dirichlet_eigs(A, KP, 3)
+
+
+def test_matrix_free_solvers_never_assemble(monkeypatch):
+    A = two_rects()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("assemble_form called")
+    kp = KernelParams(n=2, s=0.5)
+    dense = dirichlet_eigs(A, kp, 2)
+    monkeypatch.setattr(spectra, "DENSE_LIMIT", 4)
+    monkeypatch.setattr(spectra, "assemble_form", refuse)
+    assert dirichlet_eigs(A, kp, 2).eigenvalues == pytest.approx(
+        dense.eigenvalues, rel=1e-12)
+    assert torsion_solve(A, kp).energy < 0
+
+
+@pytest.mark.parametrize("A, kp", [
+    (interval(0.03125, -1.5, 1.0), KP),
+    (two_copy_intervals(), KernelParams(n=1, s=0.3)),
+    (two_rects(), KernelParams(n=2, s=0.7)),
+])
+def test_matrix_free_torsion_matches_dense(monkeypatch, A, kp):
+    dense = torsion_solve(A, kp)
+    monkeypatch.setattr(spectra, "DENSE_LIMIT", 4)
+    iterative = torsion_solve(A, kp)
+    scale = np.max(np.abs(dense.vector))
+    assert np.max(np.abs(iterative.vector - dense.vector)) <= 1e-10 * scale
+    assert iterative.energy == pytest.approx(dense.energy, rel=1e-10)
 
 
 def test_min_max_ritz_consistency():
