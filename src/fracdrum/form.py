@@ -30,7 +30,8 @@ any shape is gathered from them as a principal submatrix:
 Q_pp = 2 (T_p + h^n tail_p), with T_p the weight of p against its whole box,
 and Q_pq = -2 w_pq.  Hence e_p = Q_pp - 2 sum_q w_pq.  The same two tables
 also apply Q without forming it: the off-diagonal part is a convolution with
-w, done by FFT (``form_operator``), for shapes too large for a dense matrix.
+w, done by FFT (``form_operator``).  Every torsion solve uses it, and so do
+eigensolves of shapes too large for a dense matrix.
 """
 
 from __future__ import annotations
@@ -417,4 +418,6 @@ def interaction_energy(F: FormMatrix, u: LatticeField, A1, A2) -> float:
     if r1.size == 0 or r2.size == 0:
         return 0.0
     uv = F.field_vector(u)
-    return -4.0 * float(uv[r1] @ F.weights[np.ix_(r1, r2)] @ uv[r2])
+    # r1 and r2 are disjoint, so the block holds no diagonal entry of Q
+    W12 = -0.5 * F.quadratic_matrix[np.ix_(r1, r2)]
+    return -4.0 * float(uv[r1] @ W12 @ uv[r2])

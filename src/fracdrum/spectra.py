@@ -7,11 +7,11 @@ place the classical operator normalization enters, because its closed-form
 ball solution and energy are stated in those units; the conversion is a
 single multiplicative constant on the form.
 
-Up to DENSE_LIMIT active cells both solvers work on the assembled dense Q:
-``eigh`` for eigenpairs, ``cg`` for torsion.  Above it no N x N array is
-built: they apply Q matrix-free by FFT (``form.form_operator``) and are
-preconditioned by its circulant, eigenpairs by LOBPCG (Knyazev, SISC 2001)
-and torsion by preconditioned CG.  Every solve checks its residual.
+Torsion is always solved matrix-free: CG on Q applied by FFT
+(``form.form_operator``), preconditioned by its circulant.  Eigenpairs use
+``eigh`` on the assembled dense Q up to DENSE_LIMIT active cells; above it
+no N x N array is built and LOBPCG (Knyazev, SISC 2001) runs on the same
+operator and preconditioner.  Every solve checks its residual.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from scipy.sparse.linalg import LinearOperator, cg, lobpcg
 from .form import FormMatrix, FormOperator, assemble_form, form_operator
 from .grid import KernelParams, MultiIndicator
 
-# Active-cell count above which both solvers go matrix-free.  Crossover for
+# Active-cell count above which the eigensolve goes matrix-free.  Crossover for
 # the 4 lowest pairs, assembly included, 1-D interval and 2-D ball, on a
 # 2-core host: eigh wins up to N=784 (0.057 s against 0.053-0.085 s), LOBPCG
 # from N=1024 (0.054-0.092 s against 0.16 s; 0.065 s against 0.31 s at
@@ -36,6 +36,7 @@ DENSE_LIMIT = 1000
 MULTIPLICITY_RTOL = 1e-6      # gap below this (relative) flags a numeric tie
 RESIDUAL_RTOL = 1e-8
 LOBPCG_MAXITER = 400
+CG_MAXITER = 200              # preconditioned torsion CG takes 4-26 iterations
 
 
 def kernel_operator_constant(n: int, s: float) -> float:
@@ -134,10 +135,9 @@ def _lobpcg(Q: LinearOperator, op: FormOperator, count: int, block: int):
     return vals[order], vecs[:, order]
 
 
-def objective(A: MultiIndicator, kp: KernelParams, k: int,
-              F: FormMatrix | None = None) -> float:
+def objective(A: MultiIndicator, kp: KernelParams, k: int) -> float:
     """k-th eigenvalue plus shape volume, the quantity the optimizer drives."""
-    res = dirichlet_eigs(A, kp, k, F=F)
+    res = dirichlet_eigs(A, kp, k)
     return float(res.eigenvalues[k - 1]) + A.volume()
 
 
@@ -147,30 +147,22 @@ class TorsionResult:
     energy: float
 
 
-def torsion_solve(A: MultiIndicator, kp: KernelParams,
-                  F: FormMatrix | None = None) -> TorsionResult:
+def torsion_solve(A: MultiIndicator, kp: KernelParams) -> TorsionResult:
     """Solve the unit-load problem on the shape and report its energy.
 
     The system is (c/2) Q u = h^n on active cells, with c the classical
     operator constant, so u matches the closed-form ball solution and the
-    energy at the minimizer reduces to -(1/2) h^n sum u.  Above DENSE_LIMIT
-    cells CG runs matrix-free, preconditioned by the circulant, and ``F``
-    goes unread.
+    energy at the minimizer reduces to -(1/2) h^n sum u.  CG runs on the FFT
+    operator, preconditioned by its circulant; no N x N array is built.
     """
     half_c = 0.5 * kernel_operator_constant(kp.n, kp.s)
-    N = A.cell_count()
+    op = form_operator(A, kp)
+    N = op.size
     rhs = np.full(N, A.grid.cell_volume)
-    if N <= DENSE_LIMIT:
-        if F is None:
-            F = assemble_form(A, kp)
-        M = half_c * F.quadratic_matrix
-        precond = None
-    else:
-        op = form_operator(A, kp)
-        M = _linear_operator(op, lambda u: half_c * op.apply(u))
-        precond = _linear_operator(op, lambda r: op.precondition(r) / half_c)
+    M = _linear_operator(op, lambda u: half_c * op.apply(u))
+    precond = _linear_operator(op, lambda r: op.precondition(r) / half_c)
     u, info = cg(M, rhs, x0=np.zeros(N), rtol=1e-10, atol=0.0,
-                 maxiter=20 * N, M=precond)
+                 maxiter=CG_MAXITER, M=precond)
     if info != 0:
         raise RuntimeError(f"torsion solve failed to converge (cg info {info})")
     resid = np.linalg.norm(M @ u - rhs) / np.linalg.norm(rhs)

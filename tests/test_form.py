@@ -336,6 +336,25 @@ def test_interaction_sign_and_empty_side():
     assert interaction_energy(F, u, left, []) == 0.0
 
 
+@pytest.mark.parametrize("h, split", [(0.125, 0.0), (0.0625, 0.2)])
+def test_interaction_reads_the_weights_block(h, split):
+    g = GridSpec(n=2, h=h, L=1.0, copies=2)
+    kp = KernelParams(n=2, s=0.5)
+    x, y = g.cell_centers().T.reshape(2, *g.shape)
+    A = MultiIndicator(g, [(np.abs(x) < 0.6) & (np.abs(y) < 0.4),
+                           (x * x + y * y < 0.5)])
+    F = assemble_form(A, kp)
+    vals = np.where(A.masks, np.cos(3 * x) + y, 0.0)
+    u = LatticeField(g, vals)
+    first = np.broadcast_to(x < split, A.masks.shape) & A.masks
+    A1 = np.flatnonzero(first)
+    A2 = np.flatnonzero(A.masks & ~first)
+    r1, r2 = np.searchsorted(F.ids, A1), np.searchsorted(F.ids, A2)
+    uv = F.field_vector(u)
+    want = -4.0 * float(uv[r1] @ F.weights[np.ix_(r1, r2)] @ uv[r2])
+    assert interaction_energy(F, u, A1, A2) == want
+
+
 def two_group_instance(shift=0):
     """Two separated intervals; the right one optionally shifted by whole
     cells while its value pattern rides along rigidly."""

@@ -121,7 +121,7 @@ def test_solvers_return_id_ordered_vectors_and_build_no_shapes(monkeypatch):
     dense = dirichlet_eigs(A, KP, 3, F=F)
     monkeypatch.setattr(spectra, "DENSE_LIMIT", 4)
     iterative = dirichlet_eigs(A, KP, 3, F=F)
-    torsion = torsion_solve(A, KP, F=F)
+    torsion = torsion_solve(A, KP)
     assert built == []
     assert dense.vectors.shape == iterative.vectors.shape == (F.size, 3)
     assert torsion.vector.shape == (F.size,)
@@ -238,31 +238,102 @@ def test_lobpcg_branch_keeps_residual_contract(monkeypatch):
 
 
 def test_matrix_free_solvers_never_assemble(monkeypatch):
+    import fracdrum.form as form
     A = two_rects()
 
     def refuse(*args, **kwargs):
         raise AssertionError("assemble_form called")
     kp = KernelParams(n=2, s=0.5)
     dense = dirichlet_eigs(A, kp, 2)
-    monkeypatch.setattr(spectra, "DENSE_LIMIT", 4)
     monkeypatch.setattr(spectra, "assemble_form", refuse)
+    monkeypatch.setattr(form, "assemble_form", refuse)
+    # torsion is matrix-free at any size, the limit left as it is
+    assert A.cell_count() <= spectra.DENSE_LIMIT
+    assert torsion_solve(A, kp).energy < 0
+    monkeypatch.setattr(spectra, "DENSE_LIMIT", 4)
     assert dirichlet_eigs(A, kp, 2).eigenvalues == pytest.approx(
         dense.eigenvalues, rel=1e-12)
-    assert torsion_solve(A, kp).energy < 0
+
+
+def dense_torsion(A, kp):
+    """Torsion by a direct dense solve of (c/2) Q u = h^n."""
+    Q = assemble_form(A, kp).quadratic_matrix
+    half_c = 0.5 * kernel_operator_constant(kp.n, kp.s)
+    return np.linalg.solve(half_c * Q, np.full(len(Q), A.grid.cell_volume))
+
+
+def one_cell_per_copy(n, copies):
+    g = GridSpec(n=n, h=0.25, L=1.0, copies=copies)
+    masks = np.zeros((copies, *g.shape), dtype=bool)
+    for c in range(copies):
+        masks[(c, *[2 + 3 * c] * n)] = True
+    return MultiIndicator(g, masks)
+
+
+def full_interior(n, h, copies):
+    g = GridSpec(n=n, h=h, L=1.0, copies=copies)
+    return MultiIndicator(g, [g.interior()] * copies)
 
 
 @pytest.mark.parametrize("A, kp", [
     (interval(0.03125, -1.5, 1.0), KP),
     (two_copy_intervals(), KernelParams(n=1, s=0.3)),
     (two_rects(), KernelParams(n=2, s=0.7)),
+    *[pytest.param(one_cell_per_copy(n, copies), KernelParams(n=n, s=0.5),
+                   id=f"{n}d-one-cell-{copies}-copies")
+      for n in (1, 2) for copies in (1, 2)],
+    *[pytest.param(full_interior(n, h, copies), KernelParams(n=n, s=s),
+                   id=f"{n}d-interior-h{round(1 / h)}-{copies}-copies-s{s}")
+      for n, h, copies in ((1, 1 / 64, 2), (2, 1 / 4, 1), (2, 1 / 16, 2))
+      for s in (0.01, 0.99)],
 ])
-def test_matrix_free_torsion_matches_dense(monkeypatch, A, kp):
-    dense = torsion_solve(A, kp)
-    monkeypatch.setattr(spectra, "DENSE_LIMIT", 4)
-    iterative = torsion_solve(A, kp)
-    scale = np.max(np.abs(dense.vector))
-    assert np.max(np.abs(iterative.vector - dense.vector)) <= 1e-10 * scale
-    assert iterative.energy == pytest.approx(dense.energy, rel=1e-10)
+def test_matrix_free_torsion_matches_dense(A, kp):
+    want = dense_torsion(A, kp)
+    got = torsion_solve(A, kp)
+    assert np.max(np.abs(got.vector - want)) <= 1e-10 * np.max(np.abs(want))
+    energy = -0.5 * A.grid.cell_volume * want.sum()
+    assert got.energy == pytest.approx(energy, rel=1e-10)
+
+
+def test_torsion_raises_when_cg_does_not_converge(monkeypatch):
+    cg = spectra.cg
+
+    def stalled(*args, **kwargs):
+        u, _ = cg(*args, **kwargs)
+        return u, 1
+    monkeypatch.setattr(spectra, "cg", stalled)
+    with pytest.raises(RuntimeError, match="failed to converge"):
+        torsion_solve(interval(0.0625), KP)
+
+
+def test_torsion_raises_on_a_residual_out_of_contract(monkeypatch):
+    cg = spectra.cg
+
+    def perturbed(*args, **kwargs):
+        u, info = cg(*args, **kwargs)
+        return u * (1 + 1e-6 * np.random.default_rng(0).normal(size=u.shape)), info
+    monkeypatch.setattr(spectra, "cg", perturbed)
+    with pytest.raises(RuntimeError, match="residual"):
+        torsion_solve(interval(0.0625), KP)
+
+
+def test_torsion_raises_when_the_field_turns_negative(monkeypatch):
+    cg = spectra.cg
+    solved = []
+
+    def recorded(*args, **kwargs):
+        u, info = cg(*args, **kwargs)
+        solved.append(u)
+        return u, info
+    # a negated operator constant makes the exact solution negative, so the
+    # convergence and residual checks pass and only positivity can fire
+    constant = spectra.kernel_operator_constant
+    monkeypatch.setattr(spectra, "kernel_operator_constant",
+                        lambda n, s: -constant(n, s))
+    monkeypatch.setattr(spectra, "cg", recorded)
+    with pytest.raises(RuntimeError, match="positivity"):
+        torsion_solve(interval(0.0625), KP)
+    assert solved[0].max() < 0
 
 
 def test_min_max_ritz_consistency():
