@@ -4,9 +4,10 @@ Every subcommand reads one JSON config document, writes ``summary.json``
 (sorted keys, no timings, byte-reproducible for a fixed config and seed)
 plus any experiment CSVs into the output directory, and finishes with
 ``manifest.json`` carrying the config echo, version, wall clock, timing
-breakdown, and a sha256 index of every emitted file.  The manifest is
-written to a temp name and atomically renamed, so a crash never leaves a
-half-written index.
+breakdown, a sha256 index of every emitted file, and for ``eigs`` the
+eigensolver branch, its iteration count and the largest residual.  The
+manifest is written to a temp name and atomically renamed, so a crash never
+leaves a half-written index.
 
 Seed discipline: the config's master seed is used directly for single-chain
 experiments; multi-trial experiments derive stream t from the pair
@@ -233,14 +234,16 @@ def _shape_record(A: MultiIndicator) -> dict:
 
 # ---------------------------------------------------------------- experiments
 
-def _run_eigs(cfg: dict, out: str, seed: int, timings: dict) -> dict:
+def _run_eigs(cfg: dict, out: str, seed: int, manifest: dict) -> dict:
     cfg = _check(cfg, _SCHEMAS["eigs"])
     grid, kp = _kernel(cfg)
     A = _shape_from_config(cfg["shape"], grid)
     count = cfg["count"]
     t0 = time.perf_counter()
     res = dirichlet_eigs(A, kp, count)
-    timings["eigs_s"] = time.perf_counter() - t0
+    manifest["timings_s"]["eigs_s"] = time.perf_counter() - t0
+    manifest["eigensolve"] = {"solver": res.solver, "iterations": res.iterations,
+                              "max_residual": float(res.residuals.max())}
     if cfg["dump_fields"]:
         cols = res.vectors.T.tolist()       # rows in cell id order
         with open(os.path.join(out, "fields.csv"), "w") as f:
@@ -259,7 +262,7 @@ def _run_eigs(cfg: dict, out: str, seed: int, timings: dict) -> dict:
     }
 
 
-def _run_torsion_validate(cfg: dict, out: str, seed: int, timings: dict) -> dict:
+def _run_torsion_validate(cfg: dict, out: str, seed: int, manifest: dict) -> dict:
     cfg = _check(cfg, _SCHEMAS["torsion-validate"])
     s, h, L = cfg["s"], cfg["h"], cfg["L"]
     grid = GridSpec(n=1, h=h, L=L)
@@ -267,7 +270,7 @@ def _run_torsion_validate(cfg: dict, out: str, seed: int, timings: dict) -> dict
     A = MultiIndicator.from_interval(grid, -1.0, 1.0)
     t0 = time.perf_counter()
     res = torsion_solve(A, kp)
-    timings["torsion_s"] = time.perf_counter() - t0
+    manifest["timings_s"]["torsion_s"] = time.perf_counter() - t0
     x = grid.cell_centers()[:, 0][A.masks[0]]
     c_ball = (2.0 ** (-2 * s) * math.gamma(0.5)
               / (math.gamma((1 + 2 * s) / 2) * math.gamma(1 + s)))
@@ -288,7 +291,7 @@ def _run_torsion_validate(cfg: dict, out: str, seed: int, timings: dict) -> dict
     }
 
 
-def _run_optimize_shape(cfg: dict, out: str, seed: int, timings: dict) -> dict:
+def _run_optimize_shape(cfg: dict, out: str, seed: int, manifest: dict) -> dict:
     cfg = _check(cfg, _SCHEMAS["optimize-shape"])
     grid, kp = _kernel(cfg)
     k, steps = cfg["k"], cfg["steps"]
@@ -299,7 +302,7 @@ def _run_optimize_shape(cfg: dict, out: str, seed: int, timings: dict) -> dict:
                               seed=seed)
     t0 = time.perf_counter()
     res = minimize(init, kp, k=k, schedule=schedule)
-    timings["anneal_s"] = time.perf_counter() - t0
+    manifest["timings_s"]["anneal_s"] = time.perf_counter() - t0
     res.trace_csv(os.path.join(out, "trace.csv"))
     summary = {
         "experiment": "optimize-shape",
@@ -330,14 +333,14 @@ def _run_optimize_shape(cfg: dict, out: str, seed: int, timings: dict) -> dict:
     return summary
 
 
-def _run_rearrange_check(cfg: dict, out: str, seed: int, timings: dict) -> dict:
+def _run_rearrange_check(cfg: dict, out: str, seed: int, manifest: dict) -> dict:
     cfg = _check(cfg, _SCHEMAS["rearrange-check"])
     grid, kp = _kernel(cfg)
     A = _shape_from_config(cfg["shape"], grid)
     trials = cfg["trials"]
     t0 = time.perf_counter()
     report = ball_energy_check(A, kp)
-    timings["ball_check_s"] = time.perf_counter() - t0
+    manifest["timings_s"]["ball_check_s"] = time.perf_counter() - t0
 
     worst = 0.0
     t0 = time.perf_counter()
@@ -352,7 +355,7 @@ def _run_rearrange_check(cfg: dict, out: str, seed: int, timings: dict) -> dict:
         num = rayleigh(F_star, star) * star.norm_sq()
         den = rayleigh(F_u, u) * u.norm_sq()
         worst = max(worst, num / den)
-    timings["polya_szego_s"] = time.perf_counter() - t0
+    manifest["timings_s"]["polya_szego_s"] = time.perf_counter() - t0
     return {
         "experiment": "rearrange-check",
         "seed": seed, "trials": trials,
@@ -364,16 +367,16 @@ def _run_rearrange_check(cfg: dict, out: str, seed: int, timings: dict) -> dict:
     }
 
 
-def _run_toy_sweep(cfg: dict, out: str, seed: int, timings: dict) -> dict:
+def _run_toy_sweep(cfg: dict, out: str, seed: int, manifest: dict) -> dict:
     cfg = _check(cfg, _SCHEMAS["toy-sweep"])     # conjecture_sweep's arguments
     t0 = time.perf_counter()
     sweep = conjecture_sweep(seed=seed, **cfg)
-    timings["sweep_s"] = time.perf_counter() - t0
+    manifest["timings_s"]["sweep_s"] = time.perf_counter() - t0
     return dict(cfg, experiment="toy-sweep", seed=seed, exponent=sweep.exponent,
                 counts=sweep.counts, stable_finds=sweep.stable_finds)
 
 
-def _run_toy_classify(cfg: dict, out: str, seed: int, timings: dict) -> dict:
+def _run_toy_classify(cfg: dict, out: str, seed: int, manifest: dict) -> dict:
     cfg = _check(cfg, _SCHEMAS["toy-classify"])
     positions, masses = cfg["positions"], cfg["masses"]
     s, exponent = cfg["s"], cfg["exponent"]
@@ -389,7 +392,7 @@ def _run_toy_classify(cfg: dict, out: str, seed: int, timings: dict) -> dict:
         c = ChargeConfig(positions, masses, exponent)
     t0 = time.perf_counter()
     rep = classify(c)
-    timings["classify_s"] = time.perf_counter() - t0
+    manifest["timings_s"]["classify_s"] = time.perf_counter() - t0
     return {
         "experiment": "toy-classify",
         "exponent": c.exponent,
@@ -401,7 +404,7 @@ def _run_toy_classify(cfg: dict, out: str, seed: int, timings: dict) -> dict:
     }
 
 
-def _run_weiss(cfg: dict, out: str, seed: int, timings: dict) -> dict:
+def _run_weiss(cfg: dict, out: str, seed: int, manifest: dict) -> dict:
     cfg = _check(cfg, _SCHEMAS["weiss"])
     s, L, center = cfg["s"], cfg["L"], cfg["center"]
     H = L if cfg["H"] is None else cfg["H"]
@@ -421,11 +424,11 @@ def _run_weiss(cfg: dict, out: str, seed: int, timings: dict) -> dict:
                          np.exp(-1.0 / np.maximum(1 - xs ** 2, 1e-300)), 0.0)
         t0 = time.perf_counter()
         sol = harmonic_extension(trace, eg, s)
-        timings["extension_s"] = time.perf_counter() - t0
+        manifest["timings_s"]["extension_s"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     curve = weiss_functional(sol, center, cfg["radii"],
                              support_intervals=intervals)
-    timings["weiss_s"] = time.perf_counter() - t0
+    manifest["timings_s"]["weiss_s"] = time.perf_counter() - t0
     curve.write_csv(os.path.join(out, "weiss.csv"))
     return {
         "experiment": "weiss",
@@ -480,7 +483,8 @@ def run(experiment: str, config_path: str, out_dir: str,
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
 
-    timings: dict[str, float] = {}
+    # what the runner adds to manifest.json, its timings among them
+    entries: dict = {"timings_s": {}}
     try:
         if threads is not None:
             threads = _value(threads, {"type": int, "ge": 1}, "threads")
@@ -499,7 +503,7 @@ def run(experiment: str, config_path: str, out_dir: str,
             seed = seed_override
         seed = _value(seed, {"type": int, "ge": 0}, "seed")
         config_echo = dict(cfg, experiment=experiment, seed=seed)
-        summary = _EXPERIMENTS[experiment](cfg, out_dir, seed, timings)
+        summary = _EXPERIMENTS[experiment](cfg, out_dir, seed, entries)
         with open(os.path.join(out_dir, "summary.json"), "w") as f:
             json.dump(summary, f, indent=2, sort_keys=True)
             f.write("\n")
@@ -528,8 +532,8 @@ def run(experiment: str, config_path: str, out_dir: str,
         "config": config_echo,
         "version": __version__,
         "wall_clock_s": time.perf_counter() - started,
-        "timings_s": timings,
         "files": files,
+        **entries,
     }
     if threads is not None:
         manifest["threads"] = {"requested": threads, "enforced": enforced}

@@ -118,17 +118,23 @@ def _corner_integral(gx: np.ndarray, gy: np.ndarray, s: float) -> np.ndarray:
     return out / (2 * s)
 
 
-def _tail_2d(pos: np.ndarray, L: float, s: float) -> np.ndarray:
-    """int over R^2 minus the box [-L,L]^2 of |x-y|^{-(2+2s)} dy, per point."""
+def _tail_2d(pos: np.ndarray, L: float, s: float, corners=None) -> np.ndarray:
+    """int over R^2 minus the box [-L,L]^2 of |x-y|^{-(2+2s)} dy, per point.
+
+    ``corners``, if given, are the four corner-quadrant integrals of the
+    points, (x-, y-), (x-, y+), (x+, y-), (x+, y+) by the wall pairs they
+    leave out; otherwise they are evaluated here.
+    """
     gxm = pos[:, 0] + L
     gxp = L - pos[:, 0]
     gym = pos[:, 1] + L
     gyp = L - pos[:, 1]
     c = _halfplane_const(s)
     tot = c * (gxm ** (-2 * s) + gxp ** (-2 * s) + gym ** (-2 * s) + gyp ** (-2 * s))
-    for gx in (gxm, gxp):
-        for gy in (gym, gyp):
-            tot -= _corner_integral(gx, gy, s)
+    if corners is None:
+        corners = [_corner_integral(gx, gy, s) for gx in (gxm, gxp) for gy in (gym, gyp)]
+    for corner in corners:
+        tot -= corner
     return tot
 
 
@@ -137,6 +143,24 @@ def exterior_tail(pos: np.ndarray, grid: GridSpec, s: float) -> np.ndarray:
     if grid.n == 1:
         return _tail_1d(pos[:, 0], grid.L, s)
     return _tail_2d(pos, grid.L, s)
+
+
+def _box_tail(grid: GridSpec, s: float) -> np.ndarray:
+    """``exterior_tail`` at every cell center of the box, in row-major order.
+
+    In 2-D the corner integrals are evaluated once, on the m x m table of
+    low-wall distances; a cell's distance to a high wall is the low-wall
+    distance of its mirror cell, so the other three corners are the table's
+    flips.
+    """
+    if grid.n == 1:
+        return exterior_tail(grid.cell_centers(), grid, s)
+    low = grid.axis_centers() + grid.L
+    gx, gy = np.meshgrid(low, low, indexing="ij")
+    table = _corner_integral(gx.ravel(), gy.ravel(), s).reshape(gx.shape)
+    corners = [table, table[:, ::-1], table[::-1, :], table[::-1, ::-1]]
+    return _tail_2d(grid.cell_centers(), grid.L, s,
+                    [corner.ravel() for corner in corners])
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +190,7 @@ def _box_stencil(grid: GridSpec, kp: KernelParams):
     for axis in range(n):
         C = np.cumsum(T, axis=axis)
         T = C + np.flip(C, axis=axis) - np.take(T, [0], axis=axis)
-    tail = grid.cell_volume * exterior_tail(grid.cell_centers(), grid, kp.s)
+    tail = grid.cell_volume * _box_tail(grid, kp.s)
     diag = 2.0 * (T.ravel() + tail)
     w.setflags(write=False)
     diag.setflags(write=False)
@@ -374,28 +398,31 @@ def energy_decomposition(F: FormMatrix, u: LatticeField, A1, A2) -> EnergyDecomp
     if np.intersect1d(r1, r2).size:
         raise ValueError("the two cell groups overlap")
     uv = F.field_vector(u)
-    rest = np.setdiff1d(np.arange(F.size), np.union1d(r1, r2))
+    groups = np.union1d(r1, r2)
+    rest = np.setdiff1d(np.arange(F.size), groups)
     if np.any(uv[rest] != 0):
         raise ValueError("the two cell groups do not carry the whole field")
 
-    W = F.weights
-    exterior = F.exterior
+    # blocks of Q only; off its diagonal Q_pq = -2 w_pq
+    Q = F.quadratic_matrix
     u1, u2 = uv[r1], uv[r2]
 
     def intra(rows, vals):
-        blk = W[np.ix_(rows, rows)]
+        # the diagonal of the block meets a zero increment and adds nothing
+        blk = -0.5 * Q[np.ix_(rows, rows)]
         d = vals[:, None] - vals[None, :]
         return float(np.sum(blk * d * d))
 
-    blk12 = W[np.ix_(r1, r2)]
+    blk12 = -0.5 * Q[np.ix_(r1, r2)]
     d12 = u1[:, None] - u2[None, :]
     pair12 = 2.0 * float(np.sum(blk12 * d12 * d12))
     cross = -4.0 * float(u1 @ blk12 @ u2)
 
-    # the exterior each group sees: assembled e plus zero-valued active cells
+    # the exterior each group sees, zero-valued active cells included:
+    # e_p + 2 sum_{q in rest} w_pq, and e_p = sum_q Q_pq, so the row sum of
+    # Q over the two groups
     def ext(rows, vals):
-        extra = 2.0 * W[np.ix_(rows, rest)].sum(axis=1) if rest.size else 0.0
-        return float(np.sum((exterior[rows] + extra) * vals * vals))
+        return float(np.sum(Q[np.ix_(rows, groups)].sum(axis=1) * vals * vals))
 
     parts = {
         ("A1", "A1"): intra(r1, u1),

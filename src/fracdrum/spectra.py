@@ -9,29 +9,33 @@ single multiplicative constant on the form.
 
 Torsion is always solved matrix-free: CG on Q applied by FFT
 (``form.form_operator``), preconditioned by its circulant.  Eigenpairs use
-``eigh`` on the assembled dense Q up to DENSE_LIMIT active cells; above it
-no N x N array is built and LOBPCG (Knyazev, SISC 2001) runs on the same
-operator and preconditioner.  Every solve checks its residual.
+``eigh`` on the assembled dense Q up to DENSE_LIMIT active cells.  Above it
+no N x N array is built: block LOBPCG (Knyazev, SISC 2001) runs on the same
+operator and preconditioner, with the search basis kept orthonormal as in
+Hetmaniuk and Lehoucq (J. Comput. Phys. 218, 2006), a start block of
+low sine modes of the shape's bounding box, and a stop on the relative
+residuals of the requested pairs alone.  Every solve checks its residual.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 import math
-import warnings
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.sparse.linalg import LinearOperator, cg, lobpcg
+from scipy.sparse.linalg import LinearOperator, cg
 
 from .form import FormMatrix, FormOperator, assemble_form, form_operator
 from .grid import KernelParams, MultiIndicator
 
 # Active-cell count above which the eigensolve goes matrix-free.  Crossover for
-# the 4 lowest pairs, assembly included, 1-D interval and 2-D ball, on a
-# 2-core host: eigh wins up to N=784 (0.057 s against 0.053-0.085 s), LOBPCG
-# from N=1024 (0.054-0.092 s against 0.16 s; 0.065 s against 0.31 s at
-# N=1536).  Anneal forms (N <= about 300) stay on eigh.
+# the 4 lowest pairs, assembly included, 1-D interval and 2-D ball at
+# s in {0.3, 0.5, 0.7}, on a 2-core host (eigh against LOBPCG): 0.012 s
+# against 0.007-0.020 s at N=512, 0.047-0.080 s against 0.015-0.040 s at
+# N=784-788, 0.12-0.16 s against 0.021-0.091 s at N=1020-1024.  So LOBPCG
+# wins from about N=600-800; the limit stays above that so that anneal forms
+# (N <= about 300) and every solve with N <= 1000 keep their bytes.
 DENSE_LIMIT = 1000
 MULTIPLICITY_RTOL = 1e-6      # gap below this (relative) flags a numeric tie
 RESIDUAL_RTOL = 1e-8
@@ -50,12 +54,16 @@ def kernel_operator_constant(n: int, s: float) -> float:
 class SpectralResult:
     """Ascending eigenvalues with cell-measure orthonormal eigenvectors:
     column j of ``vectors`` belongs to eigenvalue j, its rows in cell-id
-    order (``np.flatnonzero(A.masks)``); ``A.field(v)`` makes it a field."""
+    order (``np.flatnonzero(A.masks)``); ``A.field(v)`` makes it a field.
+    ``solver`` names the branch that ran, ``"eigh"`` or ``"lobpcg"``, and
+    ``iterations`` counts LOBPCG iterations (0 for ``eigh``)."""
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
     residuals: np.ndarray
     multiplicity_gaps: np.ndarray
+    solver: str
+    iterations: int
 
     def is_numerically_multiple(self, k: int) -> bool:
         """Whether the k-th eigenvalue (1-based) ties a neighbor numerically."""
@@ -79,16 +87,19 @@ def dirichlet_eigs(A: MultiIndicator, kp: KernelParams, count: int,
     if count < 1 or count > N:
         raise ValueError(f"count must be in 1..{N}, got {count}")
     block = max(2 * count, 8)
-    # below 5 blocks lobpcg itself would fall back to a dense solve
+    # LOBPCG's [X, W, P] basis holds up to 3 blocks of columns; on fewer
+    # than 5 blocks' worth of cells the dense solve is the cheaper one
     if N <= DENSE_LIMIT or N < 5 * block:
         if F is None:
             F = assemble_form(A, kp)
         Q = F.quadratic_matrix
         vals, vecs = eigh(Q, subset_by_index=[0, count - 1])
+        solver, iterations = "eigh", 0
     else:
         op = form_operator(A, kp)
         Q = _linear_operator(op, op.apply)
-        vals, vecs = _lobpcg(Q, op, count, block)
+        vals, vecs, iterations = _lobpcg(op, count, block)
+        solver = "lobpcg"
     mass = A.grid.cell_volume
     lam = vals / mass
     if lam[0] <= 0:
@@ -108,31 +119,97 @@ def dirichlet_eigs(A: MultiIndicator, kp: KernelParams, count: int,
             raise RuntimeError(f"eigenpair {j + 1} residual {residuals[j]:.2e} "
                                "exceeds the solver contract")
     gaps = np.diff(lam)
-    return SpectralResult(eigenvalues=lam, vectors=vecs,
-                          residuals=residuals, multiplicity_gaps=gaps)
+    return SpectralResult(eigenvalues=lam, vectors=vecs, residuals=residuals,
+                          multiplicity_gaps=gaps, solver=solver,
+                          iterations=iterations)
 
 
 def _linear_operator(op: FormOperator, fn) -> LinearOperator:
     return LinearOperator((op.size, op.size), matvec=fn, matmat=fn, dtype=float)
 
 
-def _lobpcg(Q: LinearOperator, op: FormOperator, count: int, block: int):
-    """The ``count`` lowest eigenpairs of Q, the operator ``op`` applies, by
-    LOBPCG preconditioned with its circulant, on a ``block``-column start
-    drawn from a fixed generator."""
-    X = np.random.default_rng(0).standard_normal((op.size, block))
-    # lobpcg's tol bounds the absolute residual |Q x - mu x| of a unit x;
-    # min(symbol) sits below mu_1 on every shape tried, so this keeps the
-    # relative residual a tenth of the contract without over-solving
-    tol = 0.1 * RESIDUAL_RTOL * float(op.symbol.min())
-    with warnings.catch_warnings():
-        # lobpcg warns when any column of the block, the spare ones too,
-        # misses tol; the residual check on the requested pairs decides
-        warnings.filterwarnings("ignore", "(Exited|Failed) ", UserWarning)
-        vals, vecs = lobpcg(Q, X, M=_linear_operator(op, op.precondition),
-                            tol=tol, maxiter=LOBPCG_MAXITER, largest=False)
-    order = np.argsort(vals)[:count]
-    return vals[order], vecs[:, order]
+def _lobpcg(op: FormOperator, count: int, block: int):
+    """The ``count`` lowest eigenpairs of the matrix ``op`` applies, and the
+    iterations taken, by block LOBPCG on ``block`` columns.
+
+    The search basis [X, W, P] is kept orthonormal (Hetmaniuk and Lehoucq,
+    J. Comput. Phys. 218, 2006), so each Rayleigh-Ritz step is a standard
+    symmetric ``eigh`` with no Cholesky factor to break down.  W is the
+    circulant-preconditioned residual of the columns not yet converged;
+    converged columns are soft-locked, and the spare columns past ``count``
+    only speed convergence.  The iteration stops when the first ``count``
+    pairs meet a tenth of the relative residual contract, or at
+    LOBPCG_MAXITER; the caller checks the contract either way.
+    """
+    tol = 0.1 * RESIDUAL_RTOL
+    X = np.linalg.qr(_sine_start(op, block))[0]
+    AX = op.apply(X)
+    theta, C = np.linalg.eigh(_symmetric(X.T @ AX))
+    X, AX = X @ C, AX @ C
+    P = AP = np.zeros((op.size, 0))
+    for iterations in range(LOBPCG_MAXITER + 1):
+        R = AX - X * theta
+        res = np.linalg.norm(R, axis=0) / np.abs(theta)
+        if np.all(res[:count] <= tol) or iterations == LOBPCG_MAXITER:
+            break
+        W = _orthonormal(op.precondition(R[:, res > tol]), X, P)
+        S = np.hstack([X, W, P])
+        AS = np.hstack([AX, op.apply(W), AP])
+        theta, C = np.linalg.eigh(_symmetric(S.T @ AS))
+        theta, C = theta[:block], C[:, :block]
+        # P is the part of the new X outside the old X, made orthonormal
+        # and orthogonal to the new X in coefficient space
+        Z = C.copy()
+        Z[:block] = 0.0
+        Z = _orthonormal(Z, C)
+        X, AX = S @ C, AS @ C
+        P, AP = S @ Z, AS @ Z
+    return theta[:count], X[:, :count], iterations
+
+
+def _symmetric(G: np.ndarray) -> np.ndarray:
+    return 0.5 * (G + G.T)
+
+
+def _orthonormal(V: np.ndarray, *bases: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the part of V outside the orthonormal
+    ``bases``, by projection and the ``eigh`` of a Gram matrix; the columns
+    are scaled to unit norm first, so that a direction is dropped as
+    numerically dependent by its angle, not by its length.  Two passes:
+    the second mends what rounding left of the first."""
+    for _ in range(2):
+        for B in bases:
+            V = V - B @ (B.T @ V)
+        V = V / np.maximum(np.linalg.norm(V, axis=0), np.finfo(float).tiny)
+        d, U = np.linalg.eigh(_symmetric(V.T @ V))
+        keep = d > 1e-12 * d.max(initial=0.0)
+        V = V @ (U[:, keep] / np.sqrt(d[keep]))
+    return V
+
+
+def _sine_start(op: FormOperator, block: int) -> np.ndarray:
+    """``block`` smooth start columns: the lowest Dirichlet sine modes of the
+    shape's bounding box, in the operator's periodic-box coordinates, each
+    restricted to one copy in turn, plus a fixed-seed perturbation of
+    relative size 1e-3 so that no symmetry of the shape hides a pair."""
+    copy, *coords = np.unravel_index(op.cells, op.stack)
+    widths = [p // 2 for p in op.stack[1:]]
+    ks = np.stack(np.meshgrid(*[np.arange(1, min(b, block) + 1) for b in widths],
+                              indexing="ij"), axis=-1).reshape(-1, len(widths))
+    freq = ((ks / (np.array(widths) + 1)) ** 2).sum(axis=1)
+    ks = ks[np.argsort(freq, kind="stable")]
+    # dirichlet_eigs comes here with N >= 5 block cells, so the box has a
+    # mode for every column each copy gets
+    present = np.unique(copy)
+    X = np.zeros((op.size, block))
+    for j in range(block):
+        k, c = ks[j // len(present)], present[j % len(present)]
+        col = (copy == c).astype(float)
+        for ka, x, b in zip(k, coords, widths):
+            col *= np.sin(math.pi * ka * (x + 1) / (b + 1))
+        X[:, j] = col / max(np.linalg.norm(col), np.finfo(float).tiny)
+    noise = np.random.default_rng(0).standard_normal(X.shape)
+    return X + 1e-3 / math.sqrt(op.size) * noise
 
 
 def objective(A: MultiIndicator, kp: KernelParams, k: int) -> float:

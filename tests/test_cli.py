@@ -141,6 +141,20 @@ def test_manifest_indexes_every_file_with_hashes(tmp_path):
     assert len(summary["values"]) == 4
 
 
+@pytest.mark.parametrize("h, solver", [(1 / 64, "eigh"), (1 / 512, "lobpcg")])
+def test_eigs_manifest_records_the_eigensolve(tmp_path, h, solver):
+    doc = {"n": 1, "s": 0.5, "h": h, "L": 2.0, "count": 4,
+           "shape": {"kind": "intervals", "items": [[0, -1.0, 1.0]]}}
+    code, out = run_cli(tmp_path, "eigs", doc)
+    assert code == 0
+    record = json.loads((out / "manifest.json").read_text())["eigensolve"]
+    summary = json.loads((out / "summary.json").read_text())
+    assert record["solver"] == solver
+    assert (record["iterations"] > 0) == (solver == "lobpcg")
+    assert record["max_residual"] == max(summary["residuals"])
+    assert not {"solver", "iterations", "max_residual"} & set(summary)
+
+
 def test_eigs_smoke_and_field_dump(tmp_path):
     doc = {"n": 1, "s": 0.5, "h": 0.125, "L": 2.0, "count": 3,
            "dump_fields": True,

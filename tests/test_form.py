@@ -165,6 +165,20 @@ def test_tail_2d_matches_quadrature():
             assert lib[k] == pytest.approx(quad_tail_2d(x0, x1, g.L, s), rel=2e-6)
 
 
+@pytest.mark.parametrize("h", [1 / 16, 1 / 32, 1 / 40])
+def test_box_tail_from_one_corner_table_matches_per_point_tail(h):
+    import fracdrum.form as form
+    g = GridSpec(n=2, h=h, L=1.0)
+    for s in (0.3, 0.7):
+        per_point = exterior_tail(g.cell_centers(), g, s)
+        table = form._box_tail(g, s)
+        if (1 / h).is_integer() and math.log2(1 / h).is_integer():
+            # dyadic h: high-wall distances are the mirrored low-wall ones
+            assert np.array_equal(table, per_point)
+        else:
+            assert np.max(np.abs(table - per_point) / per_point) <= 1e-14
+
+
 @pytest.mark.parametrize("seed,count,h", [(0, 10, 0.125), (1, 40, 0.125),
                                           (2, 120, 0.0625)])
 def test_bilinear_matches_brute_force_1d(seed, count, h):

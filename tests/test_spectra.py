@@ -192,12 +192,38 @@ def test_form_operator_refuses_a_nonpositive_symbol(monkeypatch):
 def test_lobpcg_branch_matches_eigh(monkeypatch, A, kp):
     dense = dirichlet_eigs(A, kp, 4)
     monkeypatch.setattr(spectra, "DENSE_LIMIT", 4)
-    # scipy's lobpcg warns when it falls back to a dense solve
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         iterative = dirichlet_eigs(A, kp, 4)
     assert iterative.eigenvalues == pytest.approx(dense.eigenvalues, rel=1e-12)
     assert np.all(iterative.residuals <= spectra.RESIDUAL_RTOL)
+    assert (dense.solver, dense.iterations) == ("eigh", 0)
+    assert iterative.solver == "lobpcg"
+    assert 0 < iterative.iterations < spectra.LOBPCG_MAXITER
+
+
+def two_copy_interval_1d(h):
+    g = GridSpec(n=1, h=h, L=2.0, copies=2)
+    c = g.axis_centers()
+    return MultiIndicator(g, [(c > -1.0) & (c < 1.5), (c > -1.5) & (c < 1.05)])
+
+
+@pytest.mark.parametrize("A, s", [
+    *[pytest.param(interval(1 / 1024), s, id=f"interval-h1024-s{s}")
+      for s in (0.05, 0.3, 0.7, 0.9, 0.95)],
+    *[pytest.param(two_copy_interval_1d(1 / 256), s, id=f"two-copies-h256-s{s}")
+      for s in (0.9, 0.95)],
+])
+def test_lobpcg_branch_matches_dense_eigh_across_s(A, s):
+    # above the real DENSE_LIMIT; large s makes the form ill-conditioned
+    assert A.cell_count() > spectra.DENSE_LIMIT
+    kp = KernelParams(n=1, s=s)
+    res = dirichlet_eigs(A, kp, 4)
+    Q = assemble_form(A, kp).quadratic_matrix
+    want = np.linalg.eigvalsh(Q)[:4] / A.grid.cell_volume
+    assert res.solver == "lobpcg"
+    assert res.eigenvalues == pytest.approx(want, rel=1e-10)
+    assert np.all(res.residuals <= spectra.RESIDUAL_RTOL)
 
 
 def test_lobpcg_branch_count_equal_to_size_uses_eigh(monkeypatch):
@@ -218,7 +244,7 @@ def test_lobpcg_branch_count_that_overfills_the_block_uses_eigh(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("lobpcg called")
     monkeypatch.setattr(spectra, "DENSE_LIMIT", 4)
-    monkeypatch.setattr(spectra, "lobpcg", refuse)
+    monkeypatch.setattr(spectra, "_lobpcg", refuse)
     assert np.array_equal(dirichlet_eigs(A, KP, 5).eigenvalues, dense.eigenvalues)
     with pytest.raises(AssertionError, match="lobpcg called"):
         dirichlet_eigs(A, KP, 4)
@@ -226,13 +252,22 @@ def test_lobpcg_branch_count_that_overfills_the_block_uses_eigh(monkeypatch):
 
 def test_lobpcg_branch_keeps_residual_contract(monkeypatch):
     A = interval(0.0625, -1.5, 1.0)
-    lobpcg = spectra.lobpcg
+    lobpcg = spectra._lobpcg
 
     def perturbed(*args, **kwargs):
-        vals, vecs = lobpcg(*args, **kwargs)
-        return vals, vecs + 1e-6 * np.random.default_rng(0).normal(size=vecs.shape)
+        vals, vecs, iterations = lobpcg(*args, **kwargs)
+        noise = 1e-6 * np.random.default_rng(0).normal(size=vecs.shape)
+        return vals, vecs + noise, iterations
     monkeypatch.setattr(spectra, "DENSE_LIMIT", 4)
-    monkeypatch.setattr(spectra, "lobpcg", perturbed)
+    monkeypatch.setattr(spectra, "_lobpcg", perturbed)
+    with pytest.raises(RuntimeError, match="residual"):
+        dirichlet_eigs(A, KP, 3)
+
+
+def test_lobpcg_branch_out_of_iterations_raises(monkeypatch):
+    A = interval(0.0625, -1.5, 1.0)
+    monkeypatch.setattr(spectra, "DENSE_LIMIT", 4)
+    monkeypatch.setattr(spectra, "LOBPCG_MAXITER", 1)
     with pytest.raises(RuntimeError, match="residual"):
         dirichlet_eigs(A, KP, 3)
 
