@@ -14,12 +14,16 @@ no N x N array is built: block LOBPCG (Knyazev, SISC 2001) runs on the same
 operator and preconditioner, with the search basis kept orthonormal as in
 Hetmaniuk and Lehoucq (J. Comput. Phys. 218, 2006), a start block of
 low sine modes of the shape's bounding box, and a stop on the relative
-residuals of the requested pairs alone.  Every solve checks its residual.
+residuals of the requested pairs alone.  LOBPCG runs with OpenBLAS on one
+thread (``_serial_blas``).  Every solve checks its residual.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+import ctypes
 from dataclasses import dataclass
+import functools
 import math
 
 import numpy as np
@@ -98,7 +102,8 @@ def dirichlet_eigs(A: MultiIndicator, kp: KernelParams, count: int,
     else:
         op = form_operator(A, kp)
         Q = _linear_operator(op, op.apply)
-        vals, vecs, iterations = _lobpcg(op, count, block)
+        with _serial_blas():
+            vals, vecs, iterations = _lobpcg(op, count, block)
         solver = "lobpcg"
     mass = A.grid.cell_volume
     lam = vals / mass
@@ -165,6 +170,58 @@ def _lobpcg(op: FormOperator, count: int, block: int):
         X, AX = S @ C, AS @ C
         P, AP = S @ Z, AS @ Z
     return theta[:count], X[:, :count], iterations
+
+
+# thread-count entry points of the OpenBLAS builds numpy and scipy ship
+_OPENBLAS_THREADS = ("scipy_openblas_{}_num_threads64_",
+                     "scipy_openblas_{}_num_threads", "openblas_{}_num_threads")
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of every OpenBLAS loaded in this
+    process, found through /proc/self/maps; none where that file is missing."""
+    try:
+        with open("/proc/self/maps") as f:
+            paths = {line.split()[-1] for line in f if "openblas" in line.lower()}
+    except OSError:
+        return ()
+    controls = []
+    for path in sorted(p for p in paths if p.startswith("/") and ".so" in p):
+        lib = ctypes.CDLL(path)
+        for stem in _OPENBLAS_THREADS:
+            get, put = (getattr(lib, stem.format(verb), None)
+                        for verb in ("get", "set"))
+            if get is not None and put is not None:
+                controls.append((get, put))
+                break
+    return tuple(controls)
+
+
+@contextmanager
+def _serial_blas():
+    """Run the block with every loaded OpenBLAS on one thread, and restore
+    the thread counts after it.
+
+    LOBPCG's products are N x (at most 3 blocks) and smaller.  Split over
+    threads, such a product waits for the other thread to be scheduled, and
+    on a shared host that wait now and then takes milliseconds: on a 2-core
+    host a 2048 x 24 Gram product took 0.07-0.1 ms in most processes and
+    3.7 ms in one.  The seven refine benchmark solves above DENSE_LIMIT took
+    0.59-0.97 s together on two threads against 0.54-0.66 s on one, and
+    0.71-1.33 s against 0.51-0.63 s with another process busy on one core.
+    Their summaries keep their bytes.  The count is process-wide: BLAS calls
+    on other Python threads meanwhile run on one thread too.  Without
+    OpenBLAS this does nothing."""
+    controls = _openblas_thread_controls()
+    before = [get() for get, _ in controls]
+    for _, put in controls:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(controls, before):
+            put(count)
 
 
 def _symmetric(G: np.ndarray) -> np.ndarray:

@@ -272,6 +272,31 @@ def test_lobpcg_branch_out_of_iterations_raises(monkeypatch):
         dirichlet_eigs(A, KP, 3)
 
 
+def test_lobpcg_branch_runs_on_one_blas_thread(monkeypatch):
+    controls = spectra._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS loaded")
+    before = [get() for get, _ in controls]
+    lobpcg, seen = spectra._lobpcg, []
+
+    def counting(*args, **kwargs):
+        seen.append([get() for get, _ in controls])
+        return lobpcg(*args, **kwargs)
+    monkeypatch.setattr(spectra, "DENSE_LIMIT", 4)
+    monkeypatch.setattr(spectra, "_lobpcg", counting)
+    res = dirichlet_eigs(interval(0.03125, -1.5, 1.0), KP, 4)
+    assert res.solver == "lobpcg"
+    assert seen == [[1] * len(controls)]
+    assert [get() for get, _ in controls] == before
+
+    def failing(*args, **kwargs):
+        raise FloatingPointError("solver failed")
+    monkeypatch.setattr(spectra, "_lobpcg", failing)
+    with pytest.raises(FloatingPointError):
+        dirichlet_eigs(interval(0.03125, -1.5, 1.0), KP, 4)
+    assert [get() for get, _ in controls] == before
+
+
 def test_matrix_free_solvers_never_assemble(monkeypatch):
     import fracdrum.form as form
     A = two_rects()
