@@ -458,22 +458,8 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _limit_threads(count: int) -> bool:
-    """Cap the BLAS and OpenMP thread pools; return whether the cap holds.
-    They read their environment variables when numpy loads, before any
-    argument is parsed, so only threadpoolctl can cap them here."""
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        print(f"warning: --threads {count} is not enforced: threadpoolctl is "
-              "not installed", file=sys.stderr)
-        return False
-    threadpool_limits(limits=count)
-    return True
-
-
 def run(experiment: str, config_path: str, out_dir: str,
-        seed_override: int | None = None, threads: int | None = None) -> int:
+        seed_override: int | None = None) -> int:
     started = time.perf_counter()
     try:
         with open(config_path) as f:
@@ -486,9 +472,6 @@ def run(experiment: str, config_path: str, out_dir: str,
     # what the runner adds to manifest.json, its timings among them
     entries: dict = {"timings_s": {}}
     try:
-        if threads is not None:
-            threads = _value(threads, {"type": int, "ge": 1}, "threads")
-        enforced = threads is not None and _limit_threads(threads)
         if experiment not in _EXPERIMENTS:
             raise ConfigError(f"unknown experiment '{experiment}'")
         if not isinstance(cfg, dict):
@@ -535,8 +518,6 @@ def run(experiment: str, config_path: str, out_dir: str,
         "files": files,
         **entries,
     }
-    if threads is not None:
-        manifest["threads"] = {"requested": threads, "enforced": enforced}
     tmp = os.path.join(out_dir, "manifest.json.tmp")
     with open(tmp, "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
@@ -556,11 +537,8 @@ def main(argv=None) -> int:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config master seed")
-        p.add_argument("--threads", type=int, default=None,
-                       help="cap BLAS/solver thread pools")
     args = parser.parse_args(argv)
-    return run(args.experiment, args.config, args.out,
-               seed_override=args.seed, threads=args.threads)
+    return run(args.experiment, args.config, args.out, seed_override=args.seed)
 
 
 if __name__ == "__main__":

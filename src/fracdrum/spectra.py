@@ -14,8 +14,13 @@ no N x N array is built: block LOBPCG (Knyazev, SISC 2001) runs on the same
 operator and preconditioner, with the search basis kept orthonormal as in
 Hetmaniuk and Lehoucq (J. Comput. Phys. 218, 2006), a start block of
 low sine modes of the shape's bounding box, and a stop on the relative
-residuals of the requested pairs alone.  LOBPCG runs with OpenBLAS on one
-thread (``_serial_blas``).  Every solve checks its residual.
+residuals of the requested pairs alone.  Every solve checks its residual.
+
+Thread policy: every eigensolve, dense or LOBPCG, residual check included,
+runs with OpenBLAS on one thread (``_serial_blas``, which gives the
+timings), so that its bytes, and with them every seeded output, do not
+depend on the host's core count.  Torsion gives the same bytes at any
+thread count and is left to the BLAS default.
 """
 
 from __future__ import annotations
@@ -35,11 +40,13 @@ from .grid import KernelParams, MultiIndicator
 
 # Active-cell count above which the eigensolve goes matrix-free.  Crossover for
 # the 4 lowest pairs, assembly included, 1-D interval and 2-D ball at
-# s in {0.3, 0.5, 0.7}, on a 2-core host (eigh against LOBPCG): 0.012 s
-# against 0.007-0.020 s at N=512, 0.047-0.080 s against 0.015-0.040 s at
-# N=784-788, 0.12-0.16 s against 0.021-0.091 s at N=1020-1024.  So LOBPCG
-# wins from about N=600-800; the limit stays above that so that anneal forms
-# (N <= about 300) and every solve with N <= 1000 keep their bytes.
+# s in {0.3, 0.5, 0.7}, on a 2-core host (one-thread eigh against LOBPCG):
+# 0.013-0.020 s against 0.010-0.051 s at N=512, 0.043-0.058 s against
+# 0.015-0.059 s at N=784-789, 0.12-0.15 s against 0.021-0.090 s at N=1024.
+# A two-thread eigh gave about the same crossover (0.012 s, 0.047-0.080 s and
+# 0.12-0.16 s).  So LOBPCG wins from about N=600-800; the limit stays above
+# that so that anneal forms (N <= about 300) and every solve with N <= 1000
+# keep their bytes.
 DENSE_LIMIT = 1000
 MULTIPLICITY_RTOL = 1e-6      # gap below this (relative) flags a numeric tie
 RESIDUAL_RTOL = 1e-8
@@ -79,6 +86,63 @@ class SpectralResult:
                     and self.multiplicity_gaps[k - 1] < tol))
 
 
+# thread-count entry points of the OpenBLAS builds numpy and scipy ship
+_OPENBLAS_THREADS = ("scipy_openblas_{}_num_threads64_",
+                     "scipy_openblas_{}_num_threads", "openblas_{}_num_threads")
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of every OpenBLAS loaded in this
+    process, found through /proc/self/maps; none where that file is missing."""
+    try:
+        with open("/proc/self/maps") as f:
+            paths = {line.split()[-1] for line in f if "openblas" in line.lower()}
+    except OSError:
+        return ()
+    controls = []
+    for path in sorted(p for p in paths if p.startswith("/") and ".so" in p):
+        lib = ctypes.CDLL(path)
+        for stem in _OPENBLAS_THREADS:
+            get, put = (getattr(lib, stem.format(verb), None)
+                        for verb in ("get", "set"))
+            if get is not None and put is not None:
+                controls.append((get, put))
+                break
+    return tuple(controls)
+
+
+@contextmanager
+def _serial_blas():
+    """Run the block with every loaded OpenBLAS on one thread, and restore
+    the thread counts after it, also when the block raises.
+
+    Every eigensolve runs this way (``dirichlet_eigs`` is wrapped in it), so
+    that its bytes do not depend on the host's core count: the dense
+    ``eigh`` gives different bytes on one thread than on two from about
+    N=256 on.  What one thread costs: for the 4 lowest pairs on an idle
+    2-core host, ``eigh`` took 0.002 s on one thread or two at N=185
+    (anneal's forms stay below about 300 cells), 0.015 s against 0.0125 s
+    at N=512, and 0.088 s against 0.050 s at N=960, next to DENSE_LIMIT.
+    With another process busy on one core, two threads wait for it instead
+    (0.018 s became up to 0.098 s at N=512).  LOBPCG's products are
+    N x (at most 3 blocks) and smaller, and split over threads they too wait
+    for the second thread to be scheduled.  The count is process-wide: BLAS
+    calls on other Python threads meanwhile run on one thread too.  Without
+    OpenBLAS, or without /proc/self/maps, this does nothing and the BLAS in
+    use keeps its own threading."""
+    controls = _openblas_thread_controls()
+    before = [get() for get, _ in controls]
+    for _, put in controls:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(controls, before):
+            put(count)
+
+
+@_serial_blas()
 def dirichlet_eigs(A: MultiIndicator, kp: KernelParams, count: int,
                    F: FormMatrix | None = None) -> SpectralResult:
     """Smallest eigenpairs of the form against the cell-measure mass.
@@ -102,8 +166,7 @@ def dirichlet_eigs(A: MultiIndicator, kp: KernelParams, count: int,
     else:
         op = form_operator(A, kp)
         Q = _linear_operator(op, op.apply)
-        with _serial_blas():
-            vals, vecs, iterations = _lobpcg(op, count, block)
+        vals, vecs, iterations = _lobpcg(op, count, block)
         solver = "lobpcg"
     mass = A.grid.cell_volume
     lam = vals / mass
@@ -170,58 +233,6 @@ def _lobpcg(op: FormOperator, count: int, block: int):
         X, AX = S @ C, AS @ C
         P, AP = S @ Z, AS @ Z
     return theta[:count], X[:, :count], iterations
-
-
-# thread-count entry points of the OpenBLAS builds numpy and scipy ship
-_OPENBLAS_THREADS = ("scipy_openblas_{}_num_threads64_",
-                     "scipy_openblas_{}_num_threads", "openblas_{}_num_threads")
-
-
-@functools.cache
-def _openblas_thread_controls() -> tuple:
-    """(get, set) thread-count functions of every OpenBLAS loaded in this
-    process, found through /proc/self/maps; none where that file is missing."""
-    try:
-        with open("/proc/self/maps") as f:
-            paths = {line.split()[-1] for line in f if "openblas" in line.lower()}
-    except OSError:
-        return ()
-    controls = []
-    for path in sorted(p for p in paths if p.startswith("/") and ".so" in p):
-        lib = ctypes.CDLL(path)
-        for stem in _OPENBLAS_THREADS:
-            get, put = (getattr(lib, stem.format(verb), None)
-                        for verb in ("get", "set"))
-            if get is not None and put is not None:
-                controls.append((get, put))
-                break
-    return tuple(controls)
-
-
-@contextmanager
-def _serial_blas():
-    """Run the block with every loaded OpenBLAS on one thread, and restore
-    the thread counts after it.
-
-    LOBPCG's products are N x (at most 3 blocks) and smaller.  Split over
-    threads, such a product waits for the other thread to be scheduled, and
-    on a shared host that wait now and then takes milliseconds: on a 2-core
-    host a 2048 x 24 Gram product took 0.07-0.1 ms in most processes and
-    3.7 ms in one.  The seven refine benchmark solves above DENSE_LIMIT took
-    0.59-0.97 s together on two threads against 0.54-0.66 s on one, and
-    0.71-1.33 s against 0.51-0.63 s with another process busy on one core.
-    Their summaries keep their bytes.  The count is process-wide: BLAS calls
-    on other Python threads meanwhile run on one thread too.  Without
-    OpenBLAS this does nothing."""
-    controls = _openblas_thread_controls()
-    before = [get() for get, _ in controls]
-    for _, put in controls:
-        put(1)
-    try:
-        yield
-    finally:
-        for (_, put), count in zip(controls, before):
-            put(count)
 
 
 def _symmetric(G: np.ndarray) -> np.ndarray:

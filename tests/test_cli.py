@@ -277,6 +277,41 @@ def test_console_entry_point_subprocess(tmp_path):
     assert (out / "manifest.json").exists()
 
 
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # a 2-D chain that scores forms of 185 cells and more, and a dense
+    # eigensolve at N=512: sizes at which a two-thread eigh gives other
+    # bytes than a one-thread one
+    runs = {
+        "chain": ("optimize-shape", {
+            "n": 2, "s": 0.5, "h": 0.0625, "L": 1.0, "copies": 2, "k": 2,
+            "steps": 300, "initial_temperature": 0.3,
+            "init": {"kind": "ball", "volume": 0.3}, "seed": 2134807384}),
+        "interval": ("eigs", {
+            "n": 1, "s": 0.5, "h": 1 / 256, "L": 2.0, "count": 4,
+            "shape": {"kind": "intervals", "items": [[0, -1.0, 1.0]]}}),
+    }
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    outputs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for name, (experiment, doc) in runs.items():
+            cfg = write_config(tmp_path, doc, name=f"{name}.json")
+            out = tmp_path / threads / name
+            proc = subprocess.run(
+                [sys.executable, "-m", "fracdrum", experiment,
+                 "--config", cfg, "--out", str(out)],
+                capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            outputs[threads, name] = {
+                f.name: f.read_bytes() for f in sorted(out.iterdir())
+                if f.name == "summary.json" or f.suffix == ".csv"}
+    assert "trace.csv" in outputs["1", "chain"]
+    for name in runs:
+        assert outputs["1", name] == outputs["2", name], name
+
+
 def test_cli_import_leaves_fft_and_ndimage_unloaded():
     # both are imported where they are used: every CLI process would pay
     # their load time, including experiments that never touch them
@@ -373,26 +408,6 @@ def test_extension_residual_failure_exits_3(tmp_path, monkeypatch):
     assert code == 3
     record = json.loads((out / "error.json").read_text())
     assert record["type"] == "RuntimeError" and "residual" in record["error"]
-
-
-def test_threads_request_is_recorded_in_manifest(tmp_path):
-    import importlib.util
-    doc = {"d": 2, "n": 1, "s": 0.5, "trials": 2, "max_steps": 50}
-    code, out = run_cli(tmp_path, "toy-sweep", doc, threads=1)
-    assert code == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    enforced = importlib.util.find_spec("threadpoolctl") is not None
-    assert manifest["threads"] == {"requested": 1, "enforced": enforced}
-    assert "threads" not in json.loads((out / "summary.json").read_text())
-
-
-@pytest.mark.parametrize("threads", [0, -1])
-def test_threads_below_one_exits_2_naming_it(tmp_path, capsys, threads):
-    doc = {"d": 2, "n": 1, "s": 0.5, "trials": 2, "max_steps": 50}
-    code, out = run_cli(tmp_path, "toy-sweep", doc, threads=threads)
-    assert code == 2
-    assert f"field 'threads' must be >= 1, got {threads}" in capsys.readouterr().err
-    assert not (out / "manifest.json").exists()
 
 
 def test_annealer_with_no_legal_move_exits_2_naming_k(tmp_path, capsys):

@@ -296,6 +296,25 @@ def test_lobpcg_branch_runs_on_one_blas_thread(monkeypatch):
         dirichlet_eigs(interval(0.03125, -1.5, 1.0), KP, 4)
     assert [get() for get, _ in controls] == before
 
+    # the dense branch, with its residual check, runs on one thread as well
+    monkeypatch.undo()
+    eigh, seen, noise = spectra.eigh, [], 0.0
+
+    def counting_eigh(*args, **kwargs):
+        seen.append([get() for get, _ in controls])
+        vals, vecs = eigh(*args, **kwargs)
+        return vals, vecs + noise
+    monkeypatch.setattr(spectra, "eigh", counting_eigh)
+    res = dirichlet_eigs(interval(0.03125, -1.5, 1.0), KP, 4)
+    assert res.solver == "eigh"
+    assert seen == [[1] * len(controls)]
+    assert [get() for get, _ in controls] == before
+    noise = 1e-6
+    with pytest.raises(RuntimeError, match="residual"):
+        dirichlet_eigs(interval(0.03125, -1.5, 1.0), KP, 4)
+    assert len(seen) == 2 and seen[1] == [1] * len(controls)
+    assert [get() for get, _ in controls] == before
+
 
 def test_matrix_free_solvers_never_assemble(monkeypatch):
     import fracdrum.form as form

@@ -49,11 +49,14 @@ def fake_tree(root, value, code):
     pkg.mkdir(parents=True)
     (pkg / "__init__.py").write_text("")
     (pkg / "cli.py").write_text(
-        "import json, os\n"
+        "import json, os, sys\n"
         "def run(experiment, config_path, out_dir):\n"
         "    os.makedirs(out_dir)\n"
         "    with open(os.path.join(out_dir, 'summary.json'), 'w') as f:\n"
         f"        json.dump({{'value': {value!r}}}, f)\n"
+        f"    if {code}:\n"
+        f"        print('working', file=sys.stderr)\n"
+        f"        print('error: exit {code}', file=sys.stderr)\n"
         f"    return {code}\n")
     return str(root)
 
@@ -75,4 +78,16 @@ def test_main_runs_each_tree_and_fails_on_exit_code(tmp_path, monkeypatch,
     assert out.count("summary.json value: relative change 0.5") == 2
     assert summary_diff.main([parent, failing, "--workload", "probe",
                               "--seeds", "1"]) == 1
-    assert "op: exit 0 -> 3" in capsys.readouterr().out
+    assert "op: exit 0 -> 3 (change: error: exit 3)" in capsys.readouterr().out
+
+
+def test_run_op_keeps_the_last_stderr_line(tmp_path):
+    # more eigenvalues than cells: the CLI exits 2 and says why on stderr
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "n": 1, "s": 0.5, "h": 0.25, "L": 1.0, "count": 50,
+        "shape": {"kind": "intervals", "items": [[0, -0.5, 0.5]]}}))
+    src = str(_PATH.parents[1] / "src")
+    code, line = summary_diff.run_op(src, "eigs", str(cfg), str(tmp_path / "out"))
+    assert code == 2
+    assert line.startswith("error: count must be in 1..")

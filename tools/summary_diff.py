@@ -11,7 +11,9 @@ package, such as the ``src/`` of two checkouts.  Every op of
 ``identical`` when ``summary.json`` and every CSV match byte for byte;
 otherwise it prints the maximum relative change of each numeric
 ``summary.json`` field and of each CSV column, and any other field that
-differs.  The exit code is 1 if any op's exit code differs between the trees.
+differs.  When an op's exit code differs between the trees, its line says
+``exit A -> B`` and quotes the last line each tree's run wrote to stderr,
+such as the CLI's ``error:`` message; the exit code of the script is then 1.
 Nothing under ``perfbench/`` is written.
 """
 
@@ -43,11 +45,14 @@ sys.exit(fracdrum.cli.run(*sys.argv[2:5]))
 """
 
 
-def run_op(src: str, experiment: str, config_path: str, out_dir: str) -> int:
-    """Exit code of one op run by the tree at ``src`` in a fresh interpreter."""
+def run_op(src: str, experiment: str, config_path: str,
+           out_dir: str) -> tuple[int, str]:
+    """Exit code of one op run by the tree at ``src`` in a fresh interpreter,
+    and the last line it wrote to stderr ("" if none)."""
     proc = subprocess.run([sys.executable, "-c", _RUNNER, src, experiment,
-                           config_path, out_dir], capture_output=True)
-    return proc.returncode
+                           config_path, out_dir], capture_output=True, text=True)
+    lines = proc.stderr.strip().splitlines()
+    return proc.returncode, lines[-1] if lines else ""
 
 
 def _number(value):
@@ -151,11 +156,15 @@ def main(argv=None) -> int:
                 with open(cfg_path, "w") as f:
                     json.dump(cfg, f, indent=2, sort_keys=True)
                 outs = [os.path.join(op_dir, side) for side in ("parent", "change")]
-                codes = [run_op(src, experiment, cfg_path, out) for src, out in
-                         zip((args.parent_src, args.change_src), outs)]
+                runs = [run_op(src, experiment, cfg_path, out) for src, out in
+                        zip((args.parent_src, args.change_src), outs)]
+                codes = [code for code, _ in runs]
                 if codes[0] != codes[1]:
                     mismatched += 1
-                    print(f"  {op_id}: exit {codes[0]} -> {codes[1]}")
+                    said = "; ".join(f"{side}: {line}" for side, (_, line) in
+                                     zip(("parent", "change"), runs) if line)
+                    print(f"  {op_id}: exit {codes[0]} -> {codes[1]}"
+                          + (f" ({said})" if said else ""))
                     continue
                 lines = compare(*outs)
                 failed = f" (exit {codes[0]} on both)" if codes[0] else ""
