@@ -23,8 +23,8 @@ import math
 import numpy as np
 
 from .form import assemble_form, interaction_energy
-from .grid import (KernelParams, LatticeField, MultiIndicator, _open_face,
-                   component_signs)
+from .grid import (KernelParams, LatticeField, MultiIndicator, _box_masks,
+                   _open_face, component_signs)
 from .spectra import SpectralResult, dirichlet_eigs
 
 Move = tuple
@@ -50,61 +50,76 @@ def enumerate_moves(A: MultiIndicator, min_cells: int = 1) -> list[Move]:
 
 
 def _legal_moves(A: MultiIndicator, min_cells: int) -> list[Move]:
-    grid, masks = A.grid, A.masks
-    interior = grid.interior()
-    flips = ~masks & interior & _open_face(~masks)     # touches the shape
-    if A.cell_count() > min_cells:
-        flips |= masks & _open_face(masks)
+    grid, masks, decomp = A.grid, A.masks, A.components
+    ids = np.flatnonzero(masks)
+    comp = decomp.labels.ravel()[ids]
+    # the face neighbours of every shape cell, one row per axis and sign in
+    # move order (-1 then +1); shape cells are interior, so each neighbour
+    # is in the cell's own box
+    strides = [grid.cells_per_side ** (grid.n - 1 - axis) for axis in range(grid.n)]
+    steps = np.array([sign * st for st in strides for sign in (-1, 1)])
+    near = ids + steps[:, None]
+    on = masks.ravel()[near]
+    wall = _box_masks(grid.shape)[1].ravel()[near % grid.box_size]
+
+    # flips: an empty interior cell next to the shape, or, above the floor,
+    # a shape cell next to the outside
+    flips = np.zeros(masks.size, dtype=bool)
+    flips[near[~on & ~wall]] = True
+    if len(ids) > min_cells:
+        flips[ids[~on.all(axis=0)]] = True
     moves: list[Move] = [("flip", i) for i in np.flatnonzero(flips).tolist()]
 
-    decomp = A.components
-    comp_coords = [np.unravel_index(ids, masks.shape) for ids in decomp.cells]
-    for comp_id, coords in enumerate(comp_coords):
-        for axis in range(1, masks.ndim):
-            for sign in (-1, 1):
-                shifted = list(coords)
-                shifted[axis] = coords[axis] + sign
-                # each shifted cell is interior and empty or in the component
-                label = decomp.labels[tuple(shifted)]
-                if (interior[tuple(shifted[1:])]
-                        & ((label < 0) | (label == comp_id))).all():
-                    moves.append(("translate", comp_id, axis - 1, sign))
+    # only the box boundary blocks a translation: a cell of another
+    # component one step away would be a face neighbour, so in this one
+    legal = np.ones((decomp.count, len(steps)), dtype=bool)
+    step, cell = np.nonzero(wall)
+    legal[comp[cell], step] = False
+    moves.extend(("translate", c, d // 2, 2 * (d % 2) - 1)
+                 for c, d in zip(*(i.tolist() for i in np.nonzero(legal))))
 
-    for comp_id, (c, *coords) in enumerate(comp_coords):
-        free = ~masks[(slice(None), *coords)].any(axis=1)
-        free[c[0]] = False
-        moves.extend(("relocate", comp_id, int(t)) for t in np.flatnonzero(free))
+    # a relocation is legal when the target copy is empty under every cell;
+    # the home copy never is, since the component's own cells hold it
+    held = masks.reshape(grid.copies, -1)[:, ids % grid.box_size]
+    free = np.ones((decomp.count, grid.copies), dtype=bool)
+    target, cell = np.nonzero(held)
+    free[comp[cell], target] = False
+    moves.extend(("relocate", c, t)
+                 for c, t in zip(*(i.tolist() for i in np.nonzero(free))))
     return moves
 
 
 def apply_move(A: MultiIndicator, move: Move) -> MultiIndicator:
-    masks = A.masks.copy()
+    grid, masks = A.grid, A.masks.copy()
+    cells = masks.ravel()
     if move[0] == "flip":
-        masks.ravel()[move[1]] ^= True
-        return MultiIndicator(A.grid, masks)
+        cells[move[1]] ^= True
+        return MultiIndicator(grid, masks)
     if move[0] not in ("translate", "relocate"):
         raise ValueError(f"unknown move kind {move[0]!r}")
     decomp = A.components
     if not 0 <= move[1] < decomp.count:
         raise ValueError(f"{move!r}: the shape has no component {move[1]!r}")
-    coords = list(np.unravel_index(decomp.cells[move[1]], masks.shape))
-    masks[tuple(coords)] = False
+    ids = decomp.cells[move[1]]
     if move[0] == "translate":
+        _, _, axis, sign = move
+        if axis not in range(grid.n) or sign not in (-1, 1):
+            raise ValueError(f"{move!r}: a translation is one cell along an axis")
         # a one-cell shift cannot reach another component: that cell would
         # be a face neighbour, so in this component
-        _, _, axis, sign = move
-        coords[axis + 1] += sign
+        moved = ids + sign * grid.cells_per_side ** (grid.n - 1 - axis)
     else:
-        target, copies = move[2], A.grid.copies
-        if not 0 <= target < copies or target == coords[0][0]:
+        target, home = move[2], int(ids[0]) // grid.box_size
+        if not 0 <= target < grid.copies or target == home:
             raise ValueError(f"{move!r}: the target copy must be another one "
-                             f"of 0..{copies - 1}")
-        coords[0] = target
-        if (decomp.labels[tuple(coords)] >= 0).any():
+                             f"of 0..{grid.copies - 1}")
+        moved = ids + (target - home) * grid.box_size
+        if cells[moved].any():
             raise ValueError(f"{move!r}: the target cells are held by another "
                              "component")
-    masks[tuple(coords)] = True
-    return MultiIndicator(A.grid, masks)
+    cells[ids] = False
+    cells[moved] = True
+    return MultiIndicator(grid, masks)
 
 
 @dataclass

@@ -28,7 +28,9 @@ whole box is Toeplitz (n=1) or block-Toeplitz (n=2).  One offset table and
 one per-box-cell diagonal are cached per (grid, kernel), and the matrix of
 any shape is gathered from them as a principal submatrix:
 Q_pp = 2 (T_p + h^n tail_p), with T_p the weight of p against its whole box,
-and Q_pq = -2 w_pq.  Hence e_p = Q_pp - 2 sum_q w_pq.  The same two tables
+and Q_pq = -2 w_pq.  Hence e_p = Q_pp - 2 sum_q w_pq.  Assembly reads Q_pq
+from the table unfolded to signed offsets, indexed by one subtraction of
+the two cells' keys.  The same two tables
 also apply Q without forming it: the off-diagonal part is a convolution with
 w, done by FFT (``form_operator``).  Every torsion solve uses it, and so do
 eigensolves of shapes too large for a dense matrix.
@@ -192,9 +194,32 @@ def _box_stencil(grid: GridSpec, kp: KernelParams):
         T = C + np.flip(C, axis=axis) - np.take(T, [0], axis=axis)
     tail = grid.cell_volume * _box_tail(grid, kp.s)
     diag = 2.0 * (T.ravel() + tail)
+    # every solver reads Q through these two tables, so this one check keeps
+    # non-finite entries out of them all
+    if not (np.isfinite(w).all() and np.isfinite(diag).all()):
+        raise RuntimeError(f"the form on {grid} with {kp} has non-finite "
+                           "entries: the grid's scale is out of floating-point "
+                           "range")
     w.setflags(write=False)
     diag.setflags(write=False)
     return w, diag
+
+
+@lru_cache(maxsize=None)
+def _signed_offsets(grid: GridSpec, kp: KernelParams) -> np.ndarray:
+    """The off-diagonal entries of Q by signed cell offset, flat.
+
+    Entry ``c + sum_a d_a (2m - 1)^(n-1-a)`` is -2 w[|d|] for the offset d,
+    with c the entry of d = 0 (the middle one), so the entry of two cells is
+    found by subtracting their keys: their coordinates read as digits in
+    base 2m - 1.
+    """
+    w, _ = _box_stencil(grid, kp)
+    m = grid.cells_per_side
+    fold = np.abs(np.arange(1 - m, m))
+    table = -2.0 * w[np.ix_(*[fold] * grid.n)].ravel()
+    table.setflags(write=False)
+    return table
 
 
 @dataclass
@@ -316,29 +341,23 @@ def assemble_form(A: MultiIndicator, kp: KernelParams) -> FormMatrix:
     """Gather the shape's Q as a principal submatrix of the box operator."""
     grid = A.grid
     ids = _checked_ids(A, kp)
-    w, diag = _box_stencil(grid, kp)
+    _, diag = _box_stencil(grid, kp)
+    table = _signed_offsets(grid, kp)
+    m, flats = grid.cells_per_side, ids % grid.box_size
+    # a cell's key: flat index x m + y (n = 2) or y (n = 1), its coordinates
+    # read in base m, rewritten in base 2m - 1
+    keys = flats + flats // m * (m - 1)
+    centre = len(table) // 2
 
     N = len(ids)
     Q = np.zeros((N, N))
-    lo = 0
-    for mask in A.masks:
-        # per axis |coordinate difference|, folded into a flat index of w;
-        # intp and in place, so np.take makes no index copy
-        offset = None
-        for x in np.nonzero(mask):         # row-major, as in the cell ids
-            d = np.subtract.outer(x, x)
-            np.abs(d, out=d)
-            if offset is None:
-                offset = d
-            else:
-                offset *= w.shape[0]
-                offset += d
-        hi = lo + int(mask.sum())
-        block = Q[lo:hi, lo:hi]
-        np.take(w, offset, out=block, mode="clip")
-        block *= -2.0
-        lo = hi
-    np.fill_diagonal(Q, diag[ids % grid.box_size])
+    # one block per copy; the blocks between copies stay zero
+    bounds = np.searchsorted(ids, grid.box_size * np.arange(grid.copies + 1))
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        k = keys[lo:hi]
+        np.take(table, np.subtract.outer(k + centre, k), out=Q[lo:hi, lo:hi],
+                mode="clip")
+    np.fill_diagonal(Q, diag[flats])
     return FormMatrix(grid=grid, kp=kp, ids=ids, quadratic_matrix=Q)
 
 

@@ -11,7 +11,7 @@ of the same shape supported on such masks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 import math
 
 import numpy as np
@@ -38,11 +38,12 @@ class GridSpec:
         if self.copies < 1:
             raise ValueError(f"copies must be >= 1, got {self.copies}")
 
-    @property
+    # computed once per grid: the annealer reads these on every proposal
+    @cached_property
     def cells_per_side(self) -> int:
         return 2 * int(round(self.L / self.h))
 
-    @property
+    @cached_property
     def shape(self) -> tuple:
         return (self.cells_per_side,) * self.n
 
@@ -69,10 +70,19 @@ class GridSpec:
         return np.column_stack([gx.ravel(), gy.ravel()])
 
     def interior(self) -> np.ndarray:
-        """Box mask of the cells strictly inside the box."""
-        out = np.zeros(self.shape, dtype=bool)
-        out[(slice(1, -1),) * self.n] = True
-        return out
+        """Read-only box mask of the cells strictly inside the box."""
+        return _box_masks(self.shape)[0]
+
+
+@cache
+def _box_masks(shape: tuple) -> tuple:
+    """Read-only (interior, boundary) masks of a box, built once per shape."""
+    interior = np.zeros(shape, dtype=bool)
+    interior[(slice(1, -1),) * len(shape)] = True
+    boundary = ~interior
+    interior.setflags(write=False)
+    boundary.setflags(write=False)
+    return interior, boundary
 
 
 @dataclass(frozen=True)
@@ -106,7 +116,7 @@ class MultiIndicator:
     def __init__(self, grid: GridSpec, masks):
         self.grid = grid
         self.masks = _stack(grid, masks, bool, "masks", "mask")
-        if np.any(self.masks & ~grid.interior()):
+        if (self.masks & _box_masks(grid.shape)[1]).any():
             raise ValueError("mask touches the box boundary")
 
     @classmethod
@@ -124,7 +134,7 @@ class MultiIndicator:
         return cls(grid, masks)
 
     def cell_count(self) -> int:
-        return int(self.masks.sum())
+        return int(np.count_nonzero(self.masks))
 
     def volume(self) -> float:
         return self.grid.cell_volume * self.cell_count()
@@ -153,7 +163,10 @@ def _stack(grid: GridSpec, arrays, dtype, plural: str, single: str) -> np.ndarra
     """One read-only (copies, *box) array from a sequence of per-copy arrays."""
     if len(arrays) != grid.copies:
         raise ValueError(f"need {grid.copies} {plural}, got {len(arrays)}")
-    bad = next((np.shape(a) for a in arrays if np.shape(a) != grid.shape), None)
+    if isinstance(arrays, np.ndarray) and arrays.shape[1:] == grid.shape:
+        bad = None
+    else:
+        bad = next((np.shape(a) for a in arrays if np.shape(a) != grid.shape), None)
     if bad is not None:
         raise ValueError(f"{single} shape {bad} != grid shape {grid.shape}")
     out = np.array(arrays, dtype=dtype)
@@ -199,22 +212,49 @@ class ComponentDecomposition:
 
 
 def connected_components(A: MultiIndicator) -> ComponentDecomposition:
-    """Label face-adjacent components, numbered in order of their first cell id."""
-    # imported here: loading scipy.ndimage costs every CLI process ~0.1 s
-    from scipy.ndimage import generate_binary_structure, label
+    """Label face-adjacent components, numbered in order of their first cell id.
 
-    # face neighbours within a copy, none along the copy axis
-    faces = np.zeros((3,) * (A.grid.n + 1), dtype=bool)
-    faces[1] = generate_binary_structure(A.grid.n, 1)
-    raw, count = label(A.masks, structure=faces, output=int)   # raster-scan order
-    cells = []
-    if count:
-        ids = np.flatnonzero(A.masks)
-        comp = raw.ravel()[ids]
-        cells = np.split(ids[np.argsort(comp, kind="stable")],
-                         np.cumsum(np.bincount(comp)[1:-1]))
-    labels = raw - 1
+    A run of consecutive cell ids is a piece of one row along the last axis:
+    box-boundary cells are never in a shape, so no run crosses a row end.
+    In 1-D the runs are the components.  In 2-D two runs join when a cell of
+    one has the cell a row below it in the other, and each run takes the
+    smallest run id it is joined to (union-find over the joined pairs).
+    """
+    on = A.masks.ravel()
+    ids = on.nonzero()[0]
+    first = np.ones(ids.size, dtype=bool)       # first cell of its run
+    first[1:] = ids[1:] - ids[:-1] != 1
+    run = first.cumsum() - 1
+    comp, count = run, int(np.count_nonzero(first))
+    if A.grid.n == 2 and count:
+        m = A.grid.cells_per_side
+        # the last row of a copy is boundary, so no pair spans two copies
+        upper = np.flatnonzero(on[:-m] & on[m:])
+        pairs = zip(run[np.searchsorted(ids, upper)].tolist(),
+                    run[np.searchsorted(ids, upper + m)].tolist())
+        root = list(range(count))
+
+        def find(r):
+            while root[r] != r:
+                root[r] = r = root[root[r]]
+            return r
+        for a, b in set(pairs):
+            a, b = find(a), find(b)
+            if a != b:
+                root[max(a, b)] = min(a, b)
+        root = np.array([find(r) for r in range(count)])
+        # runs are in first-id order, so roots ranked ascending number the
+        # components by their first cell
+        is_root = root == np.arange(count)
+        comp = (np.cumsum(is_root) - 1)[root][run]
+        count = int(np.count_nonzero(is_root))
+    labels = np.full(A.masks.shape, -1)
+    labels.ravel()[ids] = comp
     labels.setflags(write=False)     # shared through MultiIndicator.components
+    order = np.argsort(comp, kind="stable")
+    members = ids[order]
+    bounds = np.searchsorted(comp[order], np.arange(count + 1)).tolist()
+    cells = [members[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
     return ComponentDecomposition(labels=labels, count=count, cells=cells)
 
 

@@ -8,13 +8,18 @@ ball solution and energy are stated in those units; the conversion is a
 single multiplicative constant on the form.
 
 Torsion is always solved matrix-free: CG on Q applied by FFT
-(``form.form_operator``), preconditioned by its circulant.  Eigenpairs use
-``eigh`` on the assembled dense Q up to DENSE_LIMIT active cells.  Above it
-no N x N array is built: block LOBPCG (Knyazev, SISC 2001) runs on the same
-operator and preconditioner, with the search basis kept orthonormal as in
-Hetmaniuk and Lehoucq (J. Comput. Phys. 218, 2006), a start block of
-low sine modes of the shape's bounding box, and a stop on the relative
-residuals of the requested pairs alone.  Every solve checks its residual.
+(``form.form_operator``), preconditioned by its circulant.  Eigenpairs of
+the assembled dense Q, up to DENSE_LIMIT active cells, come from LAPACK
+``dsyevr`` (MRRR) called directly, with the arguments that
+``scipy.linalg.eigh(Q, subset_by_index=...)`` passes and so its bits; what
+is left out is eigh's per-call validation and work-size query, which at
+N=12 took longer than the solve.  That branch keeps the name ``"eigh"``.
+Above DENSE_LIMIT no N x N array is built: block LOBPCG (Knyazev, SISC
+2001) runs on the same operator and preconditioner, with the search basis
+kept orthonormal as in Hetmaniuk and Lehoucq (J. Comput. Phys. 218, 2006),
+a start block of low sine modes of the shape's bounding box, and a stop on
+the relative residuals of the requested pairs alone.  Every solve checks
+its residual, and a NaN fails every check.
 
 Thread policy: every eigensolve, dense or LOBPCG, residual check included,
 runs with OpenBLAS on one thread (``_serial_blas``, which gives the
@@ -32,7 +37,7 @@ import functools
 import math
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg.lapack import dsyevr, dsyevr_lwork
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .form import FormMatrix, FormOperator, assemble_form, form_operator
@@ -161,7 +166,7 @@ def dirichlet_eigs(A: MultiIndicator, kp: KernelParams, count: int,
         if F is None:
             F = assemble_form(A, kp)
         Q = F.quadratic_matrix
-        vals, vecs = eigh(Q, subset_by_index=[0, count - 1])
+        vals, vecs = _dense_pairs(Q, count)
         solver, iterations = "eigh", 0
     else:
         op = form_operator(A, kp)
@@ -170,26 +175,52 @@ def dirichlet_eigs(A: MultiIndicator, kp: KernelParams, count: int,
         solver = "lobpcg"
     mass = A.grid.cell_volume
     lam = vals / mass
-    if lam[0] <= 0:
-        raise RuntimeError("form lost definiteness: nonpositive bottom eigenvalue")
+    if not lam[0] > 0:
+        raise RuntimeError(f"form lost definiteness: bottom eigenvalue {lam[0]:.2e}")
 
-    residuals = np.zeros(count)
     vecs = vecs / math.sqrt(mass)      # orthonormal in the h^n-weighted norm
+    # sign: the first entry above 1e-12 of its column's largest is positive
+    size = np.abs(vecs)
+    anchor = (size > 1e-12 * size.max(axis=0)).argmax(axis=0)
+    vecs *= np.where(vecs[anchor, np.arange(count)] < 0, -1.0, 1.0)
+    residuals = np.zeros(count)
     for j in range(count):
+        # one product per column: a matrix product would round differently
         v = vecs[:, j]
-        anchor = np.flatnonzero(np.abs(v) > 1e-12 * np.max(np.abs(v)))
-        if anchor.size and v[anchor[0]] < 0:
-            v = -v
-            vecs[:, j] = v
         r = Q @ v / mass - lam[j] * v
         residuals[j] = math.sqrt(mass * float(r @ r)) / abs(lam[j])
-        if residuals[j] > RESIDUAL_RTOL:
+        if not residuals[j] <= RESIDUAL_RTOL:
             raise RuntimeError(f"eigenpair {j + 1} residual {residuals[j]:.2e} "
                                "exceeds the solver contract")
-    gaps = np.diff(lam)
     return SpectralResult(eigenvalues=lam, vectors=vecs, residuals=residuals,
-                          multiplicity_gaps=gaps, solver=solver,
+                          multiplicity_gaps=lam[1:] - lam[:-1], solver=solver,
                           iterations=iterations)
+
+
+@functools.cache
+def _dsyevr_work(N: int) -> tuple:
+    """LAPACK's (lwork, liwork) for ``dsyevr`` on an N x N matrix."""
+    work, iwork, info = dsyevr_lwork(N, lower=1)
+    if info != 0:
+        raise RuntimeError(f"dsyevr work-size query failed (info {info})")
+    return int(work), int(iwork)
+
+
+def _dense_pairs(Q: np.ndarray, count: int):
+    """The ``count`` lowest eigenpairs of the symmetric Q, as
+    ``scipy.linalg.eigh(Q, subset_by_index=[0, count - 1])`` gives them:
+    LAPACK ``dsyevr`` (MRRR; Dhillon, Parlett and Voemel, ACM TOMS 32, 2006)
+    with eigh's arguments and work sizes.  Q is not overwritten.  eigh's
+    finiteness check is left out: ``_box_stencil`` refuses non-finite
+    entries once per (grid, kernel)."""
+    lwork, liwork = _dsyevr_work(len(Q))
+    vals, vecs, found, _, info = dsyevr(Q, compute_v=1, range="I", lower=1,
+                                        il=1, iu=count, lwork=lwork,
+                                        liwork=liwork)
+    if info != 0 or found != count:
+        raise RuntimeError(f"dsyevr failed (info {info}, {found} of {count} "
+                           "pairs found)")
+    return vals[:count], vecs
 
 
 def _linear_operator(op: FormOperator, fn) -> LinearOperator:
@@ -311,9 +342,9 @@ def torsion_solve(A: MultiIndicator, kp: KernelParams) -> TorsionResult:
     if info != 0:
         raise RuntimeError(f"torsion solve failed to converge (cg info {info})")
     resid = np.linalg.norm(M @ u - rhs) / np.linalg.norm(rhs)
-    if resid > 1e-8:
+    if not resid <= 1e-8:
         raise RuntimeError(f"torsion residual {resid:.2e} out of contract")
-    if u.min() < -1e-9 * max(u.max(), 1.0):
+    if not u.min() >= -1e-9 * max(u.max(), 1.0):
         raise RuntimeError("torsion field lost positivity")
     u = np.maximum(u, 0.0)
     energy = -0.5 * A.grid.cell_volume * float(u.sum())

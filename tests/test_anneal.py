@@ -8,6 +8,7 @@ from fracdrum import (AnnealSchedule, GridSpec, KernelParams, LatticeField,
                       dirichlet_eigs, energy_decomposition, enumerate_moves,
                       interaction_energy, minimize, objective,
                       translation_gradient)
+from fracdrum.grid import _open_face
 
 KP = KernelParams(n=1, s=0.5)
 
@@ -434,3 +435,80 @@ def test_scoring_failure_propagates_out_of_minimize(monkeypatch, tmp_path):
     record = json.loads((out / "error.json").read_text())
     assert record["type"] == "RuntimeError" and "solver contract" in record["error"]
     assert not (out / "summary.json").exists()
+
+
+def reference_moves(A, min_cells):
+    """Moves from one gather per component and direction: the enumeration
+    that the array-level one replaced, kept as reference."""
+    masks = A.masks
+    interior = A.grid.interior()
+    flips = ~masks & interior & _open_face(~masks)     # touches the shape
+    if A.cell_count() > min_cells:
+        flips |= masks & _open_face(masks)
+    moves = [("flip", int(i)) for i in np.flatnonzero(flips)]
+    decomp = A.components
+    comp_coords = [np.unravel_index(ids, masks.shape) for ids in decomp.cells]
+    for comp_id, coords in enumerate(comp_coords):
+        for axis in range(1, masks.ndim):
+            for sign in (-1, 1):
+                shifted = list(coords)
+                shifted[axis] = coords[axis] + sign
+                label = decomp.labels[tuple(shifted)]
+                if (interior[tuple(shifted[1:])]
+                        & ((label < 0) | (label == comp_id))).all():
+                    moves.append(("translate", comp_id, axis - 1, sign))
+    for comp_id, (c, *coords) in enumerate(comp_coords):
+        free = ~masks[(slice(None), *coords)].any(axis=1)
+        free[c[0]] = False
+        moves.extend(("relocate", comp_id, int(t)) for t in np.flatnonzero(free))
+    return moves
+
+
+def reference_apply(A, move):
+    """The shape a legal move makes, cell by cell in coordinates."""
+    masks = A.masks.copy()
+    if move[0] == "flip":
+        masks.ravel()[move[1]] ^= True
+        return masks
+    coords = list(np.unravel_index(A.components.cells[move[1]], masks.shape))
+    masks[tuple(coords)] = False
+    if move[0] == "translate":
+        coords[move[2] + 1] += move[3]
+    else:
+        coords[0] = np.full_like(coords[0], move[2])
+    masks[tuple(coords)] = True
+    return masks
+
+
+@pytest.mark.parametrize("n,copies", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)])
+def test_move_enumeration_matches_the_per_component_reference(n, copies):
+    g = GridSpec(n=n, h=1 / 16 if n == 1 else 1 / 4, L=1.0, copies=copies)
+    rng = np.random.default_rng(7 * n + copies)
+    core = (slice(None), *(slice(1, -1),) * n)
+    kinds = set()
+    for trial in range(30):
+        masks = np.zeros((copies, *g.shape), dtype=bool)
+        # sparse shapes have gaps of one cell or more between components,
+        # dense ones have components that touch the box or each other
+        masks[core] = rng.random(masks[core].shape) < rng.uniform(0.05, 0.7)
+        A = MultiIndicator(g, masks)
+        if A.is_empty():
+            continue
+        for min_cells in (1, A.cell_count()):
+            moves = enumerate_moves(A, min_cells=min_cells)
+            assert moves == reference_moves(A, min_cells)
+            assert all(type(x) is int for move in moves for x in move[1:])
+            for move in moves:
+                assert np.array_equal(apply_move(A, move).masks,
+                                      reference_apply(A, move))
+                kinds.add(move[0])
+    assert kinds == ({"flip", "translate", "relocate"} if copies > 1
+                     else {"flip", "translate"})
+
+
+def test_apply_move_refuses_a_translation_off_the_lattice_steps():
+    A = small_two_copy()
+    for move in (("translate", 0, 1, 1), ("translate", 0, -1, 1),
+                 ("translate", 0, 0, 2), ("translate", 0, 0, 0)):
+        with pytest.raises(ValueError, match="one cell along an axis"):
+            apply_move(A, move)

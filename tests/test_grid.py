@@ -219,3 +219,26 @@ def test_component_signs():
     vals[9] = 2.0
     u = LatticeField(g, [vals])
     assert component_signs(decomp, u) == [1, "mixed", 0]
+
+
+def test_labelling_leaves_ndimage_unloaded():
+    # labelling runs on every annealed shape; loading scipy.ndimage for it
+    # would cost each process about 0.1 s
+    import os
+    import subprocess
+    import sys
+    import fracdrum
+    src = os.path.dirname(os.path.dirname(fracdrum.__file__))
+    code = ("import sys, numpy as np\n"
+            "from fracdrum import GridSpec, MultiIndicator\n"
+            "g = GridSpec(n=2, h=0.25, L=1.0, copies=2)\n"
+            "m = np.zeros((2, 8, 8), dtype=bool)\n"
+            "m[0, 2:5, 3] = m[1, 4, 2:6] = True\n"
+            "assert MultiIndicator(g, m).components.count == 2\n"
+            "print('scipy.ndimage' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]

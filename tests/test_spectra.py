@@ -298,13 +298,13 @@ def test_lobpcg_branch_runs_on_one_blas_thread(monkeypatch):
 
     # the dense branch, with its residual check, runs on one thread as well
     monkeypatch.undo()
-    eigh, seen, noise = spectra.eigh, [], 0.0
+    dense, seen, noise = spectra._dense_pairs, [], 0.0
 
-    def counting_eigh(*args, **kwargs):
+    def counting_dense(*args, **kwargs):
         seen.append([get() for get, _ in controls])
-        vals, vecs = eigh(*args, **kwargs)
+        vals, vecs = dense(*args, **kwargs)
         return vals, vecs + noise
-    monkeypatch.setattr(spectra, "eigh", counting_eigh)
+    monkeypatch.setattr(spectra, "_dense_pairs", counting_dense)
     res = dirichlet_eigs(interval(0.03125, -1.5, 1.0), KP, 4)
     assert res.solver == "eigh"
     assert seen == [[1] * len(controls)]
@@ -546,3 +546,76 @@ def test_gamma_distance_properties():
     assert np.all(ua - ub >= -1e-9)
     assert d_ab == pytest.approx(A.grid.cell_volume * float((ua - ub).sum()),
                                  rel=1e-9)
+
+
+@pytest.mark.parametrize("N", [1, 2, 12, 40, 150, 193, 600])
+def test_direct_dsyevr_gives_the_bits_of_eigh(N):
+    from scipy.linalg import eigh
+    rng = np.random.default_rng(N)
+    B = rng.standard_normal((N, N))
+    Q = B @ B.T + N * np.eye(N)
+    before = Q.copy()
+    for count in range(1, min(N, 4) + 1):
+        vals, vecs = spectra._dense_pairs(Q, count)
+        want_vals, want_vecs = eigh(Q, subset_by_index=[0, count - 1])
+        assert np.array_equal(vals, want_vals)
+        assert np.array_equal(vecs, want_vecs)
+    assert np.array_equal(Q, before)
+
+
+def test_dense_branch_refuses_nan_pairs(monkeypatch):
+    dense, spoil = spectra._dense_pairs, None
+
+    def spoiled(Q, count):
+        vals, vecs = dense(Q, count)
+        spoil(vals, vecs)
+        return vals, vecs
+    monkeypatch.setattr(spectra, "_dense_pairs", spoiled)
+    for spoil, contract in ((lambda vals, vecs: vals.fill(np.nan), "definiteness"),
+                            (lambda vals, vecs: vecs.fill(np.nan), "residual")):
+        with pytest.raises(RuntimeError, match=contract):
+            dirichlet_eigs(interval(0.125), KP, 2)
+
+
+def test_lobpcg_branch_refuses_nan_pairs(monkeypatch):
+    lobpcg = spectra._lobpcg
+
+    def nan_theta(*args, **kwargs):
+        theta, X, iterations = lobpcg(*args, **kwargs)
+        return np.full_like(theta, np.nan), X, iterations
+    monkeypatch.setattr(spectra, "DENSE_LIMIT", 4)
+    monkeypatch.setattr(spectra, "_lobpcg", nan_theta)
+    with pytest.raises(RuntimeError, match="definiteness"):
+        dirichlet_eigs(interval(0.03125, -1.5, 1.0), KP, 4)
+
+    def nan_second(*args, **kwargs):
+        theta, X, iterations = lobpcg(*args, **kwargs)
+        theta[1] = np.nan
+        return theta, X, iterations
+    monkeypatch.setattr(spectra, "_lobpcg", nan_second)
+    with pytest.raises(RuntimeError, match="residual"):
+        dirichlet_eigs(interval(0.03125, -1.5, 1.0), KP, 4)
+
+
+def test_torsion_refuses_a_nan_field(monkeypatch):
+    cg = spectra.cg
+
+    def one_nan(*args, **kwargs):
+        u, info = cg(*args, **kwargs)
+        u[len(u) // 2] = np.nan
+        return u, info
+    monkeypatch.setattr(spectra, "cg", one_nan)
+    with pytest.raises(RuntimeError, match="residual"):
+        torsion_solve(interval(0.0625), KP)
+
+
+def test_form_refuses_a_grid_out_of_floating_point_range():
+    # h^2 underflows to 0 and the far weight's distance power overflows, so
+    # the weights are 0 * inf = nan
+    g = GridSpec(n=1, h=1e-200, L=4e-200)
+    A = MultiIndicator.from_interval(g, -2e-200, 2e-200)
+    for solve in (lambda: assemble_form(A, KP), lambda: dirichlet_eigs(A, KP, 1),
+                  lambda: torsion_solve(A, KP)):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(RuntimeError, match="non-finite"):
+            solve()
