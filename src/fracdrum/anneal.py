@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .form import assemble_form, interaction_energy
+from .form import _distinct, assemble_form, interaction_energy
 from .grid import (KernelParams, LatticeField, MultiIndicator, _box_masks,
                    _open_face, component_signs)
 from .spectra import SpectralResult, dirichlet_eigs
@@ -221,7 +221,7 @@ def translation_gradient(u: LatticeField, A1, A2, direction,
     group slides one cell along ``direction``, per unit length.
 
     ``direction`` is a lattice unit vector (one entry is +-1, the rest 0).
-    ``A1`` and ``A2`` are disjoint sequences of cell ids; the
+    ``A1`` and ``A2`` are disjoint sequences of distinct cell ids; the
     field must vanish outside their union.  A negative value means moving
     the group along ``direction`` lowers the interaction energy.
     """
@@ -231,7 +231,7 @@ def translation_gradient(u: LatticeField, A1, A2, direction,
         raise ValueError("direction must be a lattice unit vector")
     axis = int(np.flatnonzero(direction)[0])
     m, stack = grid.cells_per_side, (grid.copies, *grid.shape)
-    ids1, ids2 = np.asarray(A1, dtype=int), np.asarray(A2, dtype=int)
+    ids1, ids2 = _distinct(A1), _distinct(A2)
     out = []
     for sign in (-int(direction[axis]), int(direction[axis])):
         coords = list(np.unravel_index(ids2, stack))

@@ -18,8 +18,9 @@ adding trials or reordering work never shifts another stream.
 Each runner first checks its config against its schema in ``_SCHEMAS``.
 
 Exit codes: 0 success; 2 invalid config, with a message naming the
-offending field; 3 numerical failure, or any other unexpected error, with
-an ``error.json`` record.
+offending field, or an ``--out`` that cannot be made a directory; 3
+numerical failure, an output that cannot be written, or any other
+unexpected error, with an ``error.json`` record where one can be written.
 """
 
 from __future__ import annotations
@@ -458,15 +459,35 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
+def _fail(exc: Exception, experiment: str, out_dir: str) -> int:
+    """Report an exit-3 failure; its ``error.json`` record is best effort."""
+    import traceback
+    record = {"error": str(exc), "type": type(exc).__name__,
+              "experiment": experiment, "traceback": traceback.format_exc()}
+    try:
+        with open(os.path.join(out_dir, "error.json"), "w") as f:
+            json.dump(record, f, indent=2, sort_keys=True)
+        details = "details in error.json"
+    except OSError as err:
+        details = f"no error.json: {err}"
+    print(f"error: {type(exc).__name__}: {exc} ({details})", file=sys.stderr)
+    return 3
+
+
 def run(experiment: str, config_path: str, out_dir: str,
         seed_override: int | None = None) -> int:
     started = time.perf_counter()
     try:
         with open(config_path) as f:
             cfg = json.load(f)
-        os.makedirs(out_dir, exist_ok=True)
     except (OSError, ValueError) as exc:    # ValueError: not JSON, not UTF-8
         print(f"error: cannot read config: {exc}", file=sys.stderr)
+        return 2
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot use output directory {out_dir}: {exc}",
+              file=sys.stderr)
         return 2
 
     # what the runner adds to manifest.json, its timings among them
@@ -496,33 +517,30 @@ def run(experiment: str, config_path: str, out_dir: str,
         if isinstance(exc, ValueError) and not isinstance(exc, np.linalg.LinAlgError):
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        # a solver contract broken, or any failure nothing above foresaw
-        import traceback
-        record = {"error": str(exc), "type": type(exc).__name__,
-                  "experiment": experiment, "traceback": traceback.format_exc()}
-        with open(os.path.join(out_dir, "error.json"), "w") as f:
-            json.dump(record, f, indent=2, sort_keys=True)
-        print(f"error: {type(exc).__name__}: {exc} (details in error.json)",
-              file=sys.stderr)
-        return 3
+        # a solver contract broken, an output not written, or any failure
+        # nothing above foresaw
+        return _fail(exc, experiment, out_dir)
 
-    files = {}
-    for name in sorted(os.listdir(out_dir)):
-        path = os.path.join(out_dir, name)
-        if name not in ("manifest.json",) and os.path.isfile(path):
-            files[name] = _sha256(path)
-    manifest = {
-        "config": config_echo,
-        "version": __version__,
-        "wall_clock_s": time.perf_counter() - started,
-        "files": files,
-        **entries,
-    }
-    tmp = os.path.join(out_dir, "manifest.json.tmp")
-    with open(tmp, "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
-    os.replace(tmp, os.path.join(out_dir, "manifest.json"))
+    try:
+        files = {}
+        for name in sorted(os.listdir(out_dir)):
+            path = os.path.join(out_dir, name)
+            if name not in ("manifest.json",) and os.path.isfile(path):
+                files[name] = _sha256(path)
+        manifest = {
+            "config": config_echo,
+            "version": __version__,
+            "wall_clock_s": time.perf_counter() - started,
+            "files": files,
+            **entries,
+        }
+        tmp = os.path.join(out_dir, "manifest.json.tmp")
+        with open(tmp, "w") as f:
+            json.dump(manifest, f, indent=2, sort_keys=True)
+            f.write("\n")
+        os.replace(tmp, os.path.join(out_dir, "manifest.json"))
+    except OSError as exc:
+        return _fail(exc, experiment, out_dir)
     return 0
 
 

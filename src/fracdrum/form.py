@@ -24,22 +24,22 @@ spectral and torsion errors at the few-tenths-of-a-percent level the
 validation suite pins.
 
 A weight depends only on the offset between two cells, so the operator of a
-whole box is Toeplitz (n=1) or block-Toeplitz (n=2).  One offset table and
-one per-box-cell diagonal are cached per (grid, kernel), and the matrix of
-any shape is gathered from them as a principal submatrix:
-Q_pp = 2 (T_p + h^n tail_p), with T_p the weight of p against its whole box,
-and Q_pq = -2 w_pq.  Hence e_p = Q_pp - 2 sum_q w_pq.  Assembly reads Q_pq
-from the table unfolded to signed offsets, indexed by one subtraction of
-the two cells' keys.  The same two tables
-also apply Q without forming it: the off-diagonal part is a convolution with
-w, done by FFT (``form_operator``).  Every torsion solve uses it, and so do
-eigensolves of shapes too large for a dense matrix.
+whole box is Toeplitz (n=1) or block-Toeplitz (n=2).  One table of Q's
+off-diagonal by signed offset and one per-box-cell diagonal are cached per
+(grid, kernel), and the matrix of any shape is gathered from them as a
+principal submatrix: Q_pp = 2 (T_p + h^n tail_p), with T_p the weight of p
+against its whole box, and Q_pq = -2 w_pq.  Hence e_p = Q_pp - 2 sum_q w_pq.
+Assembly indexes the table by one subtraction of the two cells' keys.  The
+same two tables also apply Q without forming it: the off-diagonal part is a
+convolution with the table, done by FFT (``form_operator``).  Every torsion
+solve uses it, and so do eigensolves of shapes too large for a dense matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+import itertools
 import math
 
 import numpy as np
@@ -50,39 +50,6 @@ from .grid import GridSpec, KernelParams, LatticeField, MultiIndicator
 _NEAR_RADIUS = 3   # center distance, in cells, up to which pairs are near
 _NSUB = 4          # subcells per axis in near-field quadrature
 _GL_NODES = 48     # Gauss-Legendre order for n=2 corner integrals
-
-
-def _near_offsets(n: int, radius: int):
-    """Integer cell offsets with 0 < |delta| <= radius, up to reflection."""
-    out = []
-    if n == 1:
-        for k in range(1, radius + 1):
-            out.append((k,))
-    else:
-        for a in range(0, radius + 1):
-            for b in range(0, radius + 1):
-                if 0 < a * a + b * b <= radius * radius:
-                    out.append((a, b))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _near_table(n: int, s: float, radius: int):
-    """Dimensionless subcell weights G(delta); w = h^{n-2s} G."""
-    p = n + 2 * s
-    o = (np.arange(_NSUB) + 0.5) / _NSUB - 0.5
-    tbl = {}
-    if n == 1:
-        a, b = np.meshgrid(o, o, indexing="ij")
-        for (k,) in _near_offsets(1, radius):
-            d = np.abs(k + b - a)
-            tbl[(k,)] = float(np.sum(d ** (-p))) / _NSUB ** 2
-    else:
-        ax, ay, bx, by = np.meshgrid(o, o, o, o, indexing="ij")
-        for (dx, dy) in _near_offsets(2, radius):
-            d = np.hypot(dx + bx - ax, dy + by - ay)
-            tbl[(dx, dy)] = float(np.sum(d ** (-p))) / _NSUB ** 4
-    return tbl
 
 
 # ---------------------------------------------------------------------------
@@ -170,12 +137,15 @@ def _box_tail(grid: GridSpec, s: float) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _box_stencil(grid: GridSpec, kp: KernelParams):
-    """Offset weight table and per-box-cell diagonal of Q for one box.
+    """Off-diagonal table and per-box-cell diagonal of Q for one box.
 
-    w[|di|] (n=1) or w[|di|, |dj|] (n=2) is the weight of any two cells of a
-    copy that lie that many cells apart; w at offset zero is 0.  diag[f] is
-    2 (T_f + h^n tail_f) for box cell f (flat index), with T_f the weight of f
-    against every cell of its box, summed over offsets by prefix sums of w.
+    ``table`` holds Q's off-diagonal entry -2 w_pq by the signed offset d of
+    the two cells: entry ``c + sum_a d_a (2m - 1)^(n-1-a)``, with c the entry
+    of d = 0 (the middle one), so the entry of two cells is found by
+    subtracting their keys, their coordinates read as digits in base 2m - 1.
+    diag[f] is 2 (T_f + h^n tail_f) for box cell f (flat index), with T_f the
+    weight of f against every cell of its box, summed over offsets by prefix
+    sums of w, and w at offset zero is 0.
     """
     m, n, h, R = grid.cells_per_side, grid.n, grid.h, _NEAR_RADIUS
     offsets = np.meshgrid(*[np.arange(m)] * n, indexing="ij")
@@ -183,9 +153,17 @@ def _box_stencil(grid: GridSpec, kp: KernelParams):
     far = r2 > R * R
     w = np.zeros(r2.shape)
     w[far] = h ** (2 * n) * (h * np.sqrt(r2[far])) ** (-kp.exponent)
+    # near pairs: the subcell midpoint rule, subcell a of one cell against
+    # subcell b of the other, axes a_1..a_n then b_1..b_n
+    sub = (np.arange(_NSUB) + 0.5) / _NSUB - 0.5
+    grids = np.meshgrid(*[sub] * (2 * n), indexing="ij")
     scale = h ** (n - 2 * kp.s)
-    for off, g in _near_table(n, kp.s, R).items():
-        w[off] = w[off[::-1]] = scale * g
+    for off in itertools.product(range(R + 1), repeat=n):
+        if 0 < sum(k * k for k in off) <= R * R:
+            d = np.hypot.reduce([np.abs(k + b - a)
+                                 for k, a, b in zip(off, grids[:n], grids[n:])])
+            g = float(np.sum(d ** (-kp.exponent))) / _NSUB ** (2 * n)
+            w[off] = w[off[::-1]] = scale * g
     # per axis, cell i sees offsets 0..i on one side and 0..m-1-i on the
     # other; the zero offset is in both prefix sums, so it is taken off once
     T = w
@@ -200,39 +178,24 @@ def _box_stencil(grid: GridSpec, kp: KernelParams):
         raise RuntimeError(f"the form on {grid} with {kp} has non-finite "
                            "entries: the grid's scale is out of floating-point "
                            "range")
-    w.setflags(write=False)
-    diag.setflags(write=False)
-    return w, diag
-
-
-@lru_cache(maxsize=None)
-def _signed_offsets(grid: GridSpec, kp: KernelParams) -> np.ndarray:
-    """The off-diagonal entries of Q by signed cell offset, flat.
-
-    Entry ``c + sum_a d_a (2m - 1)^(n-1-a)`` is -2 w[|d|] for the offset d,
-    with c the entry of d = 0 (the middle one), so the entry of two cells is
-    found by subtracting their keys: their coordinates read as digits in
-    base 2m - 1.
-    """
-    w, _ = _box_stencil(grid, kp)
-    m = grid.cells_per_side
     fold = np.abs(np.arange(1 - m, m))
-    table = -2.0 * w[np.ix_(*[fold] * grid.n)].ravel()
+    table = -2.0 * w[np.ix_(*[fold] * n)].ravel()
     table.setflags(write=False)
-    return table
+    diag.setflags(write=False)
+    return table, diag
 
 
 @dataclass
 class FormOperator:
     """Matrix-free Q of one shape, applied to (N,) vectors or (N, k) blocks.
 
-    Q u = d∘u - 2 P (K ⋆ Pᵀu).  Pᵀ scatters the N values into a stack of
+    Q u = d∘u + P (K ⋆ Pᵀu).  Pᵀ scatters the N values into a stack of
     periodic boxes, one per copy, 2b cells per axis for a shape b cells wide;
-    K is the offset table w folded by minimum image onto that box, and ⋆ is
-    one batched real FFT over the stack.  Offsets inside the shape stay below
-    b, so the periodic convolution is the linear one and P gathers exactly
-    the rows of Q.  The same circulant with max(d) on its diagonal, whose
-    eigenvalues are ``symbol``, is the preconditioner (T. Chan's optimal
+    K is Q's off-diagonal table, -2 w, folded by minimum image onto that box,
+    and ⋆ is one batched real FFT over the stack.  Offsets inside the shape
+    stay below b, so the periodic convolution is the linear one and P gathers
+    exactly the rows of Q.  The same circulant with max(d) on its diagonal,
+    whose eigenvalues are ``symbol``, is the preconditioner (T. Chan's optimal
     circulant, SISC 1988, applied to a principal submatrix).
     """
 
@@ -241,7 +204,7 @@ class FormOperator:
     cells: np.ndarray        # (N,) flat index of each cell into the stack
     stack: tuple             # (copies, 2b per axis)
     kernel_hat: np.ndarray   # real half spectrum of K on the periodic box
-    symbol: np.ndarray       # max(d) - 2 kernel_hat, positive
+    symbol: np.ndarray       # max(d) + kernel_hat, positive
 
     @property
     def size(self) -> int:
@@ -261,7 +224,7 @@ class FormOperator:
     def apply(self, U: np.ndarray) -> np.ndarray:
         """Q U."""
         D = self.diagonal.reshape(-1, *(1,) * (U.ndim - 1))
-        return D * U - 2.0 * self._convolve(U, self.kernel_hat)
+        return D * U + self._convolve(U, self.kernel_hat)
 
     def precondition(self, R: np.ndarray) -> np.ndarray:
         """P C⁻¹ Pᵀ R, with C the circulant whose eigenvalues are ``symbol``."""
@@ -279,19 +242,22 @@ def _checked_ids(A: MultiIndicator, kp: KernelParams) -> np.ndarray:
 def form_operator(A: MultiIndicator, kp: KernelParams) -> FormOperator:
     """The shape's Q as an FFT operator; no N x N array is built."""
     ids = _checked_ids(A, kp)
-    w, diag = _box_stencil(A.grid, kp)
+    table, diag = _box_stencil(A.grid, kp)
+    m = A.grid.cells_per_side
     copy, *coords = np.unravel_index(ids, A.masks.shape)
     lo = [x.min() for x in coords]
     period = [2 * int(x.max() - x0 + 1) for x, x0 in zip(coords, lo)]
     stack = (A.grid.copies, *period)
     cells = np.ravel_multi_index(
         (copy, *(x - x0 for x, x0 in zip(coords, lo))), stack)
-    # b <= m - 2 for a shape inside the box, so offsets up to b are in w
-    fold = [np.minimum(np.arange(p), p - np.arange(p)) for p in period]
+    # b <= m - 2 for a shape inside the box, so offsets up to b are in the
+    # table, whose entry of offset d sits at d + m - 1 along each axis
+    fold = [np.minimum(np.arange(p), p - np.arange(p)) + m - 1 for p in period]
     # K is real and even, so its spectrum is real
-    kernel_hat = np.fft.rfftn(w[np.ix_(*fold)]).real
+    K = table.reshape((2 * m - 1,) * A.grid.n)[np.ix_(*fold)]
+    kernel_hat = np.fft.rfftn(K).real
     d = diag[ids % A.grid.box_size]
-    symbol = d.max() - 2.0 * kernel_hat
+    symbol = d.max() + kernel_hat
     if not symbol.min() > 0:
         raise RuntimeError(f"circulant preconditioner symbol {symbol.min():.2e} "
                            "is not positive")
@@ -341,8 +307,7 @@ def assemble_form(A: MultiIndicator, kp: KernelParams) -> FormMatrix:
     """Gather the shape's Q as a principal submatrix of the box operator."""
     grid = A.grid
     ids = _checked_ids(A, kp)
-    _, diag = _box_stencil(grid, kp)
-    table = _signed_offsets(grid, kp)
+    table, diag = _box_stencil(grid, kp)
     m, flats = grid.cells_per_side, ids % grid.box_size
     # a cell's key: flat index x m + y (n = 2) or y (n = 1), its coordinates
     # read in base m, rewritten in base 2m - 1
@@ -398,24 +363,34 @@ class EnergyDecomposition:
         return float(sum(self.parts.values()))
 
 
-def _rows_of(F: FormMatrix, ids) -> np.ndarray:
-    """Sorted rows of F holding the cell ids ``ids``, duplicates kept."""
+def _distinct(ids) -> np.ndarray:
+    """The cell ids ``ids``, sorted; a cell listed twice would count twice."""
     ids = np.sort(np.asarray(ids, dtype=int))
-    rows = np.searchsorted(F.ids, ids)
-    missing = F.ids[np.minimum(rows, F.size - 1)] != ids
-    if missing.any():
-        raise ValueError(f"cell {ids[missing][0]} is not in the assembled shape")
+    twice = ids[1:][ids[1:] == ids[:-1]]
+    if twice.size:
+        raise ValueError(f"cell {twice[0]} is listed more than once")
+    return ids
+
+
+def _rows_of(F: FormMatrix, A1, A2) -> list:
+    """Sorted rows of F holding each of two disjoint groups of cell ids."""
+    rows = []
+    for ids in (_distinct(A1), _distinct(A2)):
+        r = np.searchsorted(F.ids, ids)
+        missing = F.ids[np.minimum(r, F.size - 1)] != ids
+        if missing.any():
+            raise ValueError(f"cell {ids[missing][0]} is not in the assembled shape")
+        rows.append(r)
+    if np.intersect1d(*rows).size:
+        raise ValueError("the two cell groups overlap")
     return rows
 
 
 def energy_decomposition(F: FormMatrix, u: LatticeField, A1, A2) -> EnergyDecomposition:
     """Split B[u,u] by membership of each integration variable in A1, A2, or
-    the exterior region; A1 and A2 are sequences of cell ids that must not
-    overlap and must carry all of u."""
-    r1 = _rows_of(F, A1)
-    r2 = _rows_of(F, A2)
-    if np.intersect1d(r1, r2).size:
-        raise ValueError("the two cell groups overlap")
+    the exterior region; A1 and A2 are sequences of distinct cell ids that
+    must not overlap and must carry all of u."""
+    r1, r2 = _rows_of(F, A1, A2)
     uv = F.field_vector(u)
     groups = np.union1d(r1, r2)
     rest = np.setdiff1d(np.arange(F.size), groups)
@@ -456,11 +431,8 @@ def energy_decomposition(F: FormMatrix, u: LatticeField, A1, A2) -> EnergyDecomp
 
 def interaction_energy(F: FormMatrix, u: LatticeField, A1, A2) -> float:
     """The translation-sensitive interaction piece alone; A1 and A2 are
-    sequences of cell ids."""
-    r1 = _rows_of(F, A1)
-    r2 = _rows_of(F, A2)
-    if np.intersect1d(r1, r2).size:
-        raise ValueError("the two cell groups overlap")
+    sequences of distinct cell ids."""
+    r1, r2 = _rows_of(F, A1, A2)
     if r1.size == 0 or r2.size == 0:
         return 0.0
     uv = F.field_vector(u)

@@ -63,11 +63,8 @@ class GridSpec:
 
     def cell_centers(self) -> np.ndarray:
         """Array of all cell centers, shape (#cells, n), row-major order."""
-        c = self.axis_centers()
-        if self.n == 1:
-            return c[:, None]
-        gx, gy = np.meshgrid(c, c, indexing="ij")
-        return np.column_stack([gx.ravel(), gy.ravel()])
+        axes = np.meshgrid(*[self.axis_centers()] * self.n, indexing="ij")
+        return np.column_stack([x.ravel() for x in axes])
 
     def interior(self) -> np.ndarray:
         """Read-only box mask of the cells strictly inside the box."""

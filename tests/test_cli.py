@@ -384,6 +384,39 @@ def test_unreadable_config_exits_2(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+TOY_SWEEP = {"d": 2, "n": 1, "s": 0.5, "trials": 3, "seed": 1, "max_steps": 50}
+
+
+def test_unwritable_manifest_exits_3_with_record(tmp_path, capsys):
+    (tmp_path / "out" / "manifest.json.tmp").mkdir(parents=True)
+    code, out = run_cli(tmp_path, "toy-sweep", TOY_SWEEP)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert str(out / "manifest.json.tmp") in err
+    assert "Traceback" not in err
+    assert json.loads((out / "error.json").read_text())["type"] == "IsADirectoryError"
+    assert not (out / "manifest.json").exists()
+
+
+def test_unwritable_summary_and_error_record_exit_3(tmp_path, capsys):
+    for name in ("summary.json", "error.json"):
+        (tmp_path / "out" / name).mkdir(parents=True)
+    code, out = run_cli(tmp_path, "toy-sweep", TOY_SWEEP)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert str(out / "summary.json") in err and str(out / "error.json") in err
+    assert "Traceback" not in err
+
+
+def test_out_naming_a_file_exits_2_naming_it(tmp_path, capsys):
+    (tmp_path / "out").write_text("")
+    code, out = run_cli(tmp_path, "toy-sweep", TOY_SWEEP)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"cannot use output directory {out}" in err
+    assert "config" not in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("exc_type", [TypeError, KeyError, np.linalg.LinAlgError])
 def test_unexpected_failure_exits_3_with_record(tmp_path, monkeypatch, capsys,
                                                 exc_type):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ from scipy import integrate
 
 from fracdrum import (GridSpec, KernelParams, LatticeField, MultiIndicator,
                       assemble_form, bilinear, energy_decomposition,
-                      exterior_tail, interaction_energy, rayleigh)
+                      exterior_tail, form_operator, interaction_energy, rayleigh,
+                      translation_gradient)
 
 NSUB = 4
 SUB = [(i + 0.5) / NSUB - 0.5 for i in range(NSUB)]
@@ -486,6 +488,25 @@ def test_cell_groups_refuse_an_id_outside_the_shape(bad):
             fn(F, u, [3, 4], [7, bad])
 
 
+@pytest.mark.parametrize("group", [0, 1])
+def test_cell_groups_refuse_a_repeated_id(group):
+    # repeating a[0] used to count its pairs twice: the interaction moved
+    # from -14.335 to -15.408 and the parts summed to 26.307, not B[u,u]
+    g = GridSpec(n=1, h=0.25, L=2.0)
+    A = MultiIndicator.from_interval(g, -1.0, 1.0)
+    F = assemble_form(A, KernelParams(n=1, s=0.5))
+    u = A.field(np.ones(F.size))
+    groups = [F.ids[:3].tolist(), F.ids[3:].tolist()]
+    cell = groups[group][0]
+    groups[group].append(cell)
+    match = f"^cell {cell} is listed more than once$"
+    for fn in (interaction_energy, energy_decomposition):
+        with pytest.raises(ValueError, match=match):
+            fn(F, u, *groups)
+    with pytest.raises(ValueError, match=match):
+        translation_gradient(u, *groups, [1], F.kp)
+
+
 def test_refinement_consistency_recorded():
     kp = KernelParams(n=1, s=0.5)
     def bump_energy(h):
@@ -525,3 +546,45 @@ def test_field_scatter_and_gather_match_cell_loops(n, h, copies, seed):
     vals[copies - 1].ravel()[np.flatnonzero(interior & ~A.masks[-1])[0]] = 1.0
     with pytest.raises(ValueError, match="leaves the assembled shape"):
         F.field_vector(LatticeField(g, vals))
+
+
+def frozen_shape(n):
+    """A 1-D shape of two copies with a gap, or a 2-D L shape."""
+    if n == 1:
+        g = GridSpec(n=1, h=1 / 16, L=1.0, copies=2)
+        masks = np.zeros((2, *g.shape), dtype=bool)
+        masks[0, 3:9] = masks[0, 11:15] = masks[1, 5:21] = True
+    else:
+        g = GridSpec(n=2, h=1 / 8, L=1.0)
+        masks = np.zeros((1, *g.shape), dtype=bool)
+        masks[0, 2:10, 3:7] = masks[0, 6:9, 3:13] = True
+    return MultiIndicator(g, masks)
+
+
+# sha256 of Q, Q X and P C^-1 P^T X, recorded before the form's three offset
+# caches were folded into one
+FORM_DIGESTS = {
+    (1, 0.3): ("9770c4d26675faf3d5586d33bc6c1356048bf236c48ba2c578b691e96bb04382",
+               "4dad23a9ea347e6b7dbe4981d8c08f0e0e2bd9dffec6ecbad883594f4e299fb2",
+               "278714337eab8fd69e4b3ed187de73fe53d1f538e317edb87430d0aa34a63db3"),
+    (1, 0.7): ("8aac2006f12f490f9f9d20daf2ea41c43d630c945059a787b102643646307cc6",
+               "7d07419f01e44283f1e335c79bc486004d833583943b83d9c8717c5ea785de1d",
+               "645f19eaee36ca45dd283198217eda0d8b8ff31d68d4583ee9fa92360d28891a"),
+    (2, 0.3): ("ac21686cacb8980764ea72dda1931e4572f122181f9ce6da308ec752d4706329",
+               "b6d775c30be40c611b1264ab9c9bf647234dc3701da7590257599de65c200dd5",
+               "3f2af5007b4a45c0558a3e18bc664b8637144346e3cae2e027d5d95bd1dc2ef7"),
+    (2, 0.7): ("aa14346124aa11937dcbef2b5e80a7d45a6863bb1a512d64c56b7bea799a41d0",
+               "4229cab588e4ea111a2d9a3c1da6a26b375e8cd498c5ba527b898a507e339617",
+               "52224717e3c057637f892c02930ab5c7c171911788b28c8a42cbc73b713b1919"),
+}
+
+
+@pytest.mark.parametrize("n,s", sorted(FORM_DIGESTS))
+def test_form_bytes_are_frozen(n, s):
+    A, kp = frozen_shape(n), KernelParams(n=n, s=s)
+    op = form_operator(A, kp)
+    X = np.random.default_rng(7).normal(size=(op.size, 3))
+    arrays = (assemble_form(A, kp).quadratic_matrix, op.apply(X), op.precondition(X))
+    digests = tuple(hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+                    for a in arrays)
+    assert digests == FORM_DIGESTS[n, s]
