@@ -134,8 +134,9 @@ class AnnealSchedule:
             raise ValueError("steps must be nonnegative")
         if not 0 < self.cooling < 1:
             raise ValueError("cooling factor must lie in (0, 1)")
-        if self.initial_temperature is not None and self.initial_temperature <= 0:
-            raise ValueError("initial temperature must be positive")
+        if (self.initial_temperature is not None
+                and not 0 < self.initial_temperature < math.inf):
+            raise ValueError("initial temperature must be positive and finite")
 
 
 @dataclass

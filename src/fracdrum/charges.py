@@ -38,8 +38,8 @@ class ChargeConfig:
             raise ValueError("masses must be a length-d vector")
         if abs(float(mas @ mas) - 1.0) > 1e-8:
             raise ValueError("masses must have unit sum of squares")
-        if self.exponent <= 0:
-            raise ValueError("exponent must be positive")
+        if not 0 < self.exponent < math.inf:
+            raise ValueError("exponent must be positive and finite")
         if pos.shape[0] > 1:
             _, d = _pair_geometry(pos)
             if d[np.triu_indices_from(d, k=1)].min() <= 0:
@@ -338,16 +338,15 @@ def _start_steps(pos, mas, p, pairs, top, g, gnorm, floor) -> dict:
 
 def _stopped(c, pos, taken, e0, divergence, gnorm) -> DescentResult:
     """Result of a trial that exits at ``pos``: diverged, or judged by
-    classify with final gradient norm ``gnorm`` (None: recompute it)."""
+    classify with final gradient norm ``gnorm`` (None: classify's own)."""
     cur = c.with_positions(pos)
     if divergence is not None:
         nan = float("nan")
         rep = StationarityReport(divergence, nan, None, nan)
         return DescentResult(cur, rep, int(taken), float(e0), nan)
     rep = classify(cur)
-    if gnorm is None:
-        gnorm = np.linalg.norm(gradient(cur))
-    return DescentResult(cur, rep, int(taken), float(e0), float(gnorm))
+    return DescentResult(cur, rep, int(taken), float(e0),
+                         rep.gradient_norm if gnorm is None else float(gnorm))
 
 
 @dataclass

@@ -15,7 +15,8 @@ experiments; multi-trial experiments derive stream t from the pair
 the shape optimizer) use (master_seed, tag) with a fixed small tag, so
 adding trials or reordering work never shifts another stream.
 
-Each runner first checks its config against its schema in ``_SCHEMAS``.
+``run`` checks each config once, seed included, against its schema in
+``_SCHEMAS`` and stamps ``experiment`` on the summary; the runners only compute.
 
 Exit codes: 0 success; 2 invalid config, with a message naming the
 offending field, or an ``--out`` that cannot be made a directory; 3
@@ -73,8 +74,8 @@ _KERNEL = {"n": {"type": int, "ge": 1, "le": 2}, "s": _S, "h": _POSITIVE,
 _INTERVAL = {"type": list, "row": (_COPY, _FLOAT, _FLOAT)}
 _RECT = {"type": list, "row": (_COPY, _FLOAT, _FLOAT, _FLOAT, _FLOAT)}
 _SHAPE_KINDS = {
-    "intervals": {"items": {"type": list, "item": _INTERVAL}},
-    "rects": {"items": {"type": list, "item": _RECT}},
+    "intervals": {"items": {"type": list, "min_len": 1, "item": _INTERVAL}},
+    "rects": {"items": {"type": list, "min_len": 1, "item": _RECT}},
     "ball": {"volume": {"type": float, "ge": 0}, "copy": dict(_COPY, default=0)},
 }
 _SHAPE = {"type": dict, "kinds": _SHAPE_KINDS}
@@ -85,7 +86,8 @@ _INIT = {"type": dict, "kinds": dict(_SHAPE_KINDS, **{"random-blob": {
 _SCHEMAS = {
     "eigs": dict(_KERNEL, shape=_SHAPE, count={"type": int, "ge": 1, "default": 4},
                  dump_fields={"type": bool, "default": False}),
-    "torsion-validate": {"s": _S, "h": _POSITIVE, "L": _POSITIVE},
+    # h < 2 leaves a cell centre in (-1, 1)
+    "torsion-validate": {"s": _S, "h": {"type": float, "gt": 0, "lt": 2}, "L": _POSITIVE},
     "optimize-shape": dict(
         _KERNEL, init=_INIT, k={"type": int, "ge": 1, "default": 1},
         steps={"type": int, "ge": 0, "default": 5000},
@@ -193,16 +195,22 @@ def _shape_from_config(spec: dict, grid: GridSpec, rng=None) -> MultiIndicator:
             raise ConfigError(f"shape kind '{kind}' requires n = {n}")
         masks = np.zeros((grid.copies, *grid.shape), dtype=bool)
         centers = grid.axis_centers()
-        for c, *bounds in spec["items"]:
+        for i, (c, *bounds) in enumerate(spec["items"]):
             # cells whose centre lies strictly inside the box, axis by axis
             inside = [(centers > lo) & (centers < hi)
                       for lo, hi in zip(bounds[::2], bounds[1::2])]
             box = np.all(np.meshgrid(*inside, indexing="ij"), axis=0)
             masks[_copy_index(c, grid, "items")] |= box
+            if not (box.any() and grid.interior()[box].all()):
+                raise ConfigError(f"field 'items[{i}]' must select at least one "
+                                  "cell, and no cell on the box wall")
         return MultiIndicator(grid, masks)
     copy = _copy_index(spec["copy"], grid, "copy")
     if kind == "ball":
-        return ball_indicator(spec["volume"], grid, copy=copy)
+        A = ball_indicator(spec["volume"], grid, copy=copy)
+        if not A.cell_count():
+            raise ConfigError("field 'volume' must select at least one cell")
+        return A
     return _random_blob(grid, spec["cells"], copy, rng)
 
 
@@ -236,7 +244,6 @@ def _shape_record(A: MultiIndicator) -> dict:
 # ---------------------------------------------------------------- experiments
 
 def _run_eigs(cfg: dict, out: str, seed: int, manifest: dict) -> dict:
-    cfg = _check(cfg, _SCHEMAS["eigs"])
     grid, kp = _kernel(cfg)
     A = _shape_from_config(cfg["shape"], grid)
     count = cfg["count"]
@@ -253,7 +260,6 @@ def _run_eigs(cfg: dict, out: str, seed: int, manifest: dict) -> dict:
             for c, idx, *vals in zip(copies.tolist(), cells.tolist(), *cols):
                 f.write(f"{c},{idx}," + ",".join(map(repr, vals)) + "\n")
     return {
-        "experiment": "eigs",
         "eigenvalues": [float(v) for v in res.eigenvalues],
         "residuals": [float(v) for v in res.residuals],
         "gaps": [float(v) for v in res.multiplicity_gaps],
@@ -264,11 +270,13 @@ def _run_eigs(cfg: dict, out: str, seed: int, manifest: dict) -> dict:
 
 
 def _run_torsion_validate(cfg: dict, out: str, seed: int, manifest: dict) -> dict:
-    cfg = _check(cfg, _SCHEMAS["torsion-validate"])
     s, h, L = cfg["s"], cfg["h"], cfg["L"]
     grid = GridSpec(n=1, h=h, L=L)
     kp = KernelParams(n=1, s=s)
-    A = MultiIndicator.from_interval(grid, -1.0, 1.0)
+    try:
+        A = MultiIndicator.from_interval(grid, -1.0, 1.0)
+    except ValueError:              # a cell centre in (-1, 1) on the box wall
+        raise ConfigError(f"field 'L' must be at least 1 + h/2, got {L}") from None
     t0 = time.perf_counter()
     res = torsion_solve(A, kp)
     manifest["timings_s"]["torsion_s"] = time.perf_counter() - t0
@@ -281,7 +289,6 @@ def _run_torsion_validate(cfg: dict, out: str, seed: int, manifest: dict) -> dic
     e_exact = -0.5 * c_ball * math.sqrt(math.pi) * math.gamma(s + 1) / math.gamma(s + 1.5)
     e_rel = abs(res.energy - e_exact) / abs(e_exact)
     return {
-        "experiment": "torsion-validate",
         "s": s, "h": h, "L": L,
         "max_norm_error": max_norm,
         "energy": res.energy,
@@ -293,7 +300,6 @@ def _run_torsion_validate(cfg: dict, out: str, seed: int, manifest: dict) -> dic
 
 
 def _run_optimize_shape(cfg: dict, out: str, seed: int, manifest: dict) -> dict:
-    cfg = _check(cfg, _SCHEMAS["optimize-shape"])
     grid, kp = _kernel(cfg)
     k, steps = cfg["k"], cfg["steps"]
     blob_rng = np.random.default_rng([seed, _BLOB_TAG])
@@ -306,7 +312,6 @@ def _run_optimize_shape(cfg: dict, out: str, seed: int, manifest: dict) -> dict:
     manifest["timings_s"]["anneal_s"] = time.perf_counter() - t0
     res.trace_csv(os.path.join(out, "trace.csv"))
     summary = {
-        "experiment": "optimize-shape",
         "k": k, "steps": steps, "seed": seed,
         "best_objective": res.best_objective,
         "best_eigenvalues": [float(v) for v in res.best_spectrum.eigenvalues],
@@ -335,7 +340,6 @@ def _run_optimize_shape(cfg: dict, out: str, seed: int, manifest: dict) -> dict:
 
 
 def _run_rearrange_check(cfg: dict, out: str, seed: int, manifest: dict) -> dict:
-    cfg = _check(cfg, _SCHEMAS["rearrange-check"])
     grid, kp = _kernel(cfg)
     A = _shape_from_config(cfg["shape"], grid)
     trials = cfg["trials"]
@@ -358,7 +362,6 @@ def _run_rearrange_check(cfg: dict, out: str, seed: int, manifest: dict) -> dict
         worst = max(worst, num / den)
     manifest["timings_s"]["polya_szego_s"] = time.perf_counter() - t0
     return {
-        "experiment": "rearrange-check",
         "seed": seed, "trials": trials,
         "energy_shape": report.energy_shape,
         "energy_ball": report.energy_ball,
@@ -369,16 +372,14 @@ def _run_rearrange_check(cfg: dict, out: str, seed: int, manifest: dict) -> dict
 
 
 def _run_toy_sweep(cfg: dict, out: str, seed: int, manifest: dict) -> dict:
-    cfg = _check(cfg, _SCHEMAS["toy-sweep"])     # conjecture_sweep's arguments
     t0 = time.perf_counter()
-    sweep = conjecture_sweep(seed=seed, **cfg)
+    sweep = conjecture_sweep(seed=seed, **cfg)      # cfg: its other arguments
     manifest["timings_s"]["sweep_s"] = time.perf_counter() - t0
-    return dict(cfg, experiment="toy-sweep", seed=seed, exponent=sweep.exponent,
-                counts=sweep.counts, stable_finds=sweep.stable_finds)
+    return dict(cfg, seed=seed, exponent=sweep.exponent, counts=sweep.counts,
+                stable_finds=sweep.stable_finds)
 
 
 def _run_toy_classify(cfg: dict, out: str, seed: int, manifest: dict) -> dict:
-    cfg = _check(cfg, _SCHEMAS["toy-classify"])
     positions, masses = cfg["positions"], cfg["masses"]
     s, exponent = cfg["s"], cfg["exponent"]
     if (s is None) == (exponent is None):
@@ -395,7 +396,6 @@ def _run_toy_classify(cfg: dict, out: str, seed: int, manifest: dict) -> dict:
     rep = classify(c)
     manifest["timings_s"]["classify_s"] = time.perf_counter() - t0
     return {
-        "experiment": "toy-classify",
         "exponent": c.exponent,
         "classification": rep.classification.value,
         "gradient_norm": rep.gradient_norm,
@@ -406,7 +406,6 @@ def _run_toy_classify(cfg: dict, out: str, seed: int, manifest: dict) -> dict:
 
 
 def _run_weiss(cfg: dict, out: str, seed: int, manifest: dict) -> dict:
-    cfg = _check(cfg, _SCHEMAS["weiss"])
     s, L, center = cfg["s"], cfg["L"], cfg["center"]
     H = L if cfg["H"] is None else cfg["H"]
     eg = ExtensionGrid(hx=cfg["h"], hy=cfg["h"], L=L, H=H)
@@ -432,7 +431,6 @@ def _run_weiss(cfg: dict, out: str, seed: int, manifest: dict) -> dict:
     manifest["timings_s"]["weiss_s"] = time.perf_counter() - t0
     curve.write_csv(os.path.join(out, "weiss.csv"))
     return {
-        "experiment": "weiss",
         "s": s, "center": center,
         "radii": [float(r) for r in curve.radii],
         "values": [float(v) for v in curve.values],
@@ -497,17 +495,18 @@ def run(experiment: str, config_path: str, out_dir: str,
             raise ConfigError(f"unknown experiment '{experiment}'")
         if not isinstance(cfg, dict):
             raise ConfigError("config document must be a JSON object")
-        cfg = dict(cfg)
         declared = cfg.pop("experiment", experiment)
         if declared != experiment:
             raise ConfigError(f"field 'experiment' is {json.dumps(declared)}, "
                               f"but the subcommand is '{experiment}'")
-        seed = cfg.pop("seed", 0)
         if seed_override is not None:
-            seed = seed_override
-        seed = _value(seed, {"type": int, "ge": 0}, "seed")
+            cfg["seed"] = seed_override
+        checked = _check(cfg, dict(seed={"type": int, "ge": 0, "default": 0},
+                                   **_SCHEMAS[experiment]))
+        seed = checked.pop("seed")
         config_echo = dict(cfg, experiment=experiment, seed=seed)
-        summary = _EXPERIMENTS[experiment](cfg, out_dir, seed, entries)
+        summary = dict(_EXPERIMENTS[experiment](checked, out_dir, seed, entries),
+                       experiment=experiment)
         with open(os.path.join(out_dir, "summary.json"), "w") as f:
             json.dump(summary, f, indent=2, sort_keys=True)
             f.write("\n")

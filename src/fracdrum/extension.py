@@ -252,10 +252,10 @@ def weiss_functional(sol: ExtensionSolution, center: float, radii,
     if support_intervals is None:
         support_intervals = trace_support_intervals(trace, g)
     radii = np.asarray(radii, dtype=float)
-    if np.any(radii <= 0) or float(radii.max()) >= min(g.L, g.H) / 2:
+    if not (np.all(radii > 0) and float(radii.max()) < min(g.L, g.H) / 2):
         raise ValueError("radii must lie in (0, min(L, H)/2)")
     rmax = float(radii.max())
-    if center - rmax < -g.L or center + rmax > g.L:
+    if not -g.L <= center - rmax <= center + rmax <= g.L:
         raise ValueError("ball of largest radius leaves the grid")
 
     xs = g.x_nodes()

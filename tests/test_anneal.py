@@ -215,6 +215,13 @@ def test_schedule_validation():
         AnnealSchedule(initial_temperature=0.0)
 
 
+@pytest.mark.parametrize("temperature", [float("nan"), float("inf")])
+def test_schedule_refuses_a_non_finite_temperature(temperature):
+    # a NaN temperature would reject every uphill proposal without a word
+    with pytest.raises(ValueError, match="positive and finite"):
+        AnnealSchedule(initial_temperature=temperature)
+
+
 def test_minimize_requires_enough_cells():
     A = small_two_copy()
     with pytest.raises(ValueError):

@@ -195,6 +195,12 @@ def test_classify_refuses_non_finite_configurations(positions, exponent):
                               exponent))
 
 
+@pytest.mark.parametrize("exponent", [float("nan"), float("inf")])
+def test_config_refuses_a_non_finite_exponent(exponent):
+    with pytest.raises(ValueError, match="positive and finite"):
+        ChargeConfig(np.array([[0.0], [1.0]]), np.array([RT2, RT2]), exponent)
+
+
 def test_translation_complement_dimensions():
     c = collinear()
     eigs = translation_complement_eigs(c)

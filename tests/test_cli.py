@@ -92,7 +92,8 @@ def test_numerical_failure_exits_3_with_record(tmp_path, monkeypatch):
     def boom(cfg, out, seed, timings):
         raise RuntimeError("synthetic solver breakdown")
     monkeypatch.setitem(cli._EXPERIMENTS, "eigs", boom)
-    doc = {"anything": 1}
+    doc = {"n": 1, "s": 0.5, "h": 0.25, "L": 1.0,
+           "shape": {"kind": "intervals", "items": [[0, -0.5, 0.5]]}}
     code, out = run_cli(tmp_path, "eigs", doc)
     assert code == 3
     record = json.loads((out / "error.json").read_text())
@@ -362,6 +363,29 @@ def test_cli_import_leaves_fft_and_ndimage_unloaded():
     # reported as min_hessian_eig = Infinity, which is not JSON
     ("toy-classify", {"positions": [[0.0]], "masses": [1.0], "exponent": 3.0},
      "positions"),
+    # the cells of (-1, 1) need L >= 1 + h/2 to lie strictly inside the box
+    ("torsion-validate", {"s": 0.5, "h": 0.25, "L": 1.0}, "L"),
+    ("torsion-validate", {"s": 0.5, "h": 2.0, "L": 2.0}, "h"),
+    # shape items that reach the box wall or select no cell
+    ("rearrange-check", {"n": 1, "s": 0.5, "h": 0.25, "L": 1.0,
+                         "shape": {"kind": "intervals", "items": [[0, -0.9, 0.9]]}},
+     "items[0]"),
+    ("eigs", {"n": 2, "s": 0.5, "h": 0.25, "L": 1.0,
+              "shape": {"kind": "rects", "items": [[0, -0.5, 0.5, -0.5, 0.5],
+                                                   [0, -0.5, 0.5, 0.5, 1.0]]}},
+     "items[1]"),
+    ("eigs", {"n": 1, "s": 0.5, "h": 0.25, "L": 1.0,
+              "shape": {"kind": "intervals", "items": [[0, 0.13, 0.2]]}}, "items[0]"),
+    ("rearrange-check", {"n": 1, "s": 0.5, "h": 0.25, "L": 1.0,
+                         "shape": {"kind": "intervals", "items": [[0, 0.13, 0.2]]}},
+     "items[0]"),
+    ("optimize-shape", {"n": 1, "s": 0.5, "h": 0.25, "L": 1.0, "steps": 2,
+                        "init": {"kind": "intervals", "items": [[0, 0.13, 0.2]]}},
+     "items[0]"),
+    ("eigs", {"n": 1, "s": 0.5, "h": 0.25, "L": 1.0,
+              "shape": {"kind": "intervals", "items": []}}, "shape.items"),
+    ("eigs", {"n": 2, "s": 0.5, "h": 0.25, "L": 1.0,
+              "shape": {"kind": "ball", "volume": 0.0}}, "volume"),
 ])
 def test_malformed_field_exits_2_naming_it(tmp_path, capsys, experiment, doc, field):
     code, out = run_cli(tmp_path, experiment, doc)
@@ -423,7 +447,9 @@ def test_unexpected_failure_exits_3_with_record(tmp_path, monkeypatch, capsys,
     def broken(cfg, out, seed, timings):
         raise exc_type("synthetic fault")
     monkeypatch.setitem(cli._EXPERIMENTS, "eigs", broken)
-    code, out = run_cli(tmp_path, "eigs", {})
+    doc = {"n": 1, "s": 0.5, "h": 0.25, "L": 1.0,
+           "shape": {"kind": "intervals", "items": [[0, -0.5, 0.5]]}}
+    code, out = run_cli(tmp_path, "eigs", doc)
     assert code == 3
     record = json.loads((out / "error.json").read_text())
     assert record["type"] == exc_type.__name__
@@ -529,6 +555,37 @@ def test_fuzzed_config_keeps_exit_code_contract(case, value):
             code = cli.run(experiment, cfg, os.path.join(tmp, "out"))
     assert code in (0, 2, 3), (experiment, path, value)
     assert "Traceback" not in err.getvalue()
+
+
+# sha256 of summary.json and every CSV of each FUZZ_BASES run, recorded before
+# config validation moved from the runners into cli.run
+SUMMARY_DIGESTS = [
+    {"fields.csv": "9dbd9e423d92d8dfb12768e78cf374a4607c6e269de09f2a4f2df7b043a307a5",
+     "summary.json": "d8866720808dace51eb03ff1f169dc205eeb1208a8d9ba9d7ea1441546a00936"},
+    {"summary.json": "2cae61f4f5e3c1c2e2a5c32f91e690b9d708dd33c118d4247bd1567187383e06"},
+    {"summary.json": "13cc46fb93cbde20f78e997b7323f22f2be8a1082204192156e05b88473b10eb"},
+    {"summary.json": "93975f00472a965ebb7e0575438dcd64e286053220374916855f9550fdc9b8e1",
+     "trace.csv": "e75a6a2022010b5830253d8aa8a0220cbac5a84be4bdb2b428ca23d2536a9394"},
+    {"summary.json": "e7456c468a72e1fe30a53723a936892a7ee8ff5baab6e6890fc34ed2b8bf536e"},
+    {"summary.json": "8ace2debfdb182224efacbdb498dedcc2acdaa457b2f09f38433b0d66f646500"},
+    {"summary.json": "9f9a6a2aaa0e8b44fb178f537a19df716147e68c8c4b1a554377195b482a2566"},
+    {"summary.json": "1fef824158b880a1b0a62d928461814a01e539ff3b5da1044883960e58ad4c83"},
+    {"summary.json": "72952d0ec4eb6cd363f9f89e7db54e9618e8b14be9ecc5f5a7458d1ea9eeec39",
+     "weiss.csv": "a9c23c351e4cde2337b8afd1dc4db1bf4eb0d1c5bcab0c85752a70a5a404a32a"},
+    {"summary.json": "dd9741f8c7a8577f81292d5379cd7a96769dcc8bb296a3bd5a1b57111bcb0f20",
+     "weiss.csv": "9bdadeb7e0cd621b54128b72015afd0c71134d972087882de0b6e15c0c654994"},
+]
+
+
+@pytest.mark.parametrize("base", range(len(FUZZ_BASES)))
+def test_summary_bytes_are_frozen(tmp_path, base):
+    experiment, doc = FUZZ_BASES[base]
+    code, out = run_cli(tmp_path, experiment, doc)
+    assert code == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in out.iterdir()
+               if p.name == "summary.json" or p.suffix == ".csv"}
+    assert digests == SUMMARY_DIGESTS[base]
 
 
 def _blob_by_frontier_sets(grid, cells, rng):

@@ -235,6 +235,17 @@ def test_weiss_radius_validation():
         weiss_functional(sol, 0.7, np.array([0.4]))
 
 
+@pytest.mark.parametrize("center, radii, match", [
+    (float("nan"), [0.25], "leaves the grid"),
+    (0.0, [float("nan")], "radii"),
+    (0.0, [0.1, float("nan")], "radii"),
+])
+def test_weiss_refuses_a_nan_center_or_radius(center, radii, match):
+    # a NaN must not come back as values == [nan]
+    with pytest.raises(ValueError, match=match):
+        weiss_functional(profile_solution(0.5, h=1 / 32), center, np.array(radii))
+
+
 def test_trace_support_intervals():
     g = ExtensionGrid(hx=0.25, hy=0.25, L=1.0, H=1.0)
     tr = np.array([0.0, 1.0, 1.0, 0.0, 0.0, 2.0, 0.0, 0.0])
