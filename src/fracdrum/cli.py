@@ -207,7 +207,10 @@ def _shape_from_config(spec: dict, grid: GridSpec, rng=None) -> MultiIndicator:
         return MultiIndicator(grid, masks)
     copy = _copy_index(spec["copy"], grid, "copy")
     if kind == "ball":
-        A = ball_indicator(spec["volume"], grid, copy=copy)
+        try:
+            A = ball_indicator(spec["volume"], grid, copy=copy)
+        except ValueError as exc:   # larger than the box or its interior
+            raise ConfigError(f"field 'volume': {exc}") from None
         if not A.cell_count():
             raise ConfigError("field 'volume' must select at least one cell")
         return A
@@ -304,6 +307,9 @@ def _run_optimize_shape(cfg: dict, out: str, seed: int, manifest: dict) -> dict:
     k, steps = cfg["k"], cfg["steps"]
     blob_rng = np.random.default_rng([seed, _BLOB_TAG])
     init = _shape_from_config(cfg["init"], grid, rng=blob_rng)
+    if init.cell_count() < k:
+        raise ConfigError(f"field 'k' ({k}) exceeds the {init.cell_count()} "
+                          "cells of field 'init'")
     schedule = AnnealSchedule(steps=steps, cooling=cfg["cooling"],
                               initial_temperature=cfg["initial_temperature"],
                               seed=seed)
@@ -412,11 +418,10 @@ def _run_weiss(cfg: dict, out: str, seed: int, manifest: dict) -> dict:
     xs = eg.x_nodes()
     intervals = None
     if cfg["field"]["kind"] == "profile":
-        yr = eg.y_rows()
-        XX, YY = np.meshgrid(xs, yr, indexing="ij")
         sol = ExtensionSolution(grid=eg, s=s,
                                 trace=homogeneous_profile(xs, np.zeros_like(xs), s),
-                                values=homogeneous_profile(XX, YY, s),
+                                values=homogeneous_profile(xs[:, None],
+                                                           eg.y_rows(), s),
                                 energy=float("nan"))
         intervals = [(0.0, L)]
     else:

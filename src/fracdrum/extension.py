@@ -9,12 +9,18 @@ edges), which is what keeps the trace energy honest down to the first row:
 midpoint-weight conductances misprice the singular bottom band by tens of
 percent at the extreme exponents.  Horizontal conductances depend only on
 the row, so the five-point operator separates: a DST-II along x leaves one
-tridiagonal system in y per mode, solved in a single banded call.
+tridiagonal system in y per mode, solved a quarter of the modes per call.
 
 The Weiss quantity combines the weighted Dirichlet bulk on a half ball
 (even reflection doubles it), the length of the trace support inside the
 thin ball, and a weighted sphere average, with scaling powers chosen so the
 exact homogeneous profile makes it constant in the radius.
+
+Full-size arrays: the solve keeps the field; the band, right side and
+LAPACK's copies of both are held for a quarter of the modes at a time, and
+the residual's fluxes for one axis at a time.  In the quadrature only the
+weighted gradient density has a value per bulk subpoint; coordinates and
+gradients are factors broadcast over the axes they depend on.
 """
 
 from __future__ import annotations
@@ -118,16 +124,17 @@ class ExtensionSolution:
 def _residual_and_energy(v, trace, cond):
     """The residual ``A v - b`` of the linear system and the Dirichlet energy
     of ``v``, from the flux across every edge; the trace below, the zero top
-    and the zero side walls enter as ghost values."""
+    and the zero side walls enter as ghost values, one axis at a time."""
     ch, cv, ct, ctop, cside = cond
-    cy = np.concatenate(([ct], cv, [ctop]))
-    cx = np.repeat(ch[None, :], len(v) + 1, axis=0)
-    cx[[0, -1]] = cside
     dy = np.diff(np.column_stack((trace, v, np.zeros(len(v)))), axis=1)
+    fy = np.concatenate(([ct], cv, [ctop])) * dy
+    r, energy = -np.diff(fy, axis=1), np.sum(fy * dy)
+    del dy, fy
     dx = np.diff(np.pad(v, ((1, 1), (0, 0))), axis=0)
-    fy, fx = cy * dy, cx * dx
-    r = -np.diff(fy, axis=1) - np.diff(fx, axis=0)
-    return r, float(np.sum(fy * dy) + np.sum(fx * dx))
+    fx = ch * dx
+    fx[[0, -1]] = cside * dx[[0, -1]]
+    r -= np.diff(fx, axis=0)
+    return r, float(energy + np.sum(fx * dx))
 
 
 def harmonic_extension(trace, g: ExtensionGrid, s: float) -> ExtensionSolution:
@@ -154,15 +161,17 @@ def harmonic_extension(trace, g: ExtensionGrid, s: float) -> ExtensionSolution:
     cond = _conductances(g, s)
     ch, cv, ct, ctop, _ = cond
 
-    # the nx tridiagonals laid end to end, with no coupling between blocks
     lam = 4.0 * np.sin(np.pi * np.arange(1, nx + 1) / (2 * nx)) ** 2
-    ab = np.zeros((3, nx, ny))
-    ab[0, :, 1:] = ab[2, :, :-1] = -cv
-    ab[1] = lam[:, None] * ch + np.append(ct, cv) + np.append(cv, ctop)
-    rhs = np.zeros((nx, ny))
-    rhs[:, 0] = dst(ct * trace, type=2, norm="ortho")
-    w = solve_banded((1, 1), ab.reshape(3, nx * ny), rhs.ravel())
-    v = idst(w.reshape(nx, ny), type=2, norm="ortho", axis=0)
+    v = np.zeros((nx, ny))
+    v[:, 0] = dst(ct * trace, type=2, norm="ortho")
+    # the uncoupled tridiagonals of a quarter of the modes laid end to end
+    for m in np.array_split(np.arange(nx), 4):
+        ab = np.zeros((3, len(m), ny))
+        ab[0, :, 1:] = ab[2, :, :-1] = -cv
+        ab[1] = lam[m, None] * ch + np.append(ct, cv) + np.append(cv, ctop)
+        v[m] = solve_banded((1, 1), ab.reshape(3, -1), v[m].ravel()).reshape(-1, ny)
+    del ab
+    v = idst(v, type=2, norm="ortho", axis=0)
 
     r, energy = _residual_and_energy(v, trace, cond)
     resid, scale = np.linalg.norm(r), np.linalg.norm(ct * trace)
@@ -267,46 +276,42 @@ def weiss_functional(sol: ExtensionSolution, center: float, radii,
     I = I[I + 1 < g.nx]
     J = np.arange(g.ny - 1)
     J = J[yr[J] <= rmax + 2 * hy]
+    # subpoint (xi, eta) of cell (i, j) on axes 2, 3; only dens_int is full
     t = (np.arange(_NSUB) + 0.5) / _NSUB
-    XI, ETA = np.meshgrid(t, t, indexing="ij")
-
-    ii, jj = np.meshgrid(I, J, indexing="ij")
-    v00 = vals[ii, jj]
-    v10 = vals[ii + 1, jj]
-    v01 = vals[ii, jj + 1]
-    v11 = vals[ii + 1, jj + 1]
-    px = xs[ii][..., None, None] + XI[None, None] * hx
-    py = yr[jj][..., None, None] + ETA[None, None] * hy
-    ux = ((v10 - v00)[..., None, None] * (1 - ETA)[None, None]
-          + (v11 - v01)[..., None, None] * ETA[None, None]) / hx
-    uy = ((v01 - v00)[..., None, None] * (1 - XI)[None, None]
-          + (v11 - v10)[..., None, None] * XI[None, None]) / hy
-    dens_int = py ** a * (ux ** 2 + uy ** 2)
-    r2_int = (px - center) ** 2 + py ** 2
+    ii, jj = np.ix_(I, J)
+    v00, v10 = vals[ii, jj], vals[ii + 1, jj]
+    v01, v11 = vals[ii, jj + 1], vals[ii + 1, jj + 1]
+    dx2 = (xs[ii][..., None, None] + t[:, None] * hx - center) ** 2
+    py = yr[jj][..., None, None] + t * hy
+    ux = ((v10 - v00)[..., None, None] * (1 - t)
+          + (v11 - v01)[..., None, None] * t) / hx
+    uy = ((v01 - v00)[..., None, None] * (1 - t)[:, None]
+          + (v11 - v10)[..., None, None] * t[:, None]) / hy
+    del v00, v10, v01, v11
+    dens_int = ux ** 2 + uy ** 2
+    del ux, uy
+    dens_int *= py ** a
     area_sub = hx * hy / _NSUB ** 2
 
-    Is = I
-    tr0, tr1 = trace[Is], trace[Is + 1]
-    w0, w1 = vals[Is, 0], vals[Is + 1, 0]
-    sx = xs[Is][:, None] + t[None, :] * hx
+    tr0, tr1 = trace[I], trace[I + 1]
+    w0, w1 = vals[I, 0], vals[I + 1, 0]
+    sx = xs[I][:, None] + t[None, :] * hx
     du = (w0[:, None] * (1 - t)[None, :] + w1[:, None] * t[None, :]
           - tr0[:, None] * (1 - t)[None, :] - tr1[:, None] * t[None, :])
     dtr = (tr1 - tr0) / hx
     drow = (w1 - w0) / hx
     wsub = hx / _NSUB
-    tysub = (np.arange(_NSUB) + 0.5) / _NSUB
 
     out_w, out_bulk, out_thin, out_sph = [], [], [], []
     for r in radii:
-        inside = r2_int <= r * r
-        bulk = float(np.sum(dens_int[inside]) * area_sub)
+        bulk = float(np.sum(dens_int[dx2 + py ** 2 <= r * r]) * area_sub)
 
         ycut = np.sqrt(np.maximum(r * r - (sx - center) ** 2, 0.0))
         cut = np.minimum(ycut, y0)
         hit = cut > 0
         uy_term = float(np.sum((1 - a) * cut ** (1 - a) / y0 ** (2 - 2 * a)
                                * du ** 2 * wsub * hit))
-        ysub = cut[..., None] * tysub[None, None, :]
+        ysub = cut[..., None] * t[None, None, :]
         ysub_safe = np.where(ysub > 0, ysub, 1.0)
         eta = ysub / y0
         uxs = dtr[:, None, None] * (1 - eta) + drow[:, None, None] * eta

@@ -8,7 +8,9 @@ ball solution and energy are stated in those units; the conversion is a
 single multiplicative constant on the form.
 
 Torsion is always solved matrix-free: CG on Q applied by FFT
-(``form.form_operator``), preconditioned by its circulant.  Eigenpairs of
+(``form.form_operator``), preconditioned by its circulant.  The CG loop is
+this module's ``cg``, with the operation order and so the bits of
+``scipy.sparse.linalg.cg``; nothing here loads ``scipy.sparse``.  Eigenpairs of
 the assembled dense Q, up to DENSE_LIMIT active cells, come from LAPACK
 ``dsyevr`` (MRRR) called directly, with the arguments that
 ``scipy.linalg.eigh(Q, subset_by_index=...)`` passes and so its bits; what
@@ -38,7 +40,6 @@ import math
 
 import numpy as np
 from scipy.linalg.lapack import dsyevr, dsyevr_lwork
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .form import FormMatrix, FormOperator, assemble_form, form_operator
 from .grid import KernelParams, MultiIndicator
@@ -167,12 +168,11 @@ def dirichlet_eigs(A: MultiIndicator, kp: KernelParams, count: int,
             F = assemble_form(A, kp)
         Q = F.quadratic_matrix
         vals, vecs = _dense_pairs(Q, count)
-        solver, iterations = "eigh", 0
+        matvec, solver, iterations = Q.__matmul__, "eigh", 0
     else:
         op = form_operator(A, kp)
-        Q = _linear_operator(op, op.apply)
         vals, vecs, iterations = _lobpcg(op, count, block)
-        solver = "lobpcg"
+        matvec, solver = op.apply, "lobpcg"
     mass = A.grid.cell_volume
     lam = vals / mass
     if not lam[0] > 0:
@@ -187,7 +187,7 @@ def dirichlet_eigs(A: MultiIndicator, kp: KernelParams, count: int,
     for j in range(count):
         # one product per column: a matrix product would round differently
         v = vecs[:, j]
-        r = Q @ v / mass - lam[j] * v
+        r = matvec(v) / mass - lam[j] * v
         residuals[j] = math.sqrt(mass * float(r @ r)) / abs(lam[j])
         if not residuals[j] <= RESIDUAL_RTOL:
             raise RuntimeError(f"eigenpair {j + 1} residual {residuals[j]:.2e} "
@@ -221,10 +221,6 @@ def _dense_pairs(Q: np.ndarray, count: int):
         raise RuntimeError(f"dsyevr failed (info {info}, {found} of {count} "
                            "pairs found)")
     return vals[:count], vecs
-
-
-def _linear_operator(op: FormOperator, fn) -> LinearOperator:
-    return LinearOperator((op.size, op.size), matvec=fn, matmat=fn, dtype=float)
 
 
 def _lobpcg(op: FormOperator, count: int, block: int):
@@ -323,6 +319,26 @@ class TorsionResult:
     energy: float
 
 
+def cg(matvec, b, psolve, rtol: float, maxiter: int):
+    """CG for ``matvec(x) = b`` from x = 0, preconditioned by ``psolve``:
+    ``scipy.sparse.linalg.cg``'s loop at ``atol=0`` op for op, so its bits
+    for any b != 0.  ``(x, 0)`` once ``|r| < rtol |b|``, else ``(x, maxiter)``."""
+    x, r = np.zeros_like(b), b.copy()
+    atol = rtol * float(np.linalg.norm(b))
+    for iteration in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return x, 0
+        z = psolve(r)
+        rho = np.dot(r, z)
+        p = p * (rho / rho_prev) + z if iteration else z
+        q = matvec(p)
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return x, maxiter
+
+
 def torsion_solve(A: MultiIndicator, kp: KernelParams) -> TorsionResult:
     """Solve the unit-load problem on the shape and report its energy.
 
@@ -333,15 +349,13 @@ def torsion_solve(A: MultiIndicator, kp: KernelParams) -> TorsionResult:
     """
     half_c = 0.5 * kernel_operator_constant(kp.n, kp.s)
     op = form_operator(A, kp)
-    N = op.size
-    rhs = np.full(N, A.grid.cell_volume)
-    M = _linear_operator(op, lambda u: half_c * op.apply(u))
-    precond = _linear_operator(op, lambda r: op.precondition(r) / half_c)
-    u, info = cg(M, rhs, x0=np.zeros(N), rtol=1e-10, atol=0.0,
-                 maxiter=CG_MAXITER, M=precond)
+    rhs = np.full(op.size, A.grid.cell_volume)
+    M = lambda u: half_c * op.apply(u)
+    u, info = cg(M, rhs, lambda r: op.precondition(r) / half_c,
+                 rtol=1e-10, maxiter=CG_MAXITER)
     if info != 0:
         raise RuntimeError(f"torsion solve failed to converge (cg info {info})")
-    resid = np.linalg.norm(M @ u - rhs) / np.linalg.norm(rhs)
+    resid = np.linalg.norm(M(u) - rhs) / np.linalg.norm(rhs)
     if not resid <= 1e-8:
         raise RuntimeError(f"torsion residual {resid:.2e} out of contract")
     if not u.min() >= -1e-9 * max(u.max(), 1.0):

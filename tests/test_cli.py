@@ -313,18 +313,37 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
         assert outputs["1", name] == outputs["2", name], name
 
 
-def test_cli_import_leaves_fft_and_ndimage_unloaded():
-    # both are imported where they are used: every CLI process would pay
-    # their load time, including experiments that never touch them
+def _python_with_src(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this fracdrum."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, fracdrum.cli; print(' '.join("
-         "m for m in ('scipy.fft', 'scipy.ndimage') if m in sys.modules))"],
-        capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, env=env)
+
+
+def test_cli_import_leaves_fft_and_ndimage_unloaded():
+    # both are imported where they are used: every CLI process would pay
+    # their load time, including experiments that never touch them; nothing
+    # uses scipy.sparse at all
+    proc = _python_with_src(
+        "import sys, fracdrum.cli; print(' '.join("
+        "m for m in sys.modules if m in ('scipy.fft', 'scipy.ndimage')"
+        " or m.startswith('scipy.sparse')))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def test_torsion_run_loads_no_scipy_sparse(tmp_path):
+    # torsion's CG is the one solver that once came from scipy.sparse.linalg
+    cfg = write_config(tmp_path, {"s": 0.5, "h": 0.125, "L": 2.0})
+    proc = _python_with_src(
+        "import sys; from fracdrum import cli; "
+        "code = cli.run('torsion-validate', sys.argv[1], sys.argv[2]); "
+        "print(code, *(m for m in sys.modules if m.startswith('scipy.sparse')))",
+        cfg, str(tmp_path / "out"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]
 
 
 # ------------------------------------------------------------ config schema
@@ -386,6 +405,16 @@ def test_cli_import_leaves_fft_and_ndimage_unloaded():
               "shape": {"kind": "intervals", "items": []}}, "shape.items"),
     ("eigs", {"n": 2, "s": 0.5, "h": 0.25, "L": 1.0,
               "shape": {"kind": "ball", "volume": 0.0}}, "volume"),
+    # a ball larger than the strict interior, and one larger than the box
+    ("eigs", {"n": 2, "s": 0.5, "h": 0.25, "L": 1.0,
+              "shape": {"kind": "ball", "volume": 3.9}}, "volume"),
+    ("eigs", {"n": 2, "s": 0.5, "h": 0.25, "L": 1.0,
+              "shape": {"kind": "ball", "volume": 5}}, "volume"),
+    # more eigenvalues requested than the initial shape has cells
+    *[("optimize-shape", {"n": 1, "s": 0.5, "h": 0.25, "L": 1.0, "steps": 2,
+                          "k": 3, "init": {"kind": "intervals",
+                                           "items": [[0, -0.3, 0.3]]}}, field)
+      for field in ("k", "init")],
 ])
 def test_malformed_field_exits_2_naming_it(tmp_path, capsys, experiment, doc, field):
     code, out = run_cli(tmp_path, experiment, doc)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -284,3 +285,40 @@ def test_monotonicity_report_and_csv(tmp_path):
     first = [float(tok) for tok in lines[1].split(",")]
     assert first[0] == pytest.approx(0.1)
     assert first[1] == pytest.approx(curve.values[0], rel=1e-15)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes allocated while ``fn()`` runs, above those held before."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+def test_weiss_quadrature_peak_memory():
+    # the probe workload's profile op.  One (I, J, 4, 4) float array holds a
+    # value per bulk subpoint of the cells within rmax + 2h of the center;
+    # the quadrature measured 2.2 of them at its peak (7.4 when it built
+    # every subpoint factor at full size)
+    sol = profile_solution(0.5)
+    g, radii = sol.grid, [0.1 + 0.025 * i for i in range(13)]
+    reach = max(radii) + 2 * g.hx
+    cells = (np.sum(np.abs(g.x_nodes()[:-1]) <= reach)
+             * np.sum(g.y_rows()[:-1] <= reach))
+    peak = traced_peak(lambda: weiss_functional(
+        sol, 0.0, radii, support_intervals=[(0.0, g.L)]))
+    assert peak < 2.75 * cells * 4 * 4 * 8
+
+
+def test_harmonic_extension_peak_memory():
+    # the probe workload's bump op.  The residual check sets the peak, 5.0
+    # arrays of nx * ny floats, field included (13.0 when the band of every
+    # mode was solved in one call and kept through the check)
+    g = ExtensionGrid(hx=1 / 128, hy=1 / 128, L=2.0, H=2.0)
+    trace = np.where(np.abs(g.x_nodes()) < 1.0, bump(g.x_nodes()), 0.0)
+    harmonic_extension(trace, g, 0.5)         # loads scipy.fft and its plans
+    peak = traced_peak(lambda: harmonic_extension(trace, g, 0.5))
+    assert peak < 6.25 * g.nx * g.ny * 8
