@@ -483,7 +483,8 @@ def run(experiment: str, config_path: str, out_dir: str,
     try:
         with open(config_path) as f:
             cfg = json.load(f)
-    except (OSError, ValueError) as exc:    # ValueError: not JSON, not UTF-8
+    # ValueError: not JSON, not UTF-8; RecursionError: nested too deeply
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
     try:

@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import math
 from pathlib import Path
 
 import pytest
@@ -33,3 +35,96 @@ def test_compare_refuses_unpaired_runs():
         bench_pairs.compare([1.0, 2.0], [1.0], "lower")
     with pytest.raises(ValueError):
         bench_pairs.compare([], [], "lower")
+
+
+def write_outputs(path, summary, csv_text):
+    path.mkdir()
+    (path / "summary.json").write_text(json.dumps(summary, indent=2,
+                                                  sort_keys=True))
+    (path / "weiss.csv").write_text(csv_text)
+
+
+def test_compare_reports_each_changed_field_and_column(tmp_path):
+    summary = {"values": [1.0, 2.0], "kind": "a", "count": 3}
+    write_outputs(tmp_path / "p", summary, "radius,value\n0.1,1.0\n0.2,4.0\n")
+    write_outputs(tmp_path / "same", summary, "radius,value\n0.1,1.0\n0.2,4.0\n")
+    assert bench_pairs.compare_outputs(tmp_path / "p", tmp_path / "same") == []
+
+    write_outputs(tmp_path / "c", {"values": [1.0, 2.5],
+                                   "kind": "b", "count": 3},
+                  "radius,value\n0.1,1.0\n0.2,4.000000000002\n")
+    lines = bench_pairs.compare_outputs(tmp_path / "p", tmp_path / "c")
+    assert lines[0] == "summary.json kind: 'a' -> 'b'"
+    assert lines[1] == "summary.json values[1]: relative change 0.25"
+    assert lines[2].startswith("weiss.csv column value: max relative change 5")
+    assert len(lines) == 3
+
+
+def test_rel_change():
+    assert bench_pairs.rel_change(2.0, 2.0) == 0.0
+    assert bench_pairs.rel_change(math.nan, math.nan) == 0.0
+    assert bench_pairs.rel_change(0.0, 1e-300) == math.inf
+    assert bench_pairs.rel_change(-4.0, -3.0) == pytest.approx(0.25)
+    assert bench_pairs.rel_change("0.5", "0.75") == pytest.approx(0.5)
+    assert bench_pairs.rel_change("stable", "stable") == 0.0
+    assert bench_pairs.rel_change("stable", "unstable") == math.inf
+
+
+# argv: ... --workload W ...; keeps one op's outputs where perfbench/run.py
+# keeps them, then prints a result line and exits as a run that passed or not
+_STUB_RUN = """
+import json, os, shutil, sys
+out = os.path.join(".perfbench_work", sys.argv[sys.argv.index("--workload") + 1])
+shutil.rmtree(out, ignore_errors=True)
+out = os.path.join(out, "rep0", "op", "out")
+os.makedirs(out)
+name, doc = {record!r}
+with open(os.path.join(out, name), "w") as f:
+    json.dump(doc, f)
+print("FAIL rep0 op: run returned 3" if {failing} else "all ops passed")
+print(json.dumps({{"correct": not {failing}, "metrics": {{"solve_s": {{"value": 1.0}}}}}}))
+sys.exit(1 if {failing} else 0)
+"""
+
+
+def fake_root(root, record, failing=False):
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(
+        _STUB_RUN.format(record=record, failing=failing))
+    (root / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "solve_s", "better": "lower"}]}))
+    return str(root)
+
+
+def test_main_diffs_the_outputs_each_run_keeps(tmp_path, capsys):
+    parent = fake_root(tmp_path / "parent", ("summary.json", {"value": 1.0}))
+    same = fake_root(tmp_path / "same", ("summary.json", {"value": 1.0}))
+    drifted = fake_root(tmp_path / "drifted", ("summary.json", {"value": 1.5}))
+    failing = fake_root(tmp_path / "failing",
+                        ("error.json", {"error": "no convergence"}), failing=True)
+    args = ["--workload", "probe", "--pairs", "2", "--seconds", "1"]
+
+    assert bench_pairs.main([parent, same, *args]) == 0
+    out = capsys.readouterr().out
+    assert "pair 2/2" in out and "solve_s" in out
+    assert "  op: identical" in out
+    assert bench_pairs.main([parent, drifted, *args]) == 0
+    assert ("op:\n    summary.json value: relative change 0.5"
+            in capsys.readouterr().out)
+
+    # the run fails in the first pair; what each root then holds is diffed
+    assert bench_pairs.main([parent, failing, *args]) == 1
+    captured = capsys.readouterr()
+    assert "FAIL rep0 op: run returned 3" in captured.err
+    assert "pair 1/2" not in captured.out and "won" not in captured.out
+    assert "  op: exit 0 -> 3 (change: no convergence)" in captured.out
+
+
+def test_main_refuses_one_root_given_twice(tmp_path, capsys):
+    root = fake_root(tmp_path / "root", ("summary.json", {"value": 1.0}))
+    (tmp_path / "link").symlink_to(root)
+    for other in (root, str(tmp_path / "root" / "perfbench" / ".."),
+                  str(tmp_path / "link")):
+        assert bench_pairs.main([root, other, "--workload", "probe"]) == 2
+    assert "both roots are" in capsys.readouterr().err
+    assert not (tmp_path / "root" / ".perfbench_work").exists()

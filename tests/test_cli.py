@@ -430,9 +430,11 @@ def test_config_that_is_not_an_object_exits_2(tmp_path, capsys, doc):
     assert "JSON object" in capsys.readouterr().err
 
 
-def test_unreadable_config_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("raw", [b"\xff\xfe{", b"[" * 100000 + b"]" * 100000],
+                         ids=["not-utf8", "nested-too-deeply"])
+def test_unreadable_config_exits_2(tmp_path, capsys, raw):
     path = tmp_path / "bad.json"
-    path.write_bytes(b"\xff\xfe{")
+    path.write_bytes(raw)
     assert cli.run("toy-sweep", str(path), str(tmp_path / "out")) == 2
     assert "cannot read config" in capsys.readouterr().err
 

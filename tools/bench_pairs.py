@@ -1,32 +1,37 @@
-"""Compare the end-to-end benchmark metrics of two checkouts in alternating pairs.
-
-Run from anywhere:
+"""Compare two checkouts: benchmark metrics in alternating pairs, then outputs.
 
     python3 tools/bench_pairs.py PARENT_ROOT CHANGE_ROOT --workload anneal \\
         --pairs 10 --seconds 30 [--seed 1]
 
-``PARENT_ROOT`` and ``CHANGE_ROOT`` are the roots of two checkouts.  Each pair
-runs ``perfbench/run.py --workload W --seed SEED --seconds S --trace 0`` once
-in each checkout, in that checkout's directory; the side that goes first
-switches from one pair to the next, so that a drift in the host's speed
-falls on both sides alike.  Per metric the script prints each side's median
-and quartiles, the change of the median, the spread of the parent's own runs
-(the distance between its quartiles) and the number of pairs the change
-won; a tie counts for neither side.  Whether lower or higher is better comes
-from the change's ``BENCHMARK.json``.
+Each pair runs ``perfbench/run.py --workload W --seed SEED --seconds S
+--trace 0`` once in each checkout's root, the side that goes first switching
+from pair to pair so that a drift in the host's speed falls on both alike.
+Per end-to-end metric of the change's ``BENCHMARK.json`` it prints each
+side's quartiles, the change of the median, the parent's spread (the distance
+between its quartiles) and the pairs the change won (ties count for neither).
 
-The exit code is 1 if a benchmark run failed or its correctness gate did not
-pass; the output of that run is quoted and no statistics are printed.
+The output diff reads the outputs of the last pair's runs, which perfbench
+keeps in ``.perfbench_work/W/rep0/OP/out`` of each root.  Per op it prints
+``identical`` when ``summary.json`` and every CSV match byte for byte, else
+the largest relative change of each ``summary.json`` field and CSV column, or
+``exit A -> B`` when the op's exit codes differ (read from its files: 3 with
+``error.json``, whose ``error`` is quoted, else 0 with ``summary.json``, else 2).
+
+The exit code is 1 if a run failed or missed its correctness gate (its output
+is quoted, no statistics are printed, the outputs each root holds are still
+diffed) or an op's exit code differs; 2 if both roots are one directory.
 """
 
-from __future__ import annotations
-
 import argparse
+import csv
 import json
+import math
 import os
 import statistics
 import subprocess
 import sys
+
+SIDES = ("parent", "change")
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -34,14 +39,12 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     between the sorted values."""
     if len(values) == 1:
         return (values[0],) * 3
-    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return q1, q2, q3
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
 def compare(parent: list[float], change: list[float], better: str) -> dict:
-    """Statistics of one metric over pairs: ``parent[i]`` and ``change[i]``
-    were measured in the same pair.  ``better`` is ``"lower"`` or
-    ``"higher"``."""
+    """Statistics of one metric over pairs (``parent[i]`` and ``change[i]``
+    from one pair); ``better`` is ``"lower"`` or ``"higher"``."""
     if len(parent) != len(change) or not parent:
         raise ValueError("need the same positive number of runs on each side")
     sign = {"lower": 1.0, "higher": -1.0}[better]
@@ -69,6 +72,118 @@ def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
+def _number(value):
+    """``value`` as a float if it is a JSON number or a numeric CSV cell."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    try:
+        return float(value) if isinstance(value, str) else None
+    except ValueError:
+        return None
+
+
+def rel_change(a, b) -> float:
+    """Relative change from ``a`` to ``b`` for two numbers (NaN equals NaN;
+    inf from zero or to or from an infinity); else 0 if equal, inf if not."""
+    x, y = _number(a), _number(b)
+    if x is None or y is None:
+        return 0.0 if a == b else math.inf
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    if x == 0 or not (math.isfinite(x) and math.isfinite(y)):
+        return math.inf
+    return abs(y - x) / abs(x)
+
+
+def _leaves(doc, path=""):
+    if isinstance(doc, dict):
+        for key in doc:
+            yield from _leaves(doc[key], f"{path}.{key}" if path else key)
+    elif isinstance(doc, list):
+        for i, item in enumerate(doc):
+            yield from _leaves(item, f"{path}[{i}]")
+    else:
+        yield path, doc
+
+
+def _diff_summary(a_path: str, b_path: str) -> list:
+    with open(a_path) as fa, open(b_path) as fb:
+        a, b = dict(_leaves(json.load(fa))), dict(_leaves(json.load(fb)))
+    lines = []
+    for key in sorted(a.keys() | b.keys()):
+        if key not in a or key not in b:
+            lines.append(f"{key}: only in the {'change' if key in b else 'parent'}")
+        elif r := rel_change(a[key], b[key]):
+            numeric = None not in (_number(a[key]), _number(b[key]))
+            lines.append(f"{key}: relative change {r:.3g}" if numeric
+                         else f"{key}: {a[key]!r} -> {b[key]!r}")
+    return lines
+
+
+def _diff_csv(a_path: str, b_path: str) -> list:
+    with open(a_path, newline="") as fa, open(b_path, newline="") as fb:
+        a, b = list(csv.reader(fa)), list(csv.reader(fb))
+    if not a or not b or a[0] != b[0] or len(a) != len(b):
+        return ["header or row count differs"]
+    lines = []
+    for col, name in enumerate(a[0]):
+        worst = max((rel_change(ra[col], rb[col]) for ra, rb in zip(a[1:], b[1:])),
+                    default=0.0)
+        if worst:
+            lines.append(f"column {name}: max relative change {worst:.3g}")
+    return lines
+
+
+def compare_outputs(parent_out: str, change_out: str) -> list:
+    """One line per difference between two output directories; [] when
+    ``summary.json`` and every CSV are byte-identical."""
+    names = {name for d in (parent_out, change_out) if os.path.isdir(d)
+             for name in os.listdir(d)
+             if name == "summary.json" or name.endswith(".csv")}
+    lines = []
+    for name in sorted(names):
+        a, b = os.path.join(parent_out, name), os.path.join(change_out, name)
+        if not (os.path.exists(a) and os.path.exists(b)):
+            lines.append(f"{name}: only in the {'change' if os.path.exists(b) else 'parent'}")
+            continue
+        with open(a, "rb") as fa, open(b, "rb") as fb:
+            if fa.read() == fb.read():
+                continue
+        diff = _diff_summary if name == "summary.json" else _diff_csv
+        lines += [f"{name} {line}" for line in diff(a, b)
+                  ] or [f"{name}: bytes differ, values equal"]
+    return lines
+
+
+def _status(out: str) -> tuple[int, str]:
+    """An op's exit code as its files record it, and its error.json's error."""
+    if os.path.isfile(error := os.path.join(out, "error.json")):
+        with open(error) as f:
+            return 3, json.load(f)["error"]
+    return (0 if os.path.isfile(os.path.join(out, "summary.json")) else 2), ""
+
+
+def diff_ops(roots: list, workload: str) -> int:
+    """Print each op's diff; returns the number of ops whose exit codes differ."""
+    reps = [os.path.join(r, ".perfbench_work", workload, "rep0") for r in roots]
+    ops = sorted({op for d in reps if os.path.isdir(d) for op in os.listdir(d)
+                  if os.path.isdir(os.path.join(d, op))})
+    mismatched = 0
+    for op in ops:
+        outs = [os.path.join(d, op, "out") for d in reps]
+        (a, a_error), (b, b_error) = map(_status, outs)
+        if a != b:      # so at most one side has an error.json
+            mismatched += 1
+            said = f"parent: {a_error}" if a == 3 else f"change: {b_error}"
+            print(f"  {op}: exit {a} -> {b}" + (f" ({said})" if 3 in (a, b) else ""))
+            continue
+        lines = compare_outputs(*outs)
+        failed = f" (exit {a} on both)" if a else ""
+        print(f"  {op}: identical{failed}" if not lines else
+              "\n    ".join([f"  {op}:{failed}"] + lines))
+    return mismatched
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent_root")
@@ -78,15 +193,18 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
-    roots = {"parent": os.path.abspath(args.parent_root),
-             "change": os.path.abspath(args.change_root)}
+    roots = dict(zip(SIDES, map(os.path.realpath,
+                                (args.parent_root, args.change_root))))
+    if roots["parent"] == roots["change"]:
+        print(f"error: both roots are {roots['parent']}", file=sys.stderr)
+        return 2
     with open(os.path.join(roots["change"], "BENCHMARK.json")) as f:
         better = {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
 
-    runs = {"parent": [], "change": []}
+    runs, failed = {side: [] for side in SIDES}, False
     try:
         for i in range(args.pairs):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
             for side in order:
                 runs[side].append(run_once(roots[side], args.workload,
                                            args.seed, args.seconds))
@@ -95,21 +213,22 @@ def main(argv=None) -> int:
                               for side in order), flush=True)
     except RuntimeError as exc:
         print(exc, file=sys.stderr)
-        return 1
+        failed = True
 
     print(f"\n{args.workload} seed {args.seed}, {args.pairs} pairs, "
           f"--seconds {args.seconds:g}")
-    print(f"{'metric':<14}{'parent q1 / median / q3':>30}"
-          f"{'change q1 / median / q3':>30}{'median':>9}{'spread':>9}{'won':>7}")
-    for name, direction in better.items():
-        st = compare([r[name] for r in runs["parent"]],
-                     [r[name] for r in runs["change"]], direction)
-        p, c = st["parent"], st["change"]
-        print(f"{name:<14}{p[0]:>10.4g}{p[1]:>10.4g}{p[2]:>10.4g}"
-              f"{c[0]:>10.4g}{c[1]:>10.4g}{c[2]:>10.4g}"
-              f"{st['relative_change']:>+9.1%}{st['parent_spread']:>9.3g}"
-              f"{st['wins']:>4}/{st['pairs']}")
-    return 0
+    if not failed:
+        print(f"{'metric':<14}{'parent q1 / median / q3':>30}"
+              f"{'change q1 / median / q3':>30}{'median':>9}{'spread':>9}{'won':>7}")
+        for name, direction in better.items():
+            st = compare([r[name] for r in runs["parent"]],
+                         [r[name] for r in runs["change"]], direction)
+            p, c = st["parent"], st["change"]
+            print(f"{name:<14}{p[0]:>10.4g}{p[1]:>10.4g}{p[2]:>10.4g}"
+                  f"{c[0]:>10.4g}{c[1]:>10.4g}{c[2]:>10.4g}"
+                  f"{st['relative_change']:>+9.1%}{st['parent_spread']:>9.3g}"
+                  f"{st['wins']:>4}/{st['pairs']}")
+    return 1 if diff_ops(list(roots.values()), args.workload) or failed else 0
 
 
 if __name__ == "__main__":
