@@ -157,13 +157,6 @@ class AnnealResult:
     final_objective: float
     trace: list[TraceRow] = field(repr=False, default_factory=list)
 
-    def trace_csv(self, path) -> None:
-        with open(path, "w") as f:
-            f.write("step,temperature,objective,accepted,kind\n")
-            for row in self.trace:
-                f.write(f"{row.step},{row.temperature!r},{row.objective!r},"
-                        f"{int(row.accepted)},{row.kind}\n")
-
 
 def minimize(init: MultiIndicator, kp: KernelParams, k: int = 1,
              schedule: AnnealSchedule | None = None) -> AnnealResult:

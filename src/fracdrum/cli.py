@@ -1,10 +1,10 @@
 """Batch front end: seeded experiments in, JSON summaries and CSV traces out.
 
-Every subcommand reads one JSON config document, writes ``summary.json``
-(sorted keys, no timings, byte-reproducible for a fixed config and seed)
-plus any experiment CSVs into the output directory, and finishes with
+Every subcommand reads one JSON config document, writes any experiment CSVs
+and then ``summary.json`` (sorted keys, no timings, byte-reproducible for a
+fixed config and seed) into the output directory, and finishes with
 ``manifest.json`` carrying the config echo, version, wall clock, timing
-breakdown, a sha256 index of every emitted file, and for ``eigs`` the
+breakdown, the sha256 of each file this run wrote, and for ``eigs`` the
 eigensolver branch, its iteration count and the largest residual.  The
 manifest is written to a temp name and atomically renamed, so a crash never
 leaves a half-written index.
@@ -16,7 +16,9 @@ the shape optimizer) use (master_seed, tag) with a fixed small tag, so
 adding trials or reordering work never shifts another stream.
 
 ``run`` checks each config once, seed included, against its schema in
-``_SCHEMAS`` and stamps ``experiment`` on the summary; the runners only compute.
+``_SCHEMAS``, stamps ``experiment`` on the summary and writes every file; the
+runners only compute and return the summary and their CSV tables, each a
+header and rows of Python ints, floats and strs, written as their ``str()``.
 
 Exit codes: 0 success; 2 invalid config, with a message naming the
 offending field, or an ``--out`` that cannot be made a directory; 3
@@ -27,7 +29,9 @@ unexpected error, with an ``error.json`` record where one can be written.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -192,7 +196,7 @@ def _shape_from_config(spec: dict, grid: GridSpec, rng=None) -> MultiIndicator:
     if kind in ("intervals", "rects"):
         n = 1 if kind == "intervals" else 2
         if grid.n != n:
-            raise ConfigError(f"shape kind '{kind}' requires n = {n}")
+            raise ConfigError(f"field 'kind' is '{kind}', which requires n = {n}")
         masks = np.zeros((grid.copies, *grid.shape), dtype=bool)
         centers = grid.axis_centers()
         for i, (c, *bounds) in enumerate(spec["items"]):
@@ -246,7 +250,7 @@ def _shape_record(A: MultiIndicator) -> dict:
 
 # ---------------------------------------------------------------- experiments
 
-def _run_eigs(cfg: dict, out: str, seed: int, manifest: dict) -> dict:
+def _run_eigs(cfg: dict, seed: int, manifest: dict) -> tuple[dict, dict]:
     grid, kp = _kernel(cfg)
     A = _shape_from_config(cfg["shape"], grid)
     count = cfg["count"]
@@ -255,13 +259,12 @@ def _run_eigs(cfg: dict, out: str, seed: int, manifest: dict) -> dict:
     manifest["timings_s"]["eigs_s"] = time.perf_counter() - t0
     manifest["eigensolve"] = {"solver": res.solver, "iterations": res.iterations,
                               "max_residual": float(res.residuals.max())}
-    if cfg["dump_fields"]:
-        cols = res.vectors.T.tolist()       # rows in cell id order
-        with open(os.path.join(out, "fields.csv"), "w") as f:
-            f.write("copy,cell," + ",".join(f"u{j + 1}" for j in range(count)) + "\n")
-            copies, cells = np.divmod(np.flatnonzero(A.masks), grid.box_size)
-            for c, idx, *vals in zip(copies.tolist(), cells.tolist(), *cols):
-                f.write(f"{c},{idx}," + ",".join(map(repr, vals)) + "\n")
+    tables = {}
+    if cfg["dump_fields"]:      # rows in cell id order
+        copies, cells = np.divmod(np.flatnonzero(A.masks), grid.box_size)
+        columns = ("copy", "cell", *(f"u{j + 1}" for j in range(count)))
+        rows = zip(copies.tolist(), cells.tolist(), *res.vectors.T.tolist())
+        tables["fields.csv"] = (columns, rows)
     return {
         "eigenvalues": [float(v) for v in res.eigenvalues],
         "residuals": [float(v) for v in res.residuals],
@@ -269,10 +272,10 @@ def _run_eigs(cfg: dict, out: str, seed: int, manifest: dict) -> dict:
         "cell_count": A.cell_count(),
         "volume": A.volume(),
         "shape": _shape_record(A),
-    }
+    }, tables
 
 
-def _run_torsion_validate(cfg: dict, out: str, seed: int, manifest: dict) -> dict:
+def _run_torsion_validate(cfg: dict, seed: int, manifest: dict) -> tuple[dict, dict]:
     s, h, L = cfg["s"], cfg["h"], cfg["L"]
     grid = GridSpec(n=1, h=h, L=L)
     kp = KernelParams(n=1, s=s)
@@ -299,10 +302,10 @@ def _run_torsion_validate(cfg: dict, out: str, seed: int, manifest: dict) -> dic
         "energy_rel_error": e_rel,
         "max_norm_pass": bool(max_norm <= 0.05),
         "energy_pass": bool(e_rel <= 0.05),
-    }
+    }, {}
 
 
-def _run_optimize_shape(cfg: dict, out: str, seed: int, manifest: dict) -> dict:
+def _run_optimize_shape(cfg: dict, seed: int, manifest: dict) -> tuple[dict, dict]:
     grid, kp = _kernel(cfg)
     k, steps = cfg["k"], cfg["steps"]
     blob_rng = np.random.default_rng([seed, _BLOB_TAG])
@@ -316,7 +319,6 @@ def _run_optimize_shape(cfg: dict, out: str, seed: int, manifest: dict) -> dict:
     t0 = time.perf_counter()
     res = minimize(init, kp, k=k, schedule=schedule)
     manifest["timings_s"]["anneal_s"] = time.perf_counter() - t0
-    res.trace_csv(os.path.join(out, "trace.csv"))
     summary = {
         "k": k, "steps": steps, "seed": seed,
         "best_objective": res.best_objective,
@@ -342,10 +344,13 @@ def _run_optimize_shape(cfg: dict, out: str, seed: int, manifest: dict) -> dict:
             "zero_density": {repr(r): v for r, v in rep.zero_density.items()},
             "inconclusive": rep.inconclusive,
         }
-    return summary
+    columns = ("step", "temperature", "objective", "accepted", "kind")
+    rows = ((r.step, r.temperature, r.objective, int(r.accepted), r.kind)
+            for r in res.trace)
+    return summary, {"trace.csv": (columns, rows)}
 
 
-def _run_rearrange_check(cfg: dict, out: str, seed: int, manifest: dict) -> dict:
+def _run_rearrange_check(cfg: dict, seed: int, manifest: dict) -> tuple[dict, dict]:
     grid, kp = _kernel(cfg)
     A = _shape_from_config(cfg["shape"], grid)
     trials = cfg["trials"]
@@ -374,18 +379,18 @@ def _run_rearrange_check(cfg: dict, out: str, seed: int, manifest: dict) -> dict
         "ball_no_worse": report.passed,
         "worst_rearrangement_ratio": worst,
         "shape": _shape_record(A),
-    }
+    }, {}
 
 
-def _run_toy_sweep(cfg: dict, out: str, seed: int, manifest: dict) -> dict:
+def _run_toy_sweep(cfg: dict, seed: int, manifest: dict) -> tuple[dict, dict]:
     t0 = time.perf_counter()
     sweep = conjecture_sweep(seed=seed, **cfg)      # cfg: its other arguments
     manifest["timings_s"]["sweep_s"] = time.perf_counter() - t0
     return dict(cfg, seed=seed, exponent=sweep.exponent, counts=sweep.counts,
-                stable_finds=sweep.stable_finds)
+                stable_finds=sweep.stable_finds), {}
 
 
-def _run_toy_classify(cfg: dict, out: str, seed: int, manifest: dict) -> dict:
+def _run_toy_classify(cfg: dict, seed: int, manifest: dict) -> tuple[dict, dict]:
     positions, masses = cfg["positions"], cfg["masses"]
     s, exponent = cfg["s"], cfg["exponent"]
     if (s is None) == (exponent is None):
@@ -408,10 +413,10 @@ def _run_toy_classify(cfg: dict, out: str, seed: int, manifest: dict) -> dict:
         "min_hessian_eig": rep.min_hessian_eig,
         "euler_residual": rep.euler_residual,
         "energy": energy(c),
-    }
+    }, {}
 
 
-def _run_weiss(cfg: dict, out: str, seed: int, manifest: dict) -> dict:
+def _run_weiss(cfg: dict, seed: int, manifest: dict) -> tuple[dict, dict]:
     s, L, center = cfg["s"], cfg["L"], cfg["center"]
     H = L if cfg["H"] is None else cfg["H"]
     eg = ExtensionGrid(hx=cfg["h"], hy=cfg["h"], L=L, H=H)
@@ -434,13 +439,15 @@ def _run_weiss(cfg: dict, out: str, seed: int, manifest: dict) -> dict:
     curve = weiss_functional(sol, center, cfg["radii"],
                              support_intervals=intervals)
     manifest["timings_s"]["weiss_s"] = time.perf_counter() - t0
-    curve.write_csv(os.path.join(out, "weiss.csv"))
+    columns = ("radius", "value", "bulk", "thin", "sphere")
+    rows = zip(*(a.tolist() for a in (curve.radii, curve.values, curve.bulk,
+                                      curve.thin, curve.sphere)))
     return {
         "s": s, "center": center,
         "radii": [float(r) for r in curve.radii],
         "values": [float(v) for v in curve.values],
         "monotonicity": monotonicity_report(curve),
-    }
+    }, {"weiss.csv": (columns, rows)}
 
 
 _EXPERIMENTS = {
@@ -454,12 +461,18 @@ _EXPERIMENTS = {
 }
 
 
-def _sha256(path: str) -> str:
+def _write(out_dir: str, name: str, lines) -> str:
+    """Stream text ``lines`` into the file ``name``; returns the bytes' sha256."""
     digest = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(65536), b""):
-            digest.update(chunk)
+    with open(os.path.join(out_dir, name), "wb") as f:
+        for data in map(str.encode, lines):
+            digest.update(data)
+            f.write(data)
     return digest.hexdigest()
+
+
+def _json(doc: dict) -> list:
+    return [json.dumps(doc, indent=2, sort_keys=True) + "\n"]
 
 
 def _fail(exc: Exception, experiment: str, out_dir: str) -> int:
@@ -468,8 +481,7 @@ def _fail(exc: Exception, experiment: str, out_dir: str) -> int:
     record = {"error": str(exc), "type": type(exc).__name__,
               "experiment": experiment, "traceback": traceback.format_exc()}
     try:
-        with open(os.path.join(out_dir, "error.json"), "w") as f:
-            json.dump(record, f, indent=2, sort_keys=True)
+        _write(out_dir, "error.json", _json(record))
         details = "details in error.json"
     except OSError as err:
         details = f"no error.json: {err}"
@@ -493,9 +505,15 @@ def run(experiment: str, config_path: str, out_dir: str,
         print(f"error: cannot use output directory {out_dir}: {exc}",
               file=sys.stderr)
         return 2
+    # an earlier run's records must not pass for this run's; a path that
+    # cannot be removed is reported by the write that meets it
+    for name in ("error.json", "manifest.json"):
+        with contextlib.suppress(OSError):
+            os.remove(os.path.join(out_dir, name))
 
     # what the runner adds to manifest.json, its timings among them
     entries: dict = {"timings_s": {}}
+    files = {}      # sha256 of each file this run writes, by name
     try:
         if experiment not in _EXPERIMENTS:
             raise ConfigError(f"unknown experiment '{experiment}'")
@@ -511,11 +529,12 @@ def run(experiment: str, config_path: str, out_dir: str,
                                    **_SCHEMAS[experiment]))
         seed = checked.pop("seed")
         config_echo = dict(cfg, experiment=experiment, seed=seed)
-        summary = dict(_EXPERIMENTS[experiment](checked, out_dir, seed, entries),
-                       experiment=experiment)
-        with open(os.path.join(out_dir, "summary.json"), "w") as f:
-            json.dump(summary, f, indent=2, sort_keys=True)
-            f.write("\n")
+        summary, tables = _EXPERIMENTS[experiment](checked, seed, entries)
+        summary["experiment"] = experiment
+        for name, (columns, rows) in tables.items():
+            csv = (",".join(map(str, r)) + "\n" for r in itertools.chain([columns], rows))
+            files[name] = _write(out_dir, name, csv)
+        files["summary.json"] = _write(out_dir, "summary.json", _json(summary))
     except Exception as exc:
         # a ConfigError, or a library check rejecting a config-supplied value;
         # LinAlgError is a ValueError too, but it reports a numerical failure
@@ -527,11 +546,6 @@ def run(experiment: str, config_path: str, out_dir: str,
         return _fail(exc, experiment, out_dir)
 
     try:
-        files = {}
-        for name in sorted(os.listdir(out_dir)):
-            path = os.path.join(out_dir, name)
-            if name not in ("manifest.json",) and os.path.isfile(path):
-                files[name] = _sha256(path)
         manifest = {
             "config": config_echo,
             "version": __version__,
@@ -539,11 +553,9 @@ def run(experiment: str, config_path: str, out_dir: str,
             "files": files,
             **entries,
         }
-        tmp = os.path.join(out_dir, "manifest.json.tmp")
-        with open(tmp, "w") as f:
-            json.dump(manifest, f, indent=2, sort_keys=True)
-            f.write("\n")
-        os.replace(tmp, os.path.join(out_dir, "manifest.json"))
+        _write(out_dir, "manifest.json.tmp", _json(manifest))
+        os.replace(os.path.join(out_dir, "manifest.json.tmp"),
+                   os.path.join(out_dir, "manifest.json"))
     except OSError as exc:
         return _fail(exc, experiment, out_dir)
     return 0

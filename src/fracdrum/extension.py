@@ -213,13 +213,6 @@ class WeissCurve:
     def increments(self) -> np.ndarray:
         return np.diff(self.values)
 
-    def write_csv(self, path) -> None:
-        with open(path, "w") as f:
-            f.write("radius,value,bulk,thin,sphere\n")
-            for row in zip(self.radii, self.values, self.bulk,
-                           self.thin, self.sphere):
-                f.write(",".join(repr(float(v)) for v in row) + "\n")
-
 
 def monotonicity_report(curve: WeissCurve) -> dict:
     """Drift record for the radius dependence; nothing is asserted here.

@@ -81,16 +81,16 @@ os.makedirs(out)
 name, doc = {record!r}
 with open(os.path.join(out, name), "w") as f:
     json.dump(doc, f)
-print("FAIL rep0 op: run returned 3" if {failing} else "all ops passed")
+print("FAIL rep0 op: run returned 3" + {detail!r} if {failing} else "all ops passed")
 print(json.dumps({{"correct": not {failing}, "metrics": {{"solve_s": {{"value": 1.0}}}}}}))
 sys.exit(1 if {failing} else 0)
 """
 
 
-def fake_root(root, record, failing=False):
+def fake_root(root, record, failing=False, detail=""):
     (root / "perfbench").mkdir(parents=True)
     (root / "perfbench" / "run.py").write_text(
-        _STUB_RUN.format(record=record, failing=failing))
+        _STUB_RUN.format(record=record, failing=failing, detail=detail))
     (root / "BENCHMARK.json").write_text(json.dumps(
         {"end_to_end": [{"name": "solve_s", "better": "lower"}]}))
     return str(root)
@@ -118,6 +118,34 @@ def test_main_diffs_the_outputs_each_run_keeps(tmp_path, capsys):
     assert "FAIL rep0 op: run returned 3" in captured.err
     assert "pair 1/2" not in captured.out and "won" not in captured.out
     assert "  op: exit 0 -> 3 (change: no convergence)" in captured.out
+
+
+def test_main_clears_the_outputs_an_earlier_invocation_left(tmp_path, capsys):
+    failing = fake_root(tmp_path / "failing",
+                        ("error.json", {"error": "no convergence"}), failing=True)
+    change = fake_root(tmp_path / "change", ("summary.json", {"value": 1.0}))
+    stale = tmp_path / "change" / ".perfbench_work" / "probe" / "rep0" / "op" / "out"
+    stale.mkdir(parents=True)
+    (stale / "error.json").write_text(json.dumps({"error": "from an earlier run"}))
+
+    # the parent runs first in pair 1 and fails, so the change never runs
+    args = ["--workload", "probe", "--pairs", "2", "--seconds", "1"]
+    assert bench_pairs.main([failing, change, *args]) == 1
+    out = capsys.readouterr().out
+    assert "  op: exit 3 -> 2 (parent: no convergence)" in out
+    assert "earlier run" not in out and "identical" not in out
+    assert not stale.exists()
+
+
+def test_a_failed_run_is_quoted_in_whole_lines(tmp_path, capsys):
+    parent = fake_root(tmp_path / "parent", ("summary.json", {"value": 1.0}))
+    reference = ", reference [" + ", ".join(["0.99668112344367"] * 300) + "]"
+    failing = fake_root(tmp_path / "failing", ("error.json", {"error": "mismatch"}),
+                        failing=True, detail=reference)
+    assert len(reference) > 3000
+    args = ["--workload", "probe", "--pairs", "1", "--seconds", "1"]
+    assert bench_pairs.main([parent, failing, *args]) == 1
+    assert "FAIL rep0 op: run returned 3" + reference in capsys.readouterr().err
 
 
 def test_main_refuses_one_root_given_twice(tmp_path, capsys):

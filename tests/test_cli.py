@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracdrum import GridSpec, MultiIndicator, cli
+from fracdrum import (ExtensionGrid, ExtensionSolution, GridSpec, MultiIndicator, cli,
+                      homogeneous_profile, weiss_functional)
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -89,7 +90,7 @@ def test_copy_out_of_range_exits_2_naming_field(tmp_path, capsys, experiment, do
 
 
 def test_numerical_failure_exits_3_with_record(tmp_path, monkeypatch):
-    def boom(cfg, out, seed, timings):
+    def boom(cfg, seed, timings):
         raise RuntimeError("synthetic solver breakdown")
     monkeypatch.setitem(cli._EXPERIMENTS, "eigs", boom)
     doc = {"n": 1, "s": 0.5, "h": 0.25, "L": 1.0,
@@ -140,6 +141,53 @@ def test_manifest_indexes_every_file_with_hashes(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["monotonicity"]["fitted_negativity_constant"] >= 0.0
     assert len(summary["values"]) == 4
+
+
+def test_weiss_csv_has_a_row_per_radius(tmp_path):
+    radii = np.linspace(0.1, 0.4, 7)
+    doc = {"s": 0.5, "h": 1 / 64, "L": 1.0, "field": {"kind": "profile"},
+           "radii": radii.tolist()}
+    code, out = run_cli(tmp_path, "weiss", doc)
+    assert code == 0
+    g = ExtensionGrid(hx=1 / 64, hy=1 / 64, L=1.0, H=1.0)
+    X, Y = np.meshgrid(g.x_nodes(), g.y_rows(), indexing="ij")
+    sol = ExtensionSolution(grid=g, s=0.5,
+                            trace=homogeneous_profile(g.x_nodes(), 0.0, 0.5),
+                            values=homogeneous_profile(X, Y, 0.5), energy=float("nan"))
+    curve = weiss_functional(sol, 0.0, radii, support_intervals=[(0.0, 1.0)])
+
+    lines = (out / "weiss.csv").read_text().strip().split("\n")
+    assert lines[0] == "radius,value,bulk,thin,sphere"
+    assert len(lines) == 8
+    first = [float(tok) for tok in lines[1].split(",")]
+    assert first[0] == pytest.approx(0.1)
+    assert first[1] == pytest.approx(curve.values[0], rel=1e-15)
+
+
+def test_manifest_lists_exactly_the_files_this_run_wrote(tmp_path, monkeypatch):
+    doc = {"n": 1, "s": 0.5, "h": 0.125, "L": 2.0, "count": 2, "dump_fields": True,
+           "shape": {"kind": "intervals", "items": [[0, -1.0, 1.0]]}}
+
+    def files(out):
+        return set(json.loads((out / "manifest.json").read_text())["files"])
+
+    code, out = run_cli(tmp_path, "eigs", doc)
+    assert code == 0 and files(out) == {"fields.csv", "summary.json"}
+
+    def boom(cfg, seed, timings):
+        raise RuntimeError("synthetic solver breakdown")
+    with monkeypatch.context() as m:
+        m.setitem(cli._EXPERIMENTS, "eigs", boom)
+        assert run_cli(tmp_path, "eigs", doc)[0] == 3
+    assert (out / "error.json").exists()
+    assert not (out / "manifest.json").exists()     # the first run's is gone
+
+    # a good run into the same directory: the failure's record goes, and the
+    # first run's fields.csv stays on disk but is not indexed
+    code, out = run_cli(tmp_path, "eigs", dict(doc, dump_fields=False))
+    assert code == 0 and files(out) == {"summary.json"}
+    assert not (out / "error.json").exists()
+    assert (out / "fields.csv").exists()
 
 
 @pytest.mark.parametrize("h, solver", [(1 / 64, "eigh"), (1 / 512, "lobpcg")])
@@ -415,6 +463,18 @@ def test_torsion_run_loads_no_scipy_sparse(tmp_path):
                           "k": 3, "init": {"kind": "intervals",
                                            "items": [[0, -0.3, 0.3]]}}, field)
       for field in ("k", "init")],
+    # a required field left out
+    ("toy-sweep", {"n": 1, "s": 0.5, "trials": 2}, "d"),
+    # a shape kind made for the other dimension
+    ("eigs", {"n": 2, "s": 0.5, "h": 0.25, "L": 1.0,
+              "shape": {"kind": "intervals", "items": [[0, -0.5, 0.5]]}}, "kind"),
+    # the exponent given neither way, and both ways
+    ("toy-classify", {"positions": [[0.0], [1.0]], "masses": [1.0, -1.0]},
+     "exponent"),
+    ("toy-classify", {"positions": [[0.0], [1.0]], "masses": [1.0, -1.0],
+                      "s": 0.5, "exponent": 3.0}, "s"),
+    # an experiment that does not exist
+    ("eigenvalues", {}, "eigenvalues"),
 ])
 def test_malformed_field_exits_2_naming_it(tmp_path, capsys, experiment, doc, field):
     code, out = run_cli(tmp_path, experiment, doc)
@@ -475,7 +535,7 @@ def test_out_naming_a_file_exits_2_naming_it(tmp_path, capsys):
 @pytest.mark.parametrize("exc_type", [TypeError, KeyError, np.linalg.LinAlgError])
 def test_unexpected_failure_exits_3_with_record(tmp_path, monkeypatch, capsys,
                                                 exc_type):
-    def broken(cfg, out, seed, timings):
+    def broken(cfg, seed, timings):
         raise exc_type("synthetic fault")
     monkeypatch.setitem(cli._EXPERIMENTS, "eigs", broken)
     doc = {"n": 1, "s": 0.5, "h": 0.25, "L": 1.0,
@@ -498,6 +558,15 @@ def test_extension_residual_failure_exits_3(tmp_path, monkeypatch):
     assert code == 3
     record = json.loads((out / "error.json").read_text())
     assert record["type"] == "RuntimeError" and "residual" in record["error"]
+
+
+def test_torsion_cg_without_convergence_exits_3(tmp_path, monkeypatch):
+    monkeypatch.setattr("fracdrum.spectra.CG_MAXITER", 1)
+    code, out = run_cli(tmp_path, "torsion-validate", {"s": 0.5, "h": 2 / 64, "L": 2.0})
+    assert code == 3
+    record = json.loads((out / "error.json").read_text())
+    assert record["type"] == "RuntimeError" and "failed to converge" in record["error"]
+    assert not (out / "summary.json").exists()
 
 
 def test_annealer_with_no_legal_move_exits_2_naming_k(tmp_path, capsys):

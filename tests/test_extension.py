@@ -256,7 +256,7 @@ def test_trace_support_intervals():
     assert got[1] == (pytest.approx(0.25), pytest.approx(0.5))
 
 
-def test_monotonicity_report_and_csv(tmp_path):
+def test_monotonicity_report():
     sol = profile_solution(0.5, h=1 / 64)
     radii = np.linspace(0.1, 0.4, 7)
     curve = weiss_functional(sol, 0.0, radii,
@@ -276,15 +276,6 @@ def test_monotonicity_report_and_csv(tmp_path):
     rep2 = monotonicity_report(dipped)
     assert not rep2["monotone"]
     assert rep2["fitted_negativity_constant"] == pytest.approx(0.5, rel=1e-12)
-
-    path = tmp_path / "weiss.csv"
-    curve.write_csv(path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "radius,value,bulk,thin,sphere"
-    assert len(lines) == 8
-    first = [float(tok) for tok in lines[1].split(",")]
-    assert first[0] == pytest.approx(0.1)
-    assert first[1] == pytest.approx(curve.values[0], rel=1e-15)
 
 
 def traced_peak(fn) -> int:

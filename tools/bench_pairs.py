@@ -11,15 +11,17 @@ side's quartiles, the change of the median, the parent's spread (the distance
 between its quartiles) and the pairs the change won (ties count for neither).
 
 The output diff reads the outputs of the last pair's runs, which perfbench
-keeps in ``.perfbench_work/W/rep0/OP/out`` of each root.  Per op it prints
+keeps in ``.perfbench_work/W/rep0/OP/out`` of each root; both roots'
+``.perfbench_work/W`` are cleared before the first pair.  Per op it prints
 ``identical`` when ``summary.json`` and every CSV match byte for byte, else
 the largest relative change of each ``summary.json`` field and CSV column, or
 ``exit A -> B`` when the op's exit codes differ (read from its files: 3 with
 ``error.json``, whose ``error`` is quoted, else 0 with ``summary.json``, else 2).
 
-The exit code is 1 if a run failed or missed its correctness gate (its output
-is quoted, no statistics are printed, the outputs each root holds are still
-diffed) or an op's exit code differs; 2 if both roots are one directory.
+The exit code is 1 if a run failed or missed its correctness gate (the whole
+lines holding the last 3000 characters of its output are quoted, no
+statistics are printed, the outputs each root holds are still diffed) or an
+op's exit code differs; 2 if both roots are one directory.
 """
 
 import argparse
@@ -27,6 +29,7 @@ import csv
 import json
 import math
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -67,8 +70,11 @@ def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
     lines = proc.stdout.strip().splitlines()
     result = json.loads(lines[-1]) if proc.returncode == 0 and lines else None
     if result is None or not result.get("correct"):
+        text = proc.stdout + proc.stderr
+        # whole lines, from the one holding the 3000th character from the end
+        quote = text[text.rfind("\n", 0, max(len(text) - 3000, 0)) + 1:]
         raise RuntimeError(f"{' '.join(cmd)} in {root} exited {proc.returncode}:\n"
-                           + (proc.stdout + proc.stderr)[-3000:])
+                           + quote)
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
@@ -201,6 +207,11 @@ def main(argv=None) -> int:
     with open(os.path.join(roots["change"], "BENCHMARK.json")) as f:
         better = {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
 
+    # outputs an earlier invocation left must not be diffed as this one's,
+    # should a run fail before the other side runs
+    for root in roots.values():
+        shutil.rmtree(os.path.join(root, ".perfbench_work", args.workload),
+                      ignore_errors=True)
     runs, failed = {side: [] for side in SIDES}, False
     try:
         for i in range(args.pairs):
