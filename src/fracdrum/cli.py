@@ -20,10 +20,12 @@ adding trials or reordering work never shifts another stream.
 runners only compute and return the summary and their CSV tables, each a
 header and rows of Python ints, floats and strs, written as their ``str()``.
 
-Exit codes: 0 success; 2 invalid config, with a message naming the
-offending field, or an ``--out`` that cannot be made a directory; 3
-numerical failure, an output that cannot be written, or any other
-unexpected error, with an ``error.json`` record where one can be written.
+Exit codes: 0 success; 2 invalid or unreadable config, with a message
+naming the offending field, or an ``--out`` that cannot be made a directory;
+3 numerical failure, an output that cannot be written, or any other
+unexpected error.  Once ``--out`` exists, a run removes the last run's
+records and leaves one: ``manifest.json`` on exit 0, else ``error.json``
+with the ``exit_code``, error and traceback (where it can be written).
 """
 
 from __future__ import annotations
@@ -180,7 +182,10 @@ def _value(v, spec: dict, name: str):
 
 
 def _kernel(cfg: dict) -> tuple[GridSpec, KernelParams]:
-    grid = GridSpec(n=cfg["n"], h=cfg["h"], L=cfg["L"], copies=cfg["copies"])
+    try:
+        grid = GridSpec(n=cfg["n"], h=cfg["h"], L=cfg["L"], copies=cfg["copies"])
+    except ValueError as exc:       # h does not divide L
+        raise ConfigError(f"fields 'h' and 'L': {exc}") from None
     return grid, KernelParams(n=cfg["n"], s=cfg["s"])
 
 
@@ -277,8 +282,7 @@ def _run_eigs(cfg: dict, seed: int, manifest: dict) -> tuple[dict, dict]:
 
 def _run_torsion_validate(cfg: dict, seed: int, manifest: dict) -> tuple[dict, dict]:
     s, h, L = cfg["s"], cfg["h"], cfg["L"]
-    grid = GridSpec(n=1, h=h, L=L)
-    kp = KernelParams(n=1, s=s)
+    grid, kp = _kernel(dict(cfg, n=1, copies=1))
     try:
         A = MultiIndicator.from_interval(grid, -1.0, 1.0)
     except ValueError:              # a cell centre in (-1, 1) on the box wall
@@ -367,7 +371,7 @@ def _run_rearrange_check(cfg: dict, seed: int, manifest: dict) -> tuple[dict, di
         vals[A.masks] = rng.uniform(0.1, 1.0, size=A.cell_count())
         u = LatticeField(grid, vals)
         star = rearrange(u).field
-        F_star = assemble_form(MultiIndicator(grid, star.values > 0), kp)
+        F_star = assemble_form(star.support, kp)
         num = rayleigh(F_star, star) * star.norm_sq()
         den = rayleigh(F_u, u) * u.norm_sq()
         worst = max(worst, num / den)
@@ -419,7 +423,10 @@ def _run_toy_classify(cfg: dict, seed: int, manifest: dict) -> tuple[dict, dict]
 def _run_weiss(cfg: dict, seed: int, manifest: dict) -> tuple[dict, dict]:
     s, L, center = cfg["s"], cfg["L"], cfg["center"]
     H = L if cfg["H"] is None else cfg["H"]
-    eg = ExtensionGrid(hx=cfg["h"], hy=cfg["h"], L=L, H=H)
+    try:
+        eg = ExtensionGrid(hx=cfg["h"], hy=cfg["h"], L=L, H=H)
+    except ValueError as exc:       # h divides 2L or H a fractional number of times
+        raise ConfigError(f"fields 'h', 'L' and 'H': {exc}") from None
     xs = eg.x_nodes()
     intervals = None
     if cfg["field"]["kind"] == "profile":
@@ -432,6 +439,8 @@ def _run_weiss(cfg: dict, seed: int, manifest: dict) -> tuple[dict, dict]:
     else:
         trace = np.where(np.abs(xs) < 1,
                          np.exp(-1.0 / np.maximum(1 - xs ** 2, 1e-300)), 0.0)
+        if trace[0] or trace[-1]:   # the bump's support (-1, 1) meets a wall cell
+            raise ConfigError(f"field 'L' must be at least 1 + h/2, got {L}")
         t0 = time.perf_counter()
         sol = harmonic_extension(trace, eg, s)
         manifest["timings_s"]["extension_s"] = time.perf_counter() - t0
@@ -475,10 +484,18 @@ def _json(doc: dict) -> list:
     return [json.dumps(doc, indent=2, sort_keys=True) + "\n"]
 
 
-def _fail(exc: Exception, experiment: str, out_dir: str) -> int:
-    """Report an exit-3 failure; its ``error.json`` record is best effort."""
+def _read_config(path: str):
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except (OSError, ValueError, RecursionError) as exc:    # not JSON, too deep
+        raise ConfigError(f"cannot read config: {exc}") from None
+
+
+def _fail(exc: Exception, code: int, experiment: str, out_dir: str) -> int:
+    """Report a failed run, with an ``error.json`` record if it can be written."""
     import traceback
-    record = {"error": str(exc), "type": type(exc).__name__,
+    record = {"error": str(exc), "type": type(exc).__name__, "exit_code": code,
               "experiment": experiment, "traceback": traceback.format_exc()}
     try:
         _write(out_dir, "error.json", _json(record))
@@ -486,19 +503,12 @@ def _fail(exc: Exception, experiment: str, out_dir: str) -> int:
     except OSError as err:
         details = f"no error.json: {err}"
     print(f"error: {type(exc).__name__}: {exc} ({details})", file=sys.stderr)
-    return 3
+    return code
 
 
 def run(experiment: str, config_path: str, out_dir: str,
         seed_override: int | None = None) -> int:
     started = time.perf_counter()
-    try:
-        with open(config_path) as f:
-            cfg = json.load(f)
-    # ValueError: not JSON, not UTF-8; RecursionError: nested too deeply
-    except (OSError, ValueError, RecursionError) as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 2
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
@@ -511,10 +521,8 @@ def run(experiment: str, config_path: str, out_dir: str,
         with contextlib.suppress(OSError):
             os.remove(os.path.join(out_dir, name))
 
-    # what the runner adds to manifest.json, its timings among them
-    entries: dict = {"timings_s": {}}
-    files = {}      # sha256 of each file this run writes, by name
     try:
+        cfg = _read_config(config_path)
         if experiment not in _EXPERIMENTS:
             raise ConfigError(f"unknown experiment '{experiment}'")
         if not isinstance(cfg, dict):
@@ -528,36 +536,26 @@ def run(experiment: str, config_path: str, out_dir: str,
         checked = _check(cfg, dict(seed={"type": int, "ge": 0, "default": 0},
                                    **_SCHEMAS[experiment]))
         seed = checked.pop("seed")
-        config_echo = dict(cfg, experiment=experiment, seed=seed)
+        entries: dict = {"timings_s": {}}      # the runner's manifest entries
         summary, tables = _EXPERIMENTS[experiment](checked, seed, entries)
         summary["experiment"] = experiment
+        files = {}      # sha256 of each file this run writes, by name
         for name, (columns, rows) in tables.items():
             csv = (",".join(map(str, r)) + "\n" for r in itertools.chain([columns], rows))
             files[name] = _write(out_dir, name, csv)
         files["summary.json"] = _write(out_dir, "summary.json", _json(summary))
-    except Exception as exc:
-        # a ConfigError, or a library check rejecting a config-supplied value;
-        # LinAlgError is a ValueError too, but it reports a numerical failure
-        if isinstance(exc, ValueError) and not isinstance(exc, np.linalg.LinAlgError):
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        # a solver contract broken, an output not written, or any failure
-        # nothing above foresaw
-        return _fail(exc, experiment, out_dir)
-
-    try:
-        manifest = {
-            "config": config_echo,
-            "version": __version__,
-            "wall_clock_s": time.perf_counter() - started,
-            "files": files,
-            **entries,
-        }
+        manifest = {"config": dict(cfg, experiment=experiment, seed=seed),
+                    "version": __version__, "files": files,
+                    "wall_clock_s": time.perf_counter() - started, **entries}
         _write(out_dir, "manifest.json.tmp", _json(manifest))
         os.replace(os.path.join(out_dir, "manifest.json.tmp"),
                    os.path.join(out_dir, "manifest.json"))
-    except OSError as exc:
-        return _fail(exc, experiment, out_dir)
+    except Exception as exc:
+        # a ConfigError or a library check rejecting a config value exits 2;
+        # LinAlgError (a ValueError too), a broken solver contract, an
+        # unwritten output or any other fault exits 3
+        config = isinstance(exc, ValueError) and not isinstance(exc, np.linalg.LinAlgError)
+        return _fail(exc, 2 if config else 3, experiment, out_dir)
     return 0
 
 

@@ -59,7 +59,7 @@ class ExtensionGrid:
             ratio = extent / step
             if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 \
                     or round(ratio) < 1:
-                raise ValueError(f"{name} must be a positive integer")
+                raise ValueError(f"{name} must be a positive integer, got {ratio}")
 
     @property
     def nx(self) -> int:
@@ -86,8 +86,7 @@ def _conductances(g: ExtensionGrid, s: float):
     cv = g.hx * (1 - a) / (yr[1:] ** (1 - a) - yr[:-1] ** (1 - a))
     ct = (1 - a) * (g.hy / 2) ** (a - 1) * g.hx
     ctop = g.hx * (1 - a) / (g.H ** (1 - a) - yr[-1] ** (1 - a))
-    cside = band / (g.hx / 2)
-    return ch, cv, ct, ctop, cside
+    return ch, cv, ct, ctop
 
 
 @dataclass
@@ -125,14 +124,14 @@ def _residual_and_energy(v, trace, cond):
     """The residual ``A v - b`` of the linear system and the Dirichlet energy
     of ``v``, from the flux across every edge; the trace below, the zero top
     and the zero side walls enter as ghost values, one axis at a time."""
-    ch, cv, ct, ctop, cside = cond
+    ch, cv, ct, ctop = cond
     dy = np.diff(np.column_stack((trace, v, np.zeros(len(v)))), axis=1)
     fy = np.concatenate(([ct], cv, [ctop])) * dy
     r, energy = -np.diff(fy, axis=1), np.sum(fy * dy)
     del dy, fy
     dx = np.diff(np.pad(v, ((1, 1), (0, 0))), axis=0)
     fx = ch * dx
-    fx[[0, -1]] = cside * dx[[0, -1]]
+    fx[[0, -1]] = 2 * ch * dx[[0, -1]]     # the wall sits half a cell away
     r -= np.diff(fx, axis=0)
     return r, float(energy + np.sum(fx * dx))
 
@@ -142,10 +141,10 @@ def harmonic_extension(trace, g: ExtensionGrid, s: float) -> ExtensionSolution:
     Dirichlet energy of the solution over the half plane grid.
 
     The operator is ``T_x (x) diag(ch) + I (x) T_y``: ``ch`` depends only on
-    the row and ``cside == 2 ch``, so ``T_x`` is the cell-centred Dirichlet
-    Laplacian tridiag(-1, 2, -1) with 3 at both ends.  A DST-II diagonalises
-    it with eigenvalues ``4 sin^2(pi k / 2 nx)``, which leaves nx decoupled
-    tridiagonal systems in y (Buzbee, Golub & Nielson 1970).
+    the row and a wall edge conducts ``2 ch``, so ``T_x`` is the cell-centred
+    Dirichlet Laplacian tridiag(-1, 2, -1) with 3 at both ends.  A DST-II
+    diagonalises it with eigenvalues ``4 sin^2(pi k / 2 nx)``, which leaves nx
+    decoupled tridiagonal systems in y (Buzbee, Golub & Nielson 1970).
     """
     # imported here: loading scipy.fft costs every CLI process ~0.05 s
     from scipy.fft import dst, idst
@@ -159,7 +158,7 @@ def harmonic_extension(trace, g: ExtensionGrid, s: float) -> ExtensionSolution:
         raise ValueError("trace support must stay strictly inside the box")
     nx, ny = g.nx, g.ny
     cond = _conductances(g, s)
-    ch, cv, ct, ctop, _ = cond
+    ch, cv, ct, ctop = cond
 
     lam = 4.0 * np.sin(np.pi * np.arange(1, nx + 1) / (2 * nx)) ** 2
     v = np.zeros((nx, ny))

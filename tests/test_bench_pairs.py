@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import math
@@ -38,10 +39,15 @@ def test_compare_refuses_unpaired_runs():
 
 
 def write_outputs(path, summary, csv_text):
+    """Write two outputs and the manifest a cli run indexes them in."""
     path.mkdir()
-    (path / "summary.json").write_text(json.dumps(summary, indent=2,
-                                                  sort_keys=True))
-    (path / "weiss.csv").write_text(csv_text)
+    files = {"summary.json": json.dumps(summary, indent=2, sort_keys=True),
+             "weiss.csv": csv_text}
+    for name, text in files.items():
+        (path / name).write_text(text)
+    (path / "manifest.json").write_text(json.dumps({"files": {
+        name: hashlib.sha256(text.encode()).hexdigest()
+        for name, text in files.items()}}))
 
 
 def test_compare_reports_each_changed_field_and_column(tmp_path):
@@ -71,9 +77,10 @@ def test_rel_change():
 
 
 # argv: ... --workload W ...; keeps one op's outputs where perfbench/run.py
-# keeps them, then prints a result line and exits as a run that passed or not
+# keeps them (a summary.json with the manifest indexing it, or an
+# error.json), then prints a result line and exits as a run that passed or not
 _STUB_RUN = """
-import json, os, shutil, sys
+import hashlib, json, os, shutil, sys
 out = os.path.join(".perfbench_work", sys.argv[sys.argv.index("--workload") + 1])
 shutil.rmtree(out, ignore_errors=True)
 out = os.path.join(out, "rep0", "op", "out")
@@ -81,6 +88,11 @@ os.makedirs(out)
 name, doc = {record!r}
 with open(os.path.join(out, name), "w") as f:
     json.dump(doc, f)
+if name == "summary.json":
+    with open(os.path.join(out, name), "rb") as f:
+        files = {{name: hashlib.sha256(f.read()).hexdigest()}}
+    with open(os.path.join(out, "manifest.json"), "w") as f:
+        json.dump({{"files": files}}, f)
 print("FAIL rep0 op: run returned 3" + {detail!r} if {failing} else "all ops passed")
 print(json.dumps({{"correct": not {failing}, "metrics": {{"solve_s": {{"value": 1.0}}}}}}))
 sys.exit(1 if {failing} else 0)
@@ -156,3 +168,35 @@ def test_main_refuses_one_root_given_twice(tmp_path, capsys):
         assert bench_pairs.main([root, other, "--workload", "probe"]) == 2
     assert "both roots are" in capsys.readouterr().err
     assert not (tmp_path / "root" / ".perfbench_work").exists()
+
+
+def test_each_op_is_read_from_the_one_record_its_run_left(tmp_path, capsys):
+    # an exit-2 rerun over a good run's outputs: summary.json stays on disk
+    write_outputs(tmp_path / "parent", {"value": 1.0}, "radius,value\n0.1,1.0\n")
+    rerun = tmp_path / "rerun"
+    write_outputs(rerun, {"value": 1.0}, "radius,value\n0.1,1.0\n")
+    (rerun / "manifest.json").unlink()
+    (rerun / "error.json").write_text(json.dumps(
+        {"error": "field 'trials' must be >= 1, got -1", "exit_code": 2}))
+    assert bench_pairs._record(rerun) == (2, "field 'trials' must be >= 1, got -1", {})
+
+    # an error.json from a cli that wrote no exit_code means exit 3
+    (rerun / "error.json").write_text(json.dumps({"error": "no convergence"}))
+    assert bench_pairs._record(rerun)[:2] == (3, "no convergence")
+    assert bench_pairs._record(tmp_path / "missing") == (2, "", {})
+
+    # a CSV an earlier run left, not in this run's manifest, is not diffed
+    write_outputs(tmp_path / "change", {"value": 1.0}, "radius,value\n0.1,1.0\n")
+    (tmp_path / "change" / "trace.csv").write_text("step\n1\n")
+    assert bench_pairs.compare_outputs(tmp_path / "parent", tmp_path / "change") == []
+
+    for side, name in (("parent", "parent"), ("change", "rerun")):
+        out = tmp_path / "root" / side / ".perfbench_work" / "probe" / "rep0" / "op"
+        out.mkdir(parents=True)
+        (out / "out").symlink_to(tmp_path / name)
+    (rerun / "error.json").write_text(json.dumps(
+        {"error": "field 'trials' must be >= 1, got -1", "exit_code": 2}))
+    roots = [str(tmp_path / "root" / side) for side in bench_pairs.SIDES]
+    assert bench_pairs.diff_ops(roots, "probe") == 1
+    assert ("  op: exit 0 -> 2 (change: field 'trials' must be >= 1, got -1)"
+            in capsys.readouterr().out)

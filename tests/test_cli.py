@@ -475,6 +475,23 @@ def test_torsion_run_loads_no_scipy_sparse(tmp_path):
                       "s": 0.5, "exponent": 3.0}, "s"),
     # an experiment that does not exist
     ("eigenvalues", {}, "eigenvalues"),
+    # a spacing that does not divide the box
+    ("eigs", {"n": 1, "s": 0.5, "h": 0.3, "L": 1.0,
+              "shape": {"kind": "intervals", "items": [[0, -0.5, 0.5]]}}, "h"),
+    ("optimize-shape", {"n": 1, "s": 0.5, "h": 0.3, "L": 1.0, "steps": 2,
+                        "init": {"kind": "intervals", "items": [[0, -0.5, 0.5]]}},
+     "h"),
+    ("rearrange-check", {"n": 1, "s": 0.5, "h": 0.3, "L": 1.0,
+                         "shape": {"kind": "intervals", "items": [[0, -0.5, 0.5]]}},
+     "h"),
+    ("torsion-validate", {"s": 0.5, "h": 0.3, "L": 2.0}, "h"),
+    ("weiss", {"s": 0.5, "h": 0.3, "L": 1.0, "field": {"kind": "profile"},
+               "radii": [0.1]}, "h"),
+    ("weiss", {"s": 0.5, "h": 0.0625, "L": 1.0, "H": 0.3,
+               "field": {"kind": "profile"}, "radii": [0.1]}, "H"),
+    # the bump's support (-1, 1) needs L >= 1 + h/2 to stay off the wall cells
+    ("weiss", {"s": 0.5, "h": 0.125, "L": 1.0, "field": {"kind": "bump"},
+               "radii": [0.1]}, "L"),
 ])
 def test_malformed_field_exits_2_naming_it(tmp_path, capsys, experiment, doc, field):
     code, out = run_cli(tmp_path, experiment, doc)
@@ -521,6 +538,33 @@ def test_unwritable_summary_and_error_record_exit_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert str(out / "summary.json") in err and str(out / "error.json") in err
     assert "Traceback" not in err
+
+
+def _records(out):
+    """The run records in ``out``, each with its ``exit_code`` if it has one."""
+    return {name: json.loads((Path(out) / name).read_text()).get("exit_code")
+            for name in ("manifest.json", "error.json") if (Path(out) / name).exists()}
+
+
+def test_every_run_leaves_exactly_one_record(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    unreadable = tmp_path / "unreadable.json"
+    unreadable.write_bytes(b"\xff\xfe{")
+
+    def broken(cfg, seed, timings):
+        raise RuntimeError("synthetic fault")
+    good = write_config(tmp_path, TOY_SWEEP, name="good.json")
+    runs = [(good, 0), (write_config(tmp_path, dict(TOY_SWEEP, trials=-1)), 2),
+            (str(unreadable), 2), (good, 3), (good, 0)]
+    for cfg, expected in runs:
+        with monkeypatch.context() as m:
+            if expected == 3:
+                m.setitem(cli._EXPERIMENTS, "toy-sweep", broken)
+            code = cli.run("toy-sweep", cfg, str(out))
+        assert code == expected
+        assert _records(out) == ({"manifest.json": None} if code == 0
+                                 else {"error.json": code})
+    assert "cannot read config" in capsys.readouterr().err
 
 
 def test_out_naming_a_file_exits_2_naming_it(tmp_path, capsys):
@@ -653,8 +697,11 @@ def test_fuzzed_config_keeps_exit_code_contract(case, value):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = cli.run(experiment, cfg, os.path.join(tmp, "out"))
+        records = _records(os.path.join(tmp, "out"))
     assert code in (0, 2, 3), (experiment, path, value)
     assert "Traceback" not in err.getvalue()
+    assert records == ({"manifest.json": None} if code == 0
+                       else {"error.json": code}), (experiment, path, value)
 
 
 # sha256 of summary.json and every CSV of each FUZZ_BASES run, recorded before

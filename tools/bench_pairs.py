@@ -12,11 +12,11 @@ between its quartiles) and the pairs the change won (ties count for neither).
 
 The output diff reads the outputs of the last pair's runs, which perfbench
 keeps in ``.perfbench_work/W/rep0/OP/out`` of each root; both roots'
-``.perfbench_work/W`` are cleared before the first pair.  Per op it prints
-``identical`` when ``summary.json`` and every CSV match byte for byte, else
-the largest relative change of each ``summary.json`` field and CSV column, or
-``exit A -> B`` when the op's exit codes differ (read from its files: 3 with
-``error.json``, whose ``error`` is quoted, else 0 with ``summary.json``, else 2).
+``.perfbench_work/W`` are cleared before the first pair.  Per op, from the
+one record its run left (``_record``), it prints ``identical`` when the two
+manifests list the same digests, else the largest relative change of each
+``summary.json`` field and CSV column of a file whose digest differs, or
+``exit A -> B`` when the exit codes differ, quoting either side's error.
 
 The exit code is 1 if a run failed or missed its correctness gate (the whole
 lines holding the last 3000 characters of its output are quoted, no
@@ -140,33 +140,32 @@ def _diff_csv(a_path: str, b_path: str) -> list:
     return lines
 
 
+def _record(out: str) -> tuple[int, str, dict]:
+    """An op's exit code, error and ``{file: sha256}`` from the one record
+    its run left: ``error.json`` (its ``exit_code``, 3 if an older cli wrote
+    none), else ``manifest.json`` (0), else none (2)."""
+    for name, code in (("error.json", 3), ("manifest.json", 0)):
+        if os.path.isfile(path := os.path.join(out, name)):
+            with open(path) as f:
+                doc = json.load(f)
+            return doc.get("exit_code", code), doc.get("error", ""), doc.get("files", {})
+    return 2, "", {}
+
+
 def compare_outputs(parent_out: str, change_out: str) -> list:
-    """One line per difference between two output directories; [] when
-    ``summary.json`` and every CSV are byte-identical."""
-    names = {name for d in (parent_out, change_out) if os.path.isdir(d)
-             for name in os.listdir(d)
-             if name == "summary.json" or name.endswith(".csv")}
+    """One line per difference between two op runs' outputs; [] when their
+    records list the same digests.  Only files whose digests differ are read."""
+    a, b = _record(parent_out)[2], _record(change_out)[2]
     lines = []
-    for name in sorted(names):
-        a, b = os.path.join(parent_out, name), os.path.join(change_out, name)
-        if not (os.path.exists(a) and os.path.exists(b)):
-            lines.append(f"{name}: only in the {'change' if os.path.exists(b) else 'parent'}")
-            continue
-        with open(a, "rb") as fa, open(b, "rb") as fb:
-            if fa.read() == fb.read():
-                continue
-        diff = _diff_summary if name == "summary.json" else _diff_csv
-        lines += [f"{name} {line}" for line in diff(a, b)
-                  ] or [f"{name}: bytes differ, values equal"]
+    for name in sorted(a.keys() | b.keys()):
+        if name not in a or name not in b:
+            lines.append(f"{name}: only in the {'change' if name in b else 'parent'}")
+        elif a[name] != b[name]:
+            diff = _diff_summary if name == "summary.json" else _diff_csv
+            lines += [f"{name} {line}" for line in diff(os.path.join(parent_out, name),
+                                                        os.path.join(change_out, name))
+                      ] or [f"{name}: bytes differ, values equal"]
     return lines
-
-
-def _status(out: str) -> tuple[int, str]:
-    """An op's exit code as its files record it, and its error.json's error."""
-    if os.path.isfile(error := os.path.join(out, "error.json")):
-        with open(error) as f:
-            return 3, json.load(f)["error"]
-    return (0 if os.path.isfile(os.path.join(out, "summary.json")) else 2), ""
 
 
 def diff_ops(roots: list, workload: str) -> int:
@@ -177,11 +176,12 @@ def diff_ops(roots: list, workload: str) -> int:
     mismatched = 0
     for op in ops:
         outs = [os.path.join(d, op, "out") for d in reps]
-        (a, a_error), (b, b_error) = map(_status, outs)
-        if a != b:      # so at most one side has an error.json
+        (a, a_error, _), (b, b_error, _) = map(_record, outs)
+        if a != b:
             mismatched += 1
-            said = f"parent: {a_error}" if a == 3 else f"change: {b_error}"
-            print(f"  {op}: exit {a} -> {b}" + (f" ({said})" if 3 in (a, b) else ""))
+            said = "; ".join(f"{side}: {error}" for side, error
+                             in zip(SIDES, (a_error, b_error)) if error)
+            print(f"  {op}: exit {a} -> {b}" + (f" ({said})" if said else ""))
             continue
         lines = compare_outputs(*outs)
         failed = f" (exit {a} on both)" if a else ""
