@@ -36,14 +36,13 @@ class ChargeConfig:
             raise ValueError("positions must be a (d, n) array with d >= 1")
         if mas.shape != (pos.shape[0],):
             raise ValueError("masses must be a length-d vector")
-        if abs(float(mas @ mas) - 1.0) > 1e-8:
+        # Python floats: an overflowing square is inf, with no warning
+        if not abs(math.fsum(m * m for m in mas.tolist()) - 1.0) <= 1e-8:
             raise ValueError("masses must have unit sum of squares")
         if not 0 < self.exponent < math.inf:
             raise ValueError("exponent must be positive and finite")
-        if pos.shape[0] > 1:
-            _, d = _pair_geometry(pos)
-            if d[np.triu_indices_from(d, k=1)].min() <= 0:
-                raise ValueError("positions must be pairwise distinct")
+        if len(np.unique(pos, axis=0)) < len(pos):  # no distance can overflow
+            raise ValueError("positions must be pairwise distinct")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "masses", mas)
 
@@ -61,8 +60,7 @@ class ChargeConfig:
         positions = np.asarray(positions, dtype=float)
         if not 0 < s < 1:
             raise ValueError("smoothness index must lie in (0, 1)")
-        return cls(positions, np.asarray(masses, dtype=float),
-                   positions.shape[1] + 2.0 * s)
+        return cls(positions, masses, positions.shape[1] + 2.0 * s)
 
     def with_positions(self, positions: np.ndarray) -> "ChargeConfig":
         return replace(self, positions=np.asarray(positions, dtype=float))
@@ -75,58 +73,74 @@ def _pair_geometry(pos: np.ndarray):
     return diff, np.sqrt(np.sum(diff * diff, axis=-1))
 
 
+def _upper(a, pairs):
+    """Upper-triangle pair entries of a ``(trials, d, d)`` stack, one C-ordered
+    row per trial: fancy indexing would hand back a transposed layout, and a
+    row sum over it adds in another order than a lone trial's sum."""
+    return np.take(a.reshape(len(a), -1), pairs, axis=1)
+
+
+def _pair_factors(mas):
+    """Flat pair indices i < j of a (d, d) matrix, and -4 m_i m_j per trial."""
+    d = mas.shape[-1]
+    pairs = np.ravel_multi_index(np.triu_indices(d, k=1), (d, d))
+    return pairs, -4.0 * _upper(mas[:, :, None] * mas[:, None, :], pairs)
+
+
+def _energy(mm4, d, pairs, p):
+    """Energy of each trial of a ``(trials, d, d)`` distance stack."""
+    return np.sum(mm4 * _upper(d, pairs) ** (-p), axis=-1)
+
+
 def energy(c: ChargeConfig) -> float:
-    _, d = _pair_geometry(c.positions)
-    iu = np.triu_indices(c.count, k=1)
-    mm = np.outer(c.masses, c.masses)[iu]
-    return float(-4.0 * np.sum(mm * d[iu] ** (-c.exponent)))
+    """The descent's energy on a stack of one configuration."""
+    pairs, mm4 = _pair_factors(c.masses[None])
+    d = _pair_geometry(c.positions[None])[1]
+    return float(_energy(mm4, d, pairs, c.exponent)[0])
 
 
 def gradient(c: ChargeConfig) -> np.ndarray:
     return _gradient(*_pair_geometry(c.positions), c.masses, c.exponent)
 
 
-def _gradient(diff, d, mas, p) -> np.ndarray:
+def _pair_coef(d, mas, p):
+    """``d`` with an infinite diagonal, and 4 p m_i m_j r_ij^(-p-2)."""
     d = np.where(np.eye(d.shape[-1], dtype=bool), np.inf, d)
-    coef = 4.0 * p * (mas[..., :, None] * mas[..., None, :]) * d ** (-p - 2.0)
-    return np.sum(coef[..., None] * diff, axis=-2)
+    return d, 4.0 * p * (mas[..., :, None] * mas[..., None, :]) * d ** (-p - 2.0)
+
+
+def _gradient(diff, d, mas, p) -> np.ndarray:
+    return np.sum(_pair_coef(d, mas, p)[1][..., None] * diff, axis=-2)
 
 
 def hessian(c: ChargeConfig) -> np.ndarray:
     """Second derivative of the energy in the flattened (d*n,) coordinates."""
-    d_, n = c.count, c.dim
-    p = c.exponent
-    H = np.zeros((d_ * n, d_ * n))
-    eye = np.eye(n)
-    for i in range(d_):
-        for j in range(i + 1, d_):
-            dv = c.positions[i] - c.positions[j]
-            r2 = float(dv @ dv)
-            r = np.sqrt(r2)
-            blk = 4.0 * p * c.masses[i] * c.masses[j] * (
-                eye * r ** (-p - 2.0)
-                - (p + 2.0) * r ** (-p - 4.0) * np.outer(dv, dv))
-            si, sj = slice(i * n, (i + 1) * n), slice(j * n, (j + 1) * n)
-            H[si, si] += blk
-            H[sj, sj] += blk
-            H[si, sj] -= blk
-            H[sj, si] -= blk
-    return H
+    return _hessian(*_pair_geometry(c.positions), c.masses, c.exponent)
+
+
+def _hessian(diff, d, mas, p) -> np.ndarray:
+    """Hessian of one configuration from its pair geometry.  Pair i != j
+    contributes B = 4 p m_i m_j r^(-p-2) (I - (p+2) e e^T), e the unit pair
+    direction: -B to block (i, j), +B to the diagonal block (i, i)."""
+    count, n = diff.shape[0], diff.shape[-1]
+    d, coef = _pair_coef(d, mas, p)
+    e = diff / d[..., None]
+    blk = coef[..., None, None] * (np.eye(n) - (p + 2.0)
+                                   * (e[..., :, None] * e[..., None, :]))
+    H = -blk
+    H[np.diag_indices(count)] = blk.sum(axis=1)
+    return H.transpose(0, 2, 1, 3).reshape(count * n, count * n)
 
 
 def euler_residual(c: ChargeConfig) -> float:
-    """Degree (-p) homogeneity check: <grad, x - centroid> + p * energy."""
-    g = gradient(c)
-    centered = c.positions - c.positions.mean(axis=0)
-    return float(np.sum(g * centered) + c.exponent * energy(c))
+    """Degree (-p) homogeneity check <grad, x - centroid> + p * energy, as
+    ``classify`` reports it."""
+    return classify(c).euler_residual
 
 
 def translation_basis(d: int, n: int) -> np.ndarray:
     """Orthonormal rigid-translation directions in the flattened coordinates."""
-    basis = np.zeros((d * n, n))
-    for axis in range(n):
-        basis[axis::n, axis] = 1.0 / np.sqrt(d)
-    return basis
+    return np.tile(np.eye(n), (d, 1)) / np.sqrt(d)
 
 
 def translation_complement_eigs(c: ChargeConfig) -> np.ndarray:
@@ -138,11 +152,12 @@ def translation_complement_eigs(c: ChargeConfig) -> np.ndarray:
     direction: the gradient is homogeneous, so a zero-gradient configuration
     is stationary along its whole dilation ray.
     """
-    d_, n = c.count, c.dim
-    H = hessian(c)
-    q, _ = np.linalg.qr(translation_basis(d_, n), mode="complete")
-    comp = q[:, n:]
-    return np.linalg.eigvalsh(comp.T @ H @ comp)
+    return _complement_eigs(hessian(c), c.dim)
+
+
+def _complement_eigs(H, n: int) -> np.ndarray:
+    q, _ = np.linalg.qr(translation_basis(len(H) // n, n), mode="complete")
+    return np.linalg.eigvalsh(q[:, n:].T @ H @ q[:, n:])
 
 
 class Stationarity(Enum):
@@ -159,29 +174,44 @@ class StationarityReport:
     gradient_norm: float
     min_hessian_eig: float | None
     euler_residual: float
+    energy: float
 
 
 def classify(c: ChargeConfig) -> StationarityReport:
-    """Stationary iff the gradient norm is below GRAD_TOL; stable then
-    requires every translation-complement Hessian eigenvalue above
-    EIG_TOL.  The scaling direction sits at an exact zero for any
-    stationary point, so a strict positive threshold is the honest test.
-    A non-finite gradient norm or eigenvalue (overflow in the pair powers)
-    raises RuntimeError rather than passing for stationary."""
-    g = float(np.linalg.norm(gradient(c)))
-    if not math.isfinite(g):
-        raise RuntimeError(f"gradient norm is not finite ({g})")
-    if g >= GRAD_TOL:
-        return StationarityReport(Stationarity.NON_STATIONARY, g, None,
-                                  euler_residual(c))
-    eigs = translation_complement_eigs(c)
-    if not np.all(np.isfinite(eigs)):
-        raise RuntimeError("translation-complement Hessian has a non-finite "
-                           "eigenvalue")
-    min_eig = float(eigs[0]) if eigs.size else float("inf")
-    cls = (Stationarity.STATIONARY_STABLE if min_eig > EIG_TOL
-           else Stationarity.STATIONARY_UNSTABLE)
-    return StationarityReport(cls, g, min_eig, euler_residual(c))
+    """Scale-free tests on the configuration moved to its centroid and
+    scaled to unit diameter D, divided by its largest coordinate first so no
+    input-sized number is squared.  With S = 4 sum_{i<j} |m_i m_j| r_ij^-p,
+    it is stationary iff |grad E| D <= GRAD_TOL p S, and then stable iff
+    every translation-complement Hessian eigenvalue has eig D^2 / S > EIG_TOL,
+    strictly, as the scaling direction is an exact zero at any stationary
+    point.  Gradient norm, eigenvalue, Euler residual and energy are reported
+    in the input's units; a non-finite one raises RuntimeError."""
+    _require_pairs(c.count)
+    p, mas = c.exponent, c.masses
+    with np.errstate(all="ignore"):     # non-finite values are refused below
+        top = np.abs(c.positions).max()
+        x = c.positions / top
+        x -= x.mean(axis=0)
+        diff, d = _pair_geometry(x)
+        width = d.max()
+        x, diff, d, D = x / width, diff / width, d / width, width * top
+        pairs, mm4 = _pair_factors(mas[None])
+        e, S = (_energy(m, d[None], pairs, p)[0] for m in (mm4, np.abs(mm4)))
+        g = _gradient(diff, d, mas, p)
+        gnorm, min_eig = np.linalg.norm(g), None
+        cls = Stationarity.NON_STATIONARY
+        if gnorm <= GRAD_TOL * p * S:
+            min_eig = _complement_eigs(_hessian(diff, d, mas, p), c.dim)[0]
+            cls = (Stationarity.STATIONARY_STABLE if min_eig / S > EIG_TOL
+                   else Stationarity.STATIONARY_UNSTABLE)
+            min_eig = float(min_eig * D ** (-p - 2.0))
+        rep = StationarityReport(cls, float(gnorm * D ** (-p - 1.0)), min_eig,
+                                 float((np.sum(g * x) + p * e) * D ** -p),
+                                 float(e * D ** -p))
+    if not all(math.isfinite(v) for v in vars(rep).values()
+               if isinstance(v, float)):
+        raise RuntimeError(f"a value is not finite in the input's units: {rep}")
+    return rep
 
 
 @dataclass
@@ -193,16 +223,9 @@ class DescentResult:
     final_gradient_norm: float
 
 
-def _upper(a, pairs):
-    """Upper-triangle pair entries of a ``(trials, d, d)`` stack, one C-ordered
-    row per trial: fancy indexing would hand back a transposed layout, and a
-    row sum over it adds in another order than a lone trial's sum."""
-    return np.take(a.reshape(len(a), -1), pairs, axis=1)
-
-
 def _require_pairs(count: int) -> None:
     if count < 2:
-        raise ValueError(f"descent needs at least two charges, got {count}")
+        raise ValueError(f"the model needs at least two charges, got {count}")
 
 
 def descend(c: ChargeConfig, max_steps: int = 5000) -> DescentResult:
@@ -239,17 +262,13 @@ def descend_batch(configs, max_steps: int = 5000) -> list[DescentResult]:
         raise ValueError("a descent batch must share charge count, dimension "
                          "and exponent")
     p = shape[2]
-    pairs = np.ravel_multi_index(np.triu_indices(shape[0], k=1),
-                                 (shape[0], shape[0]))
 
     results: list = [None] * len(configs)
     ids = np.arange(len(configs))
     pos = np.stack([c.positions for c in configs])
     mas = np.stack([c.masses for c in configs])
-    mm = _upper(mas[:, :, None] * mas[:, None, :], pairs)
-    e0 = -4.0 * np.sum(mm * _upper(_pair_geometry(pos)[1], pairs) ** (-p),
-                       axis=-1)
-    mm4 = -4.0 * mm     # the first product of a trial's -4.0 * mm * dv ** -p
+    pairs, mm4 = _pair_factors(mas)
+    e0 = _energy(mm4, _pair_geometry(pos)[1], pairs, p)
     step = np.ones(len(ids))            # while expanding: the accepted step
     acc_e = np.full(len(ids), np.inf)   # energy at the accepted step
     taken = np.zeros(len(ids), dtype=int)
@@ -292,8 +311,8 @@ def descend_batch(configs, max_steps: int = 5000) -> list[DescentResult]:
             # its step, an expanding one twice its accepted step; acc_e is
             # +inf while backtracking, so one test serves both phases
             s = np.where(expanding, step * 2.0, step)
-            dv = _upper(_pair_geometry(pos - s[:, None, None] * g)[1], pairs)
-            et = np.sum(mm4 * dv ** (-p), axis=-1)
+            et = _energy(mm4, _pair_geometry(pos - s[:, None, None] * g)[1],
+                         pairs, p)
             better = (np.isfinite(et) & (et <= e0 - 1e-4 * s * gnorm * gnorm)
                       & (et < acc_e))
             commit = expanding & ~better
@@ -342,7 +361,7 @@ def _stopped(c, pos, taken, e0, divergence, gnorm) -> DescentResult:
     cur = c.with_positions(pos)
     if divergence is not None:
         nan = float("nan")
-        rep = StationarityReport(divergence, nan, None, nan)
+        rep = StationarityReport(divergence, nan, None, nan, nan)
         return DescentResult(cur, rep, int(taken), float(e0), nan)
     rep = classify(cur)
     return DescentResult(cur, rep, int(taken), float(e0),
@@ -351,10 +370,7 @@ def _stopped(c, pos, taken, e0, divergence, gnorm) -> DescentResult:
 
 @dataclass
 class SweepSummary:
-    count: int
     exponent: float
-    dim: int
-    charges: int
     counts: dict
     stable_finds: list
 
@@ -364,10 +380,8 @@ def sweep_trials(d: int, n: int, s: float, trials: int, seed: int = 0,
     """Descent results of a sweep's random restarts, yielded in trial order.
 
     Trial t draws positions uniform in [-0.5, 0.5)^n and masses normal on
-    the unit sphere from rng seeded by (seed, t).  Trials descend in
-    lockstep, SWEEP_BLOCK at a time, and each result is bitwise what
-    ``descend`` gives for that trial alone, so any single trial can be
-    replayed in isolation.
+    the unit sphere from rng seeded by (seed, t).  Trials descend through
+    ``descend_batch``, SWEEP_BLOCK at a time, so any one replays alone.
     """
     _require_pairs(d)
     exponent = n + 2.0 * s
@@ -387,12 +401,8 @@ def sweep_trials(d: int, n: int, s: float, trials: int, seed: int = 0,
 
 def conjecture_sweep(d: int, n: int, s: float, trials: int, seed: int = 0,
                      max_steps: int = 5000) -> SweepSummary:
-    """Random restarts of descent; any stable stationary find is kept with
-    full-precision coordinates.  Trial t uses rng seeded by (seed, t) (see
-    ``sweep_trials``).  The trials descend in lockstep, SWEEP_BLOCK at a
-    time, and a trial replayed alone through ``descend`` gives the same
-    bits, so any find can be reproduced in isolation.
-    """
+    """Classification counts of ``sweep_trials``; any stable stationary find
+    is kept with full-precision coordinates, replayable through ``descend``."""
     counts: dict[str, int] = {k.value: 0 for k in Stationarity}
     finds = []
     for t, res in enumerate(sweep_trials(d, n, s, trials, seed, max_steps)):
@@ -406,5 +416,5 @@ def conjecture_sweep(d: int, n: int, s: float, trials: int, seed: int = 0,
                 "gradient_norm": res.report.gradient_norm,
                 "min_hessian_eig": res.report.min_hessian_eig,
             })
-    return SweepSummary(count=trials, exponent=n + 2.0 * s, dim=n, charges=d,
-                        counts=counts, stable_finds=finds)
+    return SweepSummary(exponent=n + 2.0 * s, counts=counts,
+                        stable_finds=finds)

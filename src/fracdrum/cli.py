@@ -44,7 +44,7 @@ import numpy as np
 
 from . import __version__
 from .anneal import AnnealSchedule, diagnostics, minimize
-from .charges import ChargeConfig, classify, conjecture_sweep, energy
+from .charges import ChargeConfig, classify, conjecture_sweep
 from .extension import (ExtensionGrid, harmonic_extension, homogeneous_profile,
                         monotonicity_report, weiss_functional, ExtensionSolution)
 from .form import assemble_form, rayleigh
@@ -416,7 +416,7 @@ def _run_toy_classify(cfg: dict, seed: int, manifest: dict) -> tuple[dict, dict]
         "gradient_norm": rep.gradient_norm,
         "min_hessian_eig": rep.min_hessian_eig,
         "euler_residual": rep.euler_residual,
-        "energy": energy(c),
+        "energy": rep.energy,
     }, {}
 
 

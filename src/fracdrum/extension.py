@@ -294,9 +294,16 @@ def weiss_functional(sol: ExtensionSolution, center: float, radii,
     drow = (w1 - w0) / hx
     wsub = hx / _NSUB
 
+    near_x, near_y = dx2.min(axis=(1, 2, 3)), py.min(axis=(0, 2, 3)) ** 2
     out_w, out_bulk, out_thin, out_sph = [], [], [], []
     for r in radii:
-        bulk = float(np.sum(dens_int[dx2 + py ** 2 <= r * r]) * area_sub)
+        # rows and columns from the first to the last with a subpoint in
+        # the ball (all of them if none has): no subpoint outside is inside,
+        # so the summed vector, and its order, is the whole box's
+        bi, bj = (slice(k.argmax(), len(k) - k[::-1].argmax())
+                  for k in (near_x <= r * r, near_y <= r * r))
+        inside = dx2[bi] + py[:, bj] ** 2 <= r * r
+        bulk = float(np.sum(dens_int[bi, bj][inside]) * area_sub)
 
         ycut = np.sqrt(np.maximum(r * r - (sx - center) ** 2, 0.0))
         cut = np.minimum(ycut, y0)

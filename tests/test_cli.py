@@ -3,11 +3,13 @@ import copy
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -297,8 +299,25 @@ def test_toy_classify_smoke(tmp_path):
     assert summary["min_hessian_eig"] is None
 
 
+@pytest.mark.parametrize("positions, masses", [
+    ([[0.0], [1e200]], [2 ** -0.5, -(2 ** -0.5)]),
+    ([[1e308], [1.0]], [2 ** -0.5, 2 ** -0.5]),
+])
+def test_toy_classify_far_apart_pair_exits_0(tmp_path, positions, masses):
+    doc = {"positions": positions, "masses": masses, "exponent": 3.0}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run_cli(tmp_path, "toy-classify", doc)
+    assert code == 0
+    assert caught == []
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["classification"] == "non-stationary"
+    assert all(math.isfinite(summary[k])
+               for k in ("gradient_norm", "euler_residual", "energy"))
+
+
 @pytest.mark.parametrize("positions, exponent", [
-    ([[1e308], [1.0]], 3.0),
+    ([[1e-200], [0.0]], 3.0),
     ([[0.0], [1.0]], 1e308),
 ])
 def test_toy_classify_non_finite_exits_3(tmp_path, positions, exponent):
@@ -695,10 +714,14 @@ def test_fuzzed_config_keeps_exit_code_contract(case, value):
         with open(cfg, "w") as f:
             json.dump(doc, f)
         err = io.StringIO()
-        with contextlib.redirect_stderr(err):
+        # recorded, not raised: cli.run would turn a raised warning into exit 3
+        with contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = cli.run(experiment, cfg, os.path.join(tmp, "out"))
         records = _records(os.path.join(tmp, "out"))
     assert code in (0, 2, 3), (experiment, path, value)
+    assert [str(w.message) for w in caught] == [], (experiment, path, value)
     assert "Traceback" not in err.getvalue()
     assert records == ({"manifest.json": None} if code == 0
                        else {"error.json": code}), (experiment, path, value)
