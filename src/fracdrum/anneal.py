@@ -250,14 +250,12 @@ class DiagnosticsReport:
     component_signs: list
     adjacency_violations: int
     growth_ratios: dict          # r -> min over boundary cells of sup|u| / r^s
-    fitted_c0: float             # min growth ratio over all radii
     positive_density: dict
     zero_density: dict
-    inconclusive: bool
 
 
-def diagnostics(A: MultiIndicator, u: LatticeField, kp: KernelParams, radii,
-                multiple: bool = False) -> DiagnosticsReport:
+def diagnostics(A: MultiIndicator, u: LatticeField, kp: KernelParams,
+                radii) -> DiagnosticsReport:
     """Boundary-behavior audit of an eigenfield on its shape.
 
     For every cell of ``A`` that touches the complement, and every radius r
@@ -272,12 +270,11 @@ def diagnostics(A: MultiIndicator, u: LatticeField, kp: KernelParams, radii,
     scale = float(np.abs(u.values).max())
     thr = 1e-9 * scale if scale > 0 else 1e-9    # |u| at or below counts as zero
 
+    sign = (u.values > thr).astype(int) - (u.values < -thr)   # 0 near zero
     violations = 0
     for axis in range(1, u.values.ndim):     # face neighbours within a copy
-        v = u.values.swapaxes(1, axis)
-        a, b = v[:, :-1], v[:, 1:]
-        violations += int(np.sum((a > thr) & (b < -thr)))
-        violations += int(np.sum((a < -thr) & (b > thr)))
+        v = sign.swapaxes(1, axis)
+        violations += int(np.sum(v[:, :-1] * v[:, 1:] < 0))
 
     centers = grid.cell_centers()
     # active cells with at least one inactive face neighbor
@@ -285,24 +282,18 @@ def diagnostics(A: MultiIndicator, u: LatticeField, kp: KernelParams, radii,
                               grid.box_size)
     if not copies.size:
         raise ValueError("shape has no boundary cells")
-    growth: dict[float, float] = {}
-    pos_density: dict[float, float] = {}
-    zero_density: dict[float, float] = {}
-    for r in radii:
-        sup_ratios, pos_r, zero_r = [], [], []
-        for c, idx in zip(copies, flats):
-            ball = np.linalg.norm(centers - centers[idx], axis=1) <= r + 1e-12
-            vals = u.values[c].ravel()[ball]
-            sup_ratios.append(float(np.abs(vals).max()) / r ** kp.s)
-            pos_r.append(np.sum(vals > thr) * grid.cell_volume / r ** grid.n)
-            zero_r.append(np.sum(np.abs(vals) <= thr) * grid.cell_volume / r ** grid.n)
-        growth[float(r)] = float(np.min(sup_ratios))
-        pos_density[float(r)] = float(np.mean(pos_r))
-        zero_density[float(r)] = float(np.mean(zero_r))
-    return DiagnosticsReport(component_signs=signs,
-                             adjacency_violations=violations,
-                             growth_ratios=growth,
-                             fitted_c0=min(growth.values()),
-                             positive_density=pos_density,
-                             zero_density=zero_density,
-                             inconclusive=multiple)
+    radii = [float(r) for r in radii]
+    reach = np.array(radii)[:, None] + 1e-12
+    # per radius and boundary cell: sup |u| / r^s, positive and zero density
+    meas = np.empty((3, len(radii), len(copies)))
+    for i, (c, idx) in enumerate(zip(copies, flats)):
+        balls = np.linalg.norm(centers - centers[idx], axis=1) <= reach
+        vals = u.values[c].ravel()
+        meas[:, :, i] = (np.where(balls, np.abs(vals), 0.0).max(axis=1),
+                         np.sum(balls & (vals > thr), axis=1),
+                         np.sum(balls & (np.abs(vals) <= thr), axis=1))
+    meas[0] /= [[r ** kp.s] for r in radii]
+    meas[1:] = meas[1:] * grid.cell_volume / [[r ** grid.n] for r in radii]
+    growth, pos, zero = (dict(zip(radii, a.tolist())) for a in
+                         (meas[0].min(axis=1), *meas[1:].mean(axis=2)))
+    return DiagnosticsReport(signs, violations, growth, pos, zero)

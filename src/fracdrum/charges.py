@@ -92,15 +92,25 @@ def _energy(mm4, d, pairs, p):
     return np.sum(mm4 * _upper(d, pairs) ** (-p), axis=-1)
 
 
+def _finite(name: str, evaluate):
+    """``evaluate()`` with warnings off, or RuntimeError if not finite."""
+    with np.errstate(all="ignore"):
+        value = evaluate()
+    if not np.isfinite(value).all():
+        raise RuntimeError(f"the {name} is not finite: {value}")
+    return value
+
+
 def energy(c: ChargeConfig) -> float:
     """The descent's energy on a stack of one configuration."""
     pairs, mm4 = _pair_factors(c.masses[None])
-    d = _pair_geometry(c.positions[None])[1]
-    return float(_energy(mm4, d, pairs, c.exponent)[0])
+    return float(_finite("energy", lambda: _energy(
+        mm4, _pair_geometry(c.positions[None])[1], pairs, c.exponent)[0]))
 
 
 def gradient(c: ChargeConfig) -> np.ndarray:
-    return _gradient(*_pair_geometry(c.positions), c.masses, c.exponent)
+    return _finite("gradient", lambda: _gradient(
+        *_pair_geometry(c.positions), c.masses, c.exponent))
 
 
 def _pair_coef(d, mas, p):
@@ -115,7 +125,8 @@ def _gradient(diff, d, mas, p) -> np.ndarray:
 
 def hessian(c: ChargeConfig) -> np.ndarray:
     """Second derivative of the energy in the flattened (d*n,) coordinates."""
-    return _hessian(*_pair_geometry(c.positions), c.masses, c.exponent)
+    return _finite("Hessian", lambda: _hessian(
+        *_pair_geometry(c.positions), c.masses, c.exponent))
 
 
 def _hessian(diff, d, mas, p) -> np.ndarray:
@@ -268,7 +279,6 @@ def descend_batch(configs, max_steps: int = 5000) -> list[DescentResult]:
     pos = np.stack([c.positions for c in configs])
     mas = np.stack([c.masses for c in configs])
     pairs, mm4 = _pair_factors(mas)
-    e0 = _energy(mm4, _pair_geometry(pos)[1], pairs, p)
     step = np.ones(len(ids))            # while expanding: the accepted step
     acc_e = np.full(len(ids), np.inf)   # energy at the accepted step
     taken = np.zeros(len(ids), dtype=int)
@@ -281,6 +291,7 @@ def descend_batch(configs, max_steps: int = 5000) -> list[DescentResult]:
     # non-finite values are handled explicitly: a trial with a coincident
     # pair or an overflowing term has a non-finite energy and is rejected
     with np.errstate(all="ignore"):
+        e0 = _energy(mm4, _pair_geometry(pos)[1], pairs, p)
         while True:
             over, diverged = set(), {}  # running indices: spent, diverged
             if fresh.any():
@@ -341,9 +352,7 @@ def _start_steps(pos, mas, p, pairs, top, g, gnorm, floor) -> dict:
     escape = ~collapse & (diameter > ESCAPE_DIAMETER)
     gt = _gradient(diff, d, mas[top], p)
     g[top] = gt
-    flat = gt.reshape(len(top), 1, -1)
-    # (1, k) @ (k, 1) is the same ddot np.linalg.norm makes
-    gnorm[top] = np.sqrt(flat @ flat.transpose(0, 2, 1))[:, 0, 0]
+    gnorm[top] = np.sqrt(np.sum(gt * gt, axis=(1, 2)))
     # the floor bounds the displacement, not the raw step: near a collapsing
     # pair the gradient blows up and a fixed step floor would still force
     # trials that leap across the pole

@@ -338,15 +338,14 @@ def _run_optimize_shape(cfg: dict, seed: int, manifest: dict) -> tuple[dict, dic
     if cfg["diagnostics"]:
         radii = [4 * grid.h, 8 * grid.h, 16 * grid.h]
         u = res.best.field(res.best_spectrum.vectors[:, k - 1])
-        rep = diagnostics(res.best, u, kp, radii,
-                          multiple=res.best_spectrum.is_numerically_multiple(k))
+        rep = diagnostics(res.best, u, kp, radii)
         summary["diagnostics"] = {
             "component_signs": [str(v) for v in rep.component_signs],
             "adjacency_violations": rep.adjacency_violations,
             "growth_ratios": {repr(r): v for r, v in rep.growth_ratios.items()},
             "positive_density": {repr(r): v for r, v in rep.positive_density.items()},
             "zero_density": {repr(r): v for r, v in rep.zero_density.items()},
-            "inconclusive": rep.inconclusive,
+            "inconclusive": res.best_spectrum.is_numerically_multiple(k),
         }
     columns = ("step", "temperature", "objective", "accepted", "kind")
     rows = ((r.step, r.temperature, r.objective, int(r.accepted), r.kind)

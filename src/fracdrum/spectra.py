@@ -87,9 +87,9 @@ class SpectralResult:
         lam = self.eigenvalues
         tol = MULTIPLICITY_RTOL * abs(lam[k - 1])
         lo = k - 2
-        return ((lo >= 0 and self.multiplicity_gaps[lo] < tol)
-                or (k - 1 < len(self.multiplicity_gaps)
-                    and self.multiplicity_gaps[k - 1] < tol))
+        return bool((lo >= 0 and self.multiplicity_gaps[lo] < tol)
+                    or (k - 1 < len(self.multiplicity_gaps)
+                        and self.multiplicity_gaps[k - 1] < tol))
 
 
 # thread-count entry points of the OpenBLAS builds numpy and scipy ship

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -222,6 +223,26 @@ def test_classify_refuses_non_finite_configurations(positions, exponent):
     with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="finite"):
         classify(ChargeConfig(np.array(positions), np.array([RT2, RT2]),
                               exponent))
+
+
+def test_raw_evaluations_refuse_non_finite_values_without_warnings():
+    near = ChargeConfig(np.array([[1e-200], [0.0]]), np.array([RT2, RT2]), 3.0)
+    far = ChargeConfig(np.array([[0.0], [1e200]]), np.array([RT2, -RT2]), 3.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # like signs 1e-200 apart: the pair term divides by a zero distance
+        for f, name in ((energy, "energy"), (gradient, "gradient"),
+                        (hessian, "Hessian")):
+            with pytest.raises(RuntimeError, match=f"the {name} is not finite"):
+                f(near)
+        assert (descend(near).report.classification
+                is Stationarity.COLLAPSE_DIVERGED)
+        # opposite signs 1e200 apart: the squared difference overflows
+        assert energy(far) == 0.0
+        assert np.isfinite(gradient(far)).all()
+        assert np.isfinite(hessian(far)).all()
+        assert (descend(far).report.classification
+                is Stationarity.ESCAPE_DIVERGED)
 
 
 @pytest.mark.parametrize("exponent", [float("nan"), float("inf")])

@@ -265,6 +265,19 @@ def test_optimize_shape_smoke(tmp_path):
     assert len(lines) == 26
 
 
+def test_optimize_shape_reports_a_multiple_eigenvalue(tmp_path):
+    # equal intervals on two copies: lambda_1 = lambda_2, so the audit of
+    # the k = 2 eigenfield is flagged inconclusive
+    doc = {"n": 1, "s": 0.5, "h": 0.125, "L": 2.0, "copies": 2, "k": 2,
+           "steps": 0, "diagnostics": True,
+           "init": {"kind": "intervals",
+                    "items": [[0, -1.0, 1.0], [1, -1.0, 1.0]]}}
+    code, out = run_cli(tmp_path, "optimize-shape", doc)
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["diagnostics"]["inconclusive"] is True
+
+
 def test_random_blob_init_is_seeded(tmp_path):
     doc = {"n": 2, "s": 0.5, "h": 0.25, "L": 1.0, "k": 1,
            "steps": 5, "seed": 11,
