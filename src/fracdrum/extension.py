@@ -201,16 +201,12 @@ def trace_support_intervals(trace, g: ExtensionGrid):
 
 @dataclass
 class WeissCurve:
-    center: float
     s: float
     radii: np.ndarray
     values: np.ndarray
     bulk: np.ndarray             # doubled (full-ball) Dirichlet part
     thin: np.ndarray             # trace support length inside the thin ball
     sphere: np.ndarray           # doubled weighted boundary average
-
-    def increments(self) -> np.ndarray:
-        return np.diff(self.values)
 
 
 def monotonicity_report(curve: WeissCurve) -> dict:
@@ -220,13 +216,9 @@ def monotonicity_report(curve: WeissCurve) -> dict:
     budget (r^(2s-1) + 1) dr, so a perfectly monotone curve reports 0 and
     larger values flag instances whose dips outrun that allowance.
     """
-    inc = curve.increments()
-    if inc.size:
-        neg = np.maximum(-inc, 0.0)
-        budget = (curve.radii[:-1] ** (2 * curve.s - 1) + 1.0) * np.diff(curve.radii)
-        fitted = float(np.max(neg / budget))
-    else:
-        fitted = 0.0
+    inc = np.diff(curve.values)
+    budget = (curve.radii[:-1] ** (2 * curve.s - 1) + 1.0) * np.diff(curve.radii)
+    fitted = float(np.max(np.maximum(-inc, 0.0) / budget)) if inc.size else 0.0
     return {
         "increments": inc.tolist(),
         "min_increment": float(inc.min()) if inc.size else 0.0,
@@ -333,6 +325,6 @@ def weiss_functional(sol: ExtensionSolution, center: float, radii,
         out_thin.append(thin)
         out_sph.append(sph)
         out_w.append((bulk_total + thin) / r - s * sph / r ** 2)
-    return WeissCurve(center=center, s=s, radii=radii,
+    return WeissCurve(s=s, radii=radii,
                       values=np.array(out_w), bulk=np.array(out_bulk),
                       thin=np.array(out_thin), sphere=np.array(out_sph))

@@ -270,7 +270,6 @@ class FormMatrix:
     """Assembled quadratic form over the active cells of one shape."""
 
     grid: GridSpec
-    kp: KernelParams
     ids: np.ndarray               # (N,) ascending flat indices into (copies, *box)
     quadratic_matrix: np.ndarray  # (N, N) Q with u^T Q u = B[u,u]
 
@@ -323,7 +322,7 @@ def assemble_form(A: MultiIndicator, kp: KernelParams) -> FormMatrix:
         np.take(table, np.subtract.outer(k + centre, k), out=Q[lo:hi, lo:hi],
                 mode="clip")
     np.fill_diagonal(Q, diag[flats])
-    return FormMatrix(grid=grid, kp=kp, ids=ids, quadratic_matrix=Q)
+    return FormMatrix(grid=grid, ids=ids, quadratic_matrix=Q)
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,6 @@ def ball_indicator(volume: float, grid: GridSpec, copy: int = 0) -> MultiIndicat
 class BallEnergyReport:
     energy_shape: float
     energy_ball: float
-    tolerance: float
     passed: bool
 
 
@@ -82,6 +81,5 @@ def ball_energy_check(A: MultiIndicator, kp: KernelParams) -> BallEnergyReport:
     e_shape = torsion_solve(A, kp).energy
     ball = ball_indicator(A.volume(), A.grid)
     e_ball = torsion_solve(ball, kp).energy
-    tol = 0.02 * abs(e_shape)
     return BallEnergyReport(energy_shape=e_shape, energy_ball=e_ball,
-                            tolerance=tol, passed=bool(e_ball <= e_shape + tol))
+                            passed=bool(e_ball <= e_shape + 0.02 * abs(e_shape)))

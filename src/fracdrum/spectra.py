@@ -37,6 +37,7 @@ import ctypes
 from dataclasses import dataclass
 import functools
 import math
+import os
 
 import numpy as np
 from scipy.linalg.lapack import dsyevr, dsyevr_lwork
@@ -78,44 +79,51 @@ class SpectralResult:
     eigenvalues: np.ndarray
     vectors: np.ndarray
     residuals: np.ndarray
-    multiplicity_gaps: np.ndarray
     solver: str
     iterations: int
 
     def is_numerically_multiple(self, k: int) -> bool:
-        """Whether the k-th eigenvalue (1-based) ties a neighbor numerically."""
+        """Whether the k-th eigenvalue (1-based) ties a neighbor numerically;
+        the one above it is tested only when this result holds k + 1 pairs."""
         lam = self.eigenvalues
-        tol = MULTIPLICITY_RTOL * abs(lam[k - 1])
-        lo = k - 2
-        return bool((lo >= 0 and self.multiplicity_gaps[lo] < tol)
-                    or (k - 1 < len(self.multiplicity_gaps)
-                        and self.multiplicity_gaps[k - 1] < tol))
+        gaps = np.diff(lam[max(k - 2, 0):k + 1])
+        return bool(np.any(gaps < MULTIPLICITY_RTOL * abs(lam[k - 1])))
 
 
-# thread-count entry points of the OpenBLAS builds numpy and scipy ship
-_OPENBLAS_THREADS = ("scipy_openblas_{}_num_threads64_",
-                     "scipy_openblas_{}_num_threads", "openblas_{}_num_threads")
+# symbol (prefix, suffix) of numpy's, scipy's and a system OpenBLAS build
+_OPENBLAS_NAMES = (("scipy_", "64_"), ("scipy_", ""), ("", ""))
 
 
 @functools.cache
-def _openblas_thread_controls() -> tuple:
-    """(get, set) thread-count functions of every OpenBLAS loaded in this
-    process, found through /proc/self/maps; none where that file is missing."""
+def _openblas() -> dict:
+    """Every OpenBLAS loaded in this process, found through /proc/self/maps,
+    by path: its (get-threads, set-threads, get_corename) entry points, the
+    last None where the build lacks it.  Empty where that file is missing."""
     try:
         with open("/proc/self/maps") as f:
             paths = {line.split()[-1] for line in f if "openblas" in line.lower()}
     except OSError:
-        return ()
-    controls = []
+        return {}
+    libs = {}
     for path in sorted(p for p in paths if p.startswith("/") and ".so" in p):
         lib = ctypes.CDLL(path)
-        for stem in _OPENBLAS_THREADS:
-            get, put = (getattr(lib, stem.format(verb), None)
-                        for verb in ("get", "set"))
+        for pre, suf in _OPENBLAS_NAMES:
+            get, put, core = (getattr(lib, f"{pre}openblas_{name}{suf}", None)
+                              for name in ("get_num_threads", "set_num_threads",
+                                           "get_corename"))
             if get is not None and put is not None:
-                controls.append((get, put))
+                if core is not None:
+                    core.restype = ctypes.c_char_p
+                libs[path] = (get, put, core)
                 break
-    return tuple(controls)
+    return libs
+
+
+def blas_kernels() -> dict:
+    """The kernels each loaded OpenBLAS picked for this CPU (``"SkylakeX"``)
+    by library file name; None where a build has no get_corename."""
+    return {os.path.basename(path): None if core is None else core().decode()
+            for path, (_, _, core) in _openblas().items()}
 
 
 @contextmanager
@@ -137,14 +145,14 @@ def _serial_blas():
     calls on other Python threads meanwhile run on one thread too.  Without
     OpenBLAS, or without /proc/self/maps, this does nothing and the BLAS in
     use keeps its own threading."""
-    controls = _openblas_thread_controls()
-    before = [get() for get, _ in controls]
-    for _, put in controls:
+    libs = _openblas().values()
+    before = [get() for get, _, _ in libs]
+    for _, put, _ in libs:
         put(1)
     try:
         yield
     finally:
-        for (_, put), count in zip(controls, before):
+        for (_, put, _), count in zip(libs, before):
             put(count)
 
 
@@ -190,11 +198,10 @@ def dirichlet_eigs(A: MultiIndicator, kp: KernelParams, count: int,
         r = matvec(v) / mass - lam[j] * v
         residuals[j] = math.sqrt(mass * float(r @ r)) / abs(lam[j])
         if not residuals[j] <= RESIDUAL_RTOL:
-            raise RuntimeError(f"eigenpair {j + 1} residual {residuals[j]:.2e} "
-                               "exceeds the solver contract")
+            raise RuntimeError(f"eigenpair {j + 1} residual {residuals[j]:.2e} exceeds "
+                               f"the solver contract ({solver}, {iterations} iterations)")
     return SpectralResult(eigenvalues=lam, vectors=vecs, residuals=residuals,
-                          multiplicity_gaps=lam[1:] - lam[:-1], solver=solver,
-                          iterations=iterations)
+                          solver=solver, iterations=iterations)
 
 
 @functools.cache

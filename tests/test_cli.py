@@ -265,10 +265,12 @@ def test_optimize_shape_smoke(tmp_path):
     assert len(lines) == 26
 
 
-def test_optimize_shape_reports_a_multiple_eigenvalue(tmp_path):
+@pytest.mark.parametrize("k", [1, 2])
+def test_optimize_shape_reports_a_multiple_eigenvalue(tmp_path, k):
     # equal intervals on two copies: lambda_1 = lambda_2, so the audit of
-    # the k = 2 eigenfield is flagged inconclusive
-    doc = {"n": 1, "s": 0.5, "h": 0.125, "L": 2.0, "copies": 2, "k": 2,
+    # the k-th eigenfield is flagged inconclusive, whether the tie is with
+    # the eigenvalue below (k = 2) or above (k = 1)
+    doc = {"n": 1, "s": 0.5, "h": 0.125, "L": 2.0, "copies": 2, "k": k,
            "steps": 0, "diagnostics": True,
            "init": {"kind": "intervals",
                     "items": [[0, -1.0, 1.0], [1, -1.0, 1.0]]}}

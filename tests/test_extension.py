@@ -269,8 +269,7 @@ def test_monotonicity_report():
         assert rep["min_increment"] >= 0.0
 
     # a deliberate dip must be priced against the drift budget
-    dipped = WeissCurve(center=0.0, s=0.5,
-                        radii=np.array([0.1, 0.2, 0.3]),
+    dipped = WeissCurve(s=0.5, radii=np.array([0.1, 0.2, 0.3]),
                         values=np.array([1.0, 0.9, 1.1]),
                         bulk=np.zeros(3), thin=np.zeros(3), sphere=np.zeros(3))
     rep2 = monotonicity_report(dipped)

@@ -504,7 +504,7 @@ def test_cell_groups_refuse_a_repeated_id(group):
         with pytest.raises(ValueError, match=match):
             fn(F, u, *groups)
     with pytest.raises(ValueError, match=match):
-        translation_gradient(u, *groups, [1], F.kp)
+        translation_gradient(u, *groups, [1], KernelParams(n=1, s=0.5))
 
 
 def test_refinement_consistency_recorded():

@@ -1,4 +1,9 @@
+import ast
 import math
+import os
+import platform
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -268,12 +273,13 @@ def test_lobpcg_branch_out_of_iterations_raises(monkeypatch):
     A = interval(0.0625, -1.5, 1.0)
     monkeypatch.setattr(spectra, "DENSE_LIMIT", 4)
     monkeypatch.setattr(spectra, "LOBPCG_MAXITER", 1)
-    with pytest.raises(RuntimeError, match="residual"):
+    with pytest.raises(RuntimeError,
+                       match=r"residual .* contract \(lobpcg, 1 iterations\)$"):
         dirichlet_eigs(A, KP, 3)
 
 
 def test_lobpcg_branch_runs_on_one_blas_thread(monkeypatch):
-    controls = spectra._openblas_thread_controls()
+    controls = [(get, put) for get, put, _ in spectra._openblas().values()]
     if not controls:
         pytest.skip("no OpenBLAS loaded")
     before = [get() for get, _ in controls]
@@ -314,6 +320,24 @@ def test_lobpcg_branch_runs_on_one_blas_thread(monkeypatch):
         dirichlet_eigs(interval(0.03125, -1.5, 1.0), KP, 4)
     assert len(seen) == 2 and seen[1] == [1] * len(controls)
     assert [get() for get, _ in controls] == before
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE=Nehalem names an x86-64 kernel")
+def test_blas_kernels_name_the_kernels_each_openblas_picked():
+    # Nehalem needs only SSE4.2, so every x86-64 host can be made to pick it
+    src = os.path.dirname(os.path.dirname(spectra.__file__))
+    env = dict(os.environ, OPENBLAS_CORETYPE="Nehalem", PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "from fracdrum.spectra import blas_kernels; print(blas_kernels())"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    kernels = ast.literal_eval(proc.stdout)
+    if not kernels:
+        pytest.skip("no OpenBLAS loaded")
+    assert kernels == dict.fromkeys(kernels, "Nehalem")
 
 
 def test_matrix_free_solvers_never_assemble(monkeypatch):
