@@ -143,6 +143,8 @@ def _box_stencil(grid: GridSpec, kp: KernelParams):
     the two cells: entry ``c + sum_a d_a (2m - 1)^(n-1-a)``, with c the entry
     of d = 0 (the middle one), so the entry of two cells is found by
     subtracting their keys, their coordinates read as digits in base 2m - 1.
+    A zero pads the table at each end, before the first offset and after the
+    last, for pairs that are in no box together (``assemble_form``).
     diag[f] is 2 (T_f + h^n tail_f) for box cell f (flat index), with T_f the
     weight of f against every cell of its box, summed over offsets by prefix
     sums of w, and w at offset zero is 0.
@@ -179,7 +181,8 @@ def _box_stencil(grid: GridSpec, kp: KernelParams):
                            "entries: the grid's scale is out of floating-point "
                            "range")
     fold = np.abs(np.arange(1 - m, m))
-    table = -2.0 * w[np.ix_(*[fold] * n)].ravel()
+    table = np.zeros((2 * m - 1) ** n + 2)
+    table[1:-1] = -2.0 * w[np.ix_(*[fold] * n)].ravel()
     table.setflags(write=False)
     diag.setflags(write=False)
     return table, diag
@@ -254,7 +257,7 @@ def form_operator(A: MultiIndicator, kp: KernelParams) -> FormOperator:
     # table, whose entry of offset d sits at d + m - 1 along each axis
     fold = [np.minimum(np.arange(p), p - np.arange(p)) + m - 1 for p in period]
     # K is real and even, so its spectrum is real
-    K = table.reshape((2 * m - 1,) * A.grid.n)[np.ix_(*fold)]
+    K = table[1:-1].reshape((2 * m - 1,) * A.grid.n)[np.ix_(*fold)]
     kernel_hat = np.fft.rfftn(K).real
     d = diag[ids % A.grid.box_size]
     symbol = d.max() + kernel_hat
@@ -302,26 +305,29 @@ class FormMatrix:
         return np.where(inside, u.values.ravel()[self.ids], 0.0)
 
 
+@lru_cache(maxsize=None)
+def _cell_keys(grid: GridSpec) -> np.ndarray:
+    """Per cell id, its key into ``_box_stencil``'s padded table.
+
+    Within a box the key of flat index x m + y (n = 2) or y (n = 1) reads its
+    coordinates in base 2m - 1.  Each copy adds the padded table's length, so
+    the keys of two cells in different copies differ by more than any offset
+    and their clipped gather lands on a padding zero."""
+    m = grid.cells_per_side
+    copy, flats = np.divmod(np.arange(grid.copies * grid.box_size), grid.box_size)
+    keys = flats + flats // m * (m - 1) + copy * ((2 * m - 1) ** grid.n + 2)
+    keys.setflags(write=False)
+    return keys
+
+
 def assemble_form(A: MultiIndicator, kp: KernelParams) -> FormMatrix:
     """Gather the shape's Q as a principal submatrix of the box operator."""
     grid = A.grid
     ids = _checked_ids(A, kp)
     table, diag = _box_stencil(grid, kp)
-    m, flats = grid.cells_per_side, ids % grid.box_size
-    # a cell's key: flat index x m + y (n = 2) or y (n = 1), its coordinates
-    # read in base m, rewritten in base 2m - 1
-    keys = flats + flats // m * (m - 1)
-    centre = len(table) // 2
-
-    N = len(ids)
-    Q = np.zeros((N, N))
-    # one block per copy; the blocks between copies stay zero
-    bounds = np.searchsorted(ids, grid.box_size * np.arange(grid.copies + 1))
-    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        k = keys[lo:hi]
-        np.take(table, np.subtract.outer(k + centre, k), out=Q[lo:hi, lo:hi],
-                mode="clip")
-    np.fill_diagonal(Q, diag[flats])
+    keys = _cell_keys(grid)[ids]
+    Q = np.take(table, np.subtract.outer(keys + len(table) // 2, keys), mode="clip")
+    np.fill_diagonal(Q, diag[ids % grid.box_size])
     return FormMatrix(grid=grid, ids=ids, quadratic_matrix=Q)
 
 

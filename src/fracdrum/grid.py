@@ -10,7 +10,7 @@ of the same shape supported on such masks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 import math
 
@@ -117,6 +117,17 @@ class MultiIndicator:
             raise ValueError("mask touches the box boundary")
 
     @classmethod
+    def _adopt(cls, grid: GridSpec, masks: np.ndarray) -> "MultiIndicator":
+        """The shape of ``masks``, a new (copies, *box) bool array already
+        known to fit ``grid`` with no cell on the box boundary: it is kept
+        and made read-only, not copied and checked."""
+        A = cls.__new__(cls)
+        A.grid = grid
+        masks.setflags(write=False)
+        A.masks = masks
+        return A
+
+    @classmethod
     def empty(cls, grid: GridSpec) -> "MultiIndicator":
         return cls(grid, np.zeros((grid.copies, *grid.shape), dtype=bool))
 
@@ -201,11 +212,33 @@ class LatticeField:
 
 @dataclass
 class ComponentDecomposition:
-    """Face-adjacency connected components; each lies inside a single copy."""
+    """Face-adjacency connected components; each lies inside a single copy.
 
-    labels: np.ndarray            # (copies, *box) int array, -1 outside the shape
+    Components are numbered in order of their first cell id.  ``index`` is
+    all that labelling computes; the per-cell ``labels`` array and the
+    per-component ``cells`` are built from it on first read."""
+
+    ids: np.ndarray               # (N,) the shape's cell ids, ascending
+    index: np.ndarray             # (N,) the component of each of those cells
     count: int
-    cells: list = field(default_factory=list)   # per component: ascending ids
+    shape: tuple                  # (copies, *box)
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """Read-only (copies, *box) int array, -1 outside the shape."""
+        labels = np.full(self.shape, -1)
+        labels.ravel()[self.ids] = self.index
+        labels.setflags(write=False)
+        return labels
+
+    @cached_property
+    def cells(self) -> list:
+        """Per component, its cell ids ascending."""
+        order = np.argsort(self.index, kind="stable")
+        bounds = np.searchsorted(self.index[order],
+                                 np.arange(self.count + 1)).tolist()
+        members = self.ids[order]
+        return [members[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def connected_components(A: MultiIndicator) -> ComponentDecomposition:
@@ -215,27 +248,34 @@ def connected_components(A: MultiIndicator) -> ComponentDecomposition:
     box-boundary cells are never in a shape, so no run crosses a row end.
     In 1-D the runs are the components.  In 2-D two runs join when a cell of
     one has the cell a row below it in the other, and each run takes the
-    smallest run id it is joined to (union-find over the joined pairs).
+    smallest run id it is joined to (union-find over the distinct joined
+    pairs).
     """
     on = A.masks.ravel()
     ids = on.nonzero()[0]
     first = np.ones(ids.size, dtype=bool)       # first cell of its run
     first[1:] = ids[1:] - ids[:-1] != 1
     run = first.cumsum() - 1
-    comp, count = run, int(np.count_nonzero(first))
+    index, count = run, int(np.count_nonzero(first))
     if A.grid.n == 2 and count:
         m = A.grid.cells_per_side
         # the last row of a copy is boundary, so no pair spans two copies
         upper = np.flatnonzero(on[:-m] & on[m:])
-        pairs = zip(run[np.searchsorted(ids, upper)].tolist(),
-                    run[np.searchsorted(ids, upper + m)].tolist())
+        run_of = np.empty(on.size, dtype=run.dtype)
+        run_of[ids] = run
+        above, below = run_of[upper], run_of[upper + m]
+        # along ascending cells neither run id falls, so a repeated pair
+        # follows its first occurrence
+        new = np.empty(upper.size, dtype=bool)
+        new[:1] = True
+        new[1:] = (above[1:] != above[:-1]) | (below[1:] != below[:-1])
         root = list(range(count))
 
         def find(r):
             while root[r] != r:
                 root[r] = r = root[root[r]]
             return r
-        for a, b in set(pairs):
+        for a, b in zip(above[new].tolist(), below[new].tolist()):
             a, b = find(a), find(b)
             if a != b:
                 root[max(a, b)] = min(a, b)
@@ -243,16 +283,10 @@ def connected_components(A: MultiIndicator) -> ComponentDecomposition:
         # runs are in first-id order, so roots ranked ascending number the
         # components by their first cell
         is_root = root == np.arange(count)
-        comp = (np.cumsum(is_root) - 1)[root][run]
+        index = (np.cumsum(is_root) - 1)[root][run]
         count = int(np.count_nonzero(is_root))
-    labels = np.full(A.masks.shape, -1)
-    labels.ravel()[ids] = comp
-    labels.setflags(write=False)     # shared through MultiIndicator.components
-    order = np.argsort(comp, kind="stable")
-    members = ids[order]
-    bounds = np.searchsorted(comp[order], np.arange(count + 1)).tolist()
-    cells = [members[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-    return ComponentDecomposition(labels=labels, count=count, cells=cells)
+    return ComponentDecomposition(ids=ids, index=index, count=count,
+                                  shape=A.masks.shape)
 
 
 def component_signs(decomp: ComponentDecomposition, u: LatticeField):

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 import functools
 import math
 import os
+import threading
 
 import numpy as np
 from scipy.linalg.lapack import dsyevr, dsyevr_lwork
@@ -126,34 +127,52 @@ def blas_kernels() -> dict:
             for path, (_, _, core) in _openblas().items()}
 
 
+# the open _serial_blas scopes and the thread counts before the first of
+# them: module state, as the thread counts it guards are process state
+_serial_lock = threading.Lock()
+_serial_depth = 0
+_serial_before: list = []
+
+
 @contextmanager
 def _serial_blas():
-    """Run the block with every loaded OpenBLAS on one thread, and restore
-    the thread counts after it, also when the block raises.
+    """Run the block with every loaded OpenBLAS on one thread.  The first
+    scope to open sets the counts and the last to close restores them, also
+    when its block raises; a scope opened inside another makes no thread
+    calls.
 
     Every eigensolve runs this way (``dirichlet_eigs`` is wrapped in it), so
     that its bytes do not depend on the host's core count: the dense
     ``eigh`` gives different bytes on one thread than on two from about
-    N=256 on.  What one thread costs: for the 4 lowest pairs on an idle
+    N=256 on.  ``anneal.minimize`` opens one scope for its whole chain, so
+    the thousand small solves of a chain make no thread calls of their own.
+    What one thread costs: for the 4 lowest pairs on an idle
     2-core host, ``eigh`` took 0.002 s on one thread or two at N=185
     (anneal's forms stay below about 300 cells), 0.015 s against 0.0125 s
     at N=512, and 0.088 s against 0.050 s at N=960, next to DENSE_LIMIT.
     With another process busy on one core, two threads wait for it instead
     (0.018 s became up to 0.098 s at N=512).  LOBPCG's products are
     N x (at most 3 blocks) and smaller, and split over threads they too wait
-    for the second thread to be scheduled.  The count is process-wide: BLAS
-    calls on other Python threads meanwhile run on one thread too.  Without
-    OpenBLAS, or without /proc/self/maps, this does nothing and the BLAS in
-    use keeps its own threading."""
-    libs = _openblas().values()
-    before = [get() for get, _, _ in libs]
-    for _, put, _ in libs:
-        put(1)
+    for the second thread to be scheduled.  The count is process-wide: while
+    any scope is open, BLAS calls on every Python thread run on one thread.
+    Without OpenBLAS, or without /proc/self/maps, this does nothing and the
+    BLAS in use keeps its own threading."""
+    global _serial_depth, _serial_before
+    with _serial_lock:
+        if not _serial_depth:
+            libs = _openblas().values()
+            _serial_before = [get() for get, _, _ in libs]
+            for _, put, _ in libs:
+                put(1)
+        _serial_depth += 1
     try:
         yield
     finally:
-        for (_, put, _), count in zip(libs, before):
-            put(count)
+        with _serial_lock:
+            _serial_depth -= 1
+            if not _serial_depth:
+                for (_, put, _), count in zip(_openblas().values(), _serial_before):
+                    put(count)
 
 
 @_serial_blas()

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from fracdrum import (AnnealSchedule, GridSpec, KernelParams, LatticeField,
                       dirichlet_eigs, energy_decomposition, enumerate_moves,
                       interaction_energy, minimize, objective,
                       translation_gradient)
-from fracdrum.grid import _open_face
+from fracdrum.anneal import _kept, _recall
+from fracdrum.grid import _open_face, component_signs
 
 KP = KernelParams(n=1, s=0.5)
 
@@ -147,19 +149,19 @@ def test_frozen_chain_digests():
 
 def test_minimize_scores_each_distinct_shape_once(monkeypatch):
     import fracdrum.anneal as anneal
-    real_assemble, real_apply = anneal.assemble_form, anneal.apply_move
+    real_assemble, real_proposal = anneal.assemble_form, anneal._proposal
     assembled, shapes = [], []
 
     def counting_assemble(A, *args, **kwargs):
         assembled.append(A)
         return real_assemble(A, *args, **kwargs)
 
-    def recording_apply(A, move):
-        shapes.append(real_apply(A, move))
-        return shapes[-1]
+    def recording_proposal(A, key, move):
+        shapes.append(apply_move(A, move))
+        return real_proposal(A, key, move)
 
     monkeypatch.setattr(anneal, "assemble_form", counting_assemble)
-    monkeypatch.setattr(anneal, "apply_move", recording_apply)
+    monkeypatch.setattr(anneal, "_proposal", recording_proposal)
     res = two_interval_chain(steps=200)
     distinct = {A.masks.tobytes() for A in [assembled[0], *shapes]}
     assert len(shapes) == 200
@@ -169,6 +171,198 @@ def test_minimize_scores_each_distinct_shape_once(monkeypatch):
     fresh = dirichlet_eigs(res.best, KP, 2)
     assert np.array_equal(res.best_spectrum.eigenvalues, fresh.eigenvalues)
     assert np.array_equal(res.best_spectrum.vectors, fresh.vectors)
+
+
+def minimize_reference(init, kp, k, schedule):
+    """The chain as a loop that builds every proposal with ``apply_move``,
+    labels and lists the moves of every new shape object afresh, and lets
+    each eigensolve open its own BLAS scope: the loop ``minimize`` replaced,
+    kept as reference."""
+    rng = np.random.default_rng(schedule.seed)
+    current = init
+
+    def score(A):
+        spec = dirichlet_eigs(A, kp, k, F=assemble_form(A, kp))
+        return float(spec.eigenvalues[k - 1]) + A.volume(), spec
+
+    cur_obj, best_spec = score(current)
+    scored = {np.packbits(current.masks).tobytes(): cur_obj}
+    t0 = schedule.initial_temperature
+    if t0 is None:
+        t0 = 0.1 * abs(cur_obj)
+    best, best_obj, trace = current, cur_obj, []
+    for step in range(schedule.steps):
+        temp = t0 * schedule.cooling ** step
+        moves = enumerate_moves(current, min_cells=k)
+        move = moves[int(rng.integers(len(moves)))]
+        candidate = apply_move(current, move)
+        key = np.packbits(candidate.masks).tobytes()
+        cand_obj = scored.get(key)
+        if cand_obj is None:
+            cand_obj, spec = score(candidate)
+            scored[key] = cand_obj
+            if cand_obj < best_obj:
+                best, best_obj, best_spec = candidate, cand_obj, spec
+        delta = cand_obj - cur_obj
+        accept = delta <= 0 or (temp > 0 and rng.random() < math.exp(-delta / temp))
+        if accept:
+            current, cur_obj = candidate, cand_obj
+        trace.append((step, temp, cur_obj, accept, move[0]))
+    return best, best_obj, best_spec, current, cur_obj, trace
+
+
+def ball_masks(g, radius):
+    masks = np.zeros((g.copies, *g.shape), dtype=bool)
+    masks[0] = g.interior() & (np.linalg.norm(
+        g.cell_centers(), axis=1).reshape(g.shape) < radius)
+    return masks
+
+
+@pytest.mark.parametrize("n, copies, k, steps, cooling, t0", [
+    (1, 1, 1, 300, 0.99, 0.3),
+    (1, 2, 2, 400, 0.995, 0.3),
+    (1, 2, 1, 200, 0.5, 1e-300),      # the temperature underflows to 0
+    (2, 1, 1, 80, 0.98, 0.5),
+    (2, 2, 2, 80, 0.98, 0.3),
+], ids=["1d", "1d-copies2", "1d-cold", "2d", "2d-copies2"])
+def test_minimize_matches_the_reference_loop(n, copies, k, steps, cooling, t0):
+    g = GridSpec(n=n, h=1 / 8, L=1.0 if n == 2 else 2.0, copies=copies)
+    init = MultiIndicator(g, ball_masks(g, 0.4 if n == 2 else 0.6))
+    kp = KernelParams(n=n, s=0.5)
+    schedule = AnnealSchedule(steps=steps, cooling=cooling, initial_temperature=t0,
+                              seed=steps + copies)
+    res = minimize(init, kp, k=k, schedule=schedule)
+    best, best_obj, best_spec, final, final_obj, trace = minimize_reference(
+        init, kp, k, schedule)
+    assert [(r.step, r.temperature, r.objective, r.accepted, r.kind)
+            for r in res.trace] == trace
+    assert {r.kind for r in res.trace} >= {"flip", "translate"}
+    if copies > 1 and n == 1:
+        assert "relocate" in {r.kind for r in res.trace}
+    assert res.best_objective == best_obj and res.final_objective == final_obj
+    assert np.array_equal(res.best.masks, best.masks)
+    assert np.array_equal(res.final.masks, final.masks)
+    for name in ("eigenvalues", "vectors", "residuals"):
+        assert np.array_equal(getattr(res.best_spectrum, name),
+                              getattr(best_spec, name))
+
+
+def test_a_cached_proposal_builds_and_labels_nothing(monkeypatch):
+    import fracdrum.anneal as anneal
+    import fracdrum.grid as grid
+    # per step, what its proposal did; and the labellings made while a
+    # current shape's moves were listed
+    steps, listing, labelled, currents = [], [False], [], set()
+    real_enumerate, real_score = anneal.enumerate_moves, anneal._score
+    real_label, real_init = grid.connected_components, MultiIndicator.__init__
+    real_adopt = MultiIndicator._adopt.__func__
+
+    def record(event):
+        if steps:
+            steps[-1].append(event)
+
+    def enumerate_spy(A, min_cells=1):
+        currents.add(A.masks.tobytes())
+        listing[0] = True
+        moves = real_enumerate(A, min_cells)
+        listing[0] = False
+        steps.append([])
+        return moves
+
+    def score_spy(*args):
+        record("score")
+        return real_score(*args)
+
+    def label_spy(A):
+        if listing[0]:
+            labelled.append(A)
+        else:
+            record("label")
+        return real_label(A)
+
+    def init_spy(self, *args):
+        record("build")
+        real_init(self, *args)
+
+    def adopt_spy(cls, *args):
+        record("build")
+        return real_adopt(cls, *args)
+
+    monkeypatch.setattr(anneal, "enumerate_moves", enumerate_spy)
+    monkeypatch.setattr(anneal, "_score", score_spy)
+    monkeypatch.setattr(grid, "connected_components", label_spy)
+    monkeypatch.setattr(MultiIndicator, "__init__", init_spy)
+    monkeypatch.setattr(MultiIndicator, "_adopt", classmethod(adopt_spy))
+    res = two_interval_chain(steps=300)
+
+    assert len(steps) == len(res.trace) == 300
+    hits = 0
+    for row, proposal in zip(res.trace, steps):
+        if "score" in proposal:
+            assert proposal == ["build", "score"]
+        else:
+            hits += 1
+            assert proposal == (["build"] if row.accepted else [])
+    assert hits > 100
+    # every shape the chain stood on is labelled once, when its moves are
+    # first listed
+    assert len(labelled) == len(currents)
+
+
+def test_minimize_runs_every_eigensolve_on_one_blas_thread(monkeypatch):
+    import fracdrum.anneal as anneal
+    from fracdrum import spectra
+    controls = [(get, put) for get, put, _ in spectra._openblas().values()]
+    if not controls:
+        pytest.skip("no OpenBLAS loaded")
+    real, seen = anneal.dirichlet_eigs, []
+
+    def spy(*args, **kwargs):
+        seen.append([get() for get, _ in controls])
+        if len(seen) == fail_at:
+            raise RuntimeError("residual exceeds the solver contract")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(anneal, "dirichlet_eigs", spy)
+    before = [get() for get, _ in controls]
+    fail_at = 0
+    two_interval_chain(steps=60)
+    assert len(seen) > 10 and seen == [[1] * len(controls)] * len(seen)
+    assert [get() for get, _ in controls] == before
+    seen.clear()
+    fail_at = 5
+    with pytest.raises(RuntimeError, match="solver contract"):
+        two_interval_chain(steps=60)
+    assert seen == [[1] * len(controls)] * 5
+    assert [get() for get, _ in controls] == before
+
+
+def test_a_nested_blas_scope_makes_no_thread_calls(monkeypatch):
+    from fracdrum import spectra
+    calls, threads = [], [4]
+
+    def get():
+        calls.append("get")
+        return threads[0]
+
+    def put(count):
+        calls.append(("put", count))
+        threads[0] = count
+
+    monkeypatch.setattr(spectra, "_openblas", lambda: {"lib": (get, put, None)})
+    with spectra._serial_blas():
+        assert calls == ["get", ("put", 1)]
+        calls.clear()
+        with spectra._serial_blas():
+            dirichlet_eigs(small_two_copy(), KP, 1)
+        assert calls == [] and threads == [1]
+    assert calls == [("put", 4)] and threads == [4]
+    calls.clear()
+    with pytest.raises(ZeroDivisionError):
+        with spectra._serial_blas():
+            with spectra._serial_blas():
+                1 / 0
+    assert calls == ["get", ("put", 1), ("put", 4)] and threads == [4]
 
 
 def test_each_shape_is_labelled_once(monkeypatch):
@@ -411,7 +605,9 @@ def test_diagnostics_on_interval_ball():
 
 def diagnostics_by_radius_loop(A, u, kp, radii):
     """Reference audit, one radius at a time: every radius recomputes each
-    boundary cell's distances and builds its three measurements as lists."""
+    boundary cell's distances and builds its three measurements as lists.
+    Only boundary cells of components on which the field does not vanish
+    are measured."""
     grid = A.grid
     scale = float(np.abs(u.values).max())
     thr = 1e-9 * scale if scale > 0 else 1e-9
@@ -422,8 +618,13 @@ def diagnostics_by_radius_loop(A, u, kp, radii):
         violations += int(np.sum((a > thr) & (b < -thr)))
         violations += int(np.sum((a < -thr) & (b > thr)))
     centers = grid.cell_centers()
-    copies, flats = np.divmod(np.flatnonzero(A.masks & _open_face(A.masks)),
-                              grid.box_size)
+    signs = component_signs(A.components, u)
+    boundary = [i for i in np.flatnonzero(A.masks & _open_face(A.masks))
+                if signs[A.components.labels.ravel()[i]] != 0]
+    if not boundary:
+        raise ValueError("no boundary cell lies in a component that carries "
+                         "the field")
+    copies, flats = np.divmod(np.array(boundary), grid.box_size)
     growth, pos_density, zero_density = {}, {}, {}
     for r in radii:
         sup_ratios, pos_r, zero_r = [], [], []
@@ -461,9 +662,39 @@ def test_diagnostics_matches_per_radius_reference(n, copies):
         kp = KernelParams(n=n, s=float(rng.choice([0.2, 0.5, 0.9])))
         radii = [4 * h, 8 * h, 16 * h] if trial % 2 else sorted(
             rng.uniform(0.5, 6.0, size=int(rng.integers(1, 4))) * h)
+        if not any(component_signs(A.components, u)):
+            # the zero field: no component carries it, so nothing is measured
+            for audit in (diagnostics, diagnostics_by_radius_loop):
+                with pytest.raises(ValueError, match="carries the field"):
+                    audit(A, u, kp, radii)
+            continue
         want = diagnostics_by_radius_loop(A, u, kp, radii)
         rep = diagnostics(A, u, kp, radii)
         assert {key: getattr(rep, key) for key in want} == want
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_diagnostics_skips_a_component_where_the_field_vanishes(n):
+    # an eigenfield of the left piece alone, on a shape of two pieces: the
+    # right piece carries nothing, and its boundary is not measured
+    g = GridSpec(n=n, h=1 / 16 if n == 1 else 1 / 8, L=1.0)
+    kp = KernelParams(n=n, s=0.5)
+    centre = np.array([-0.4] + [0.0] * (n - 1))
+    x = np.linalg.norm(g.cell_centers() - centre, axis=1).reshape(g.shape)
+    left = g.interior() & (x < 0.35)
+    right = np.zeros(g.shape, dtype=bool)
+    right[(slice(-6, -2),) * n] = True
+    alone = MultiIndicator(g, [left])
+    u = alone.field(dirichlet_eigs(alone, kp, 1).vectors[:, 0])
+    both = MultiIndicator(g, [left | right])
+    assert both.components.count == 2
+    rep = diagnostics(both, u, kp, (2 * g.h, 4 * g.h))
+    want = diagnostics(alone, u, kp, (2 * g.h, 4 * g.h))
+    assert rep.component_signs == [1, 0] and want.component_signs == [1]
+    for key in ("adjacency_violations", "growth_ratios", "positive_density",
+                "zero_density"):
+        assert getattr(rep, key) == getattr(want, key)
+    assert all(v > 0 for v in rep.growth_ratios.values())
 
 
 def test_scoring_failure_propagates_out_of_minimize(monkeypatch, tmp_path):
@@ -558,6 +789,15 @@ def test_move_enumeration_matches_the_per_component_reference(n, copies):
             moves = enumerate_moves(A, min_cells=min_cells)
             assert moves == reference_moves(A, min_cells)
             assert all(type(x) is int for move in moves for x in move[1:])
+            # what minimize keeps of a shape gives a new object with the same
+            # masks the same components and moves
+            twin = MultiIndicator(g, masks)
+            _recall(twin, min_cells, _kept(A, min_cells))
+            assert enumerate_moves(twin, min_cells=min_cells) == moves
+            assert np.array_equal(twin.components.labels, A.components.labels)
+            assert twin.components.index.dtype == A.components.index.dtype
+            assert [c.tolist() for c in twin.components.cells] \
+                == [c.tolist() for c in A.components.cells]
             for move in moves:
                 assert np.array_equal(apply_move(A, move).masks,
                                       reference_apply(A, move))

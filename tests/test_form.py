@@ -588,3 +588,43 @@ def test_form_bytes_are_frozen(n, s):
     digests = tuple(hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
                     for a in arrays)
     assert digests == FORM_DIGESTS[n, s]
+
+
+def assemble_by_copy(A, kp):
+    """Q gathered one copy at a time from the unpadded offset table into a
+    zero matrix: the assembly that the one-take gather replaced, kept as
+    reference."""
+    from fracdrum.form import _box_stencil
+    grid = A.grid
+    table, diag = _box_stencil(grid, kp)
+    table = table[1:-1]
+    ids = np.flatnonzero(A.masks)
+    m, flats = grid.cells_per_side, ids % grid.box_size
+    keys = flats + flats // m * (m - 1)
+    centre = len(table) // 2
+    Q = np.zeros((len(ids), len(ids)))
+    bounds = np.searchsorted(ids, grid.box_size * np.arange(grid.copies + 1))
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        k = keys[lo:hi]
+        np.take(table, np.subtract.outer(k + centre, k), out=Q[lo:hi, lo:hi],
+                mode="clip")
+    np.fill_diagonal(Q, diag[flats])
+    return Q
+
+
+@pytest.mark.parametrize("n,copies", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)])
+def test_one_take_assembly_matches_the_per_copy_loop(n, copies):
+    g = GridSpec(n=n, h=1 / 16 if n == 1 else 1 / 8, L=1.0, copies=copies)
+    kp = KernelParams(n=n, s=0.4)
+    rng = np.random.default_rng([5, n, copies])
+    for trial in range(12):
+        masks = np.stack([random_interior_mask(rng, g, rng.uniform(0.1, 0.9))
+                          for _ in range(copies)])
+        # now and then every copy but one is empty
+        if trial % 3 == 0:
+            masks[np.arange(copies) != trial % copies] = False
+        if not masks.any():
+            continue
+        A = MultiIndicator(g, masks)
+        assert np.array_equal(assemble_form(A, kp).quadratic_matrix,
+                              assemble_by_copy(A, kp))
