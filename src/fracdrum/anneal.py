@@ -14,10 +14,10 @@ component, and a shape found among the scored ones is neither built,
 assembled nor solved.  A ``MultiIndicator`` is built only for a shape that
 is scored or accepted.  Scoring is a pure function of the shape and there is
 no incremental eigenvalue update, so the chain is the same bit for bit as
-one that solves every proposal.  A shape the chain stands on is labelled and
-its move table built once per run: the labelling and table are kept, as
-compact arrays, by the shape's key, and a shape accepted again takes them
-back.  The whole chain runs in one ``_serial_blas`` scope.
+one that solves every proposal.  Each shape the chain stands on is kept by
+its key, with its labelling and move list, so it is labelled and its moves
+listed once per run: a shape accepted again is that same object.  The whole
+chain runs in one ``_serial_blas`` scope.
 """
 
 from __future__ import annotations
@@ -29,12 +29,14 @@ import math
 import numpy as np
 
 from .form import _distinct, assemble_form, interaction_energy
-from .grid import (ComponentDecomposition, GridSpec, KernelParams,
-                   LatticeField, MultiIndicator, _box_masks, _open_face,
-                   component_signs)
+from .grid import (GridSpec, KernelParams, LatticeField, MultiIndicator,
+                   _box_masks, _open_face, component_signs)
 from .spectra import SpectralResult, _serial_blas, dirichlet_eigs
 
 Move = tuple
+# what follows a move's kind, each an integer
+_FIELDS = {"flip": ("cell",), "translate": ("component", "axis", "sign"),
+           "relocate": ("component", "target copy")}
 
 
 def enumerate_moves(A: MultiIndicator, min_cells: int = 1) -> list[Move]:
@@ -49,17 +51,11 @@ def enumerate_moves(A: MultiIndicator, min_cells: int = 1) -> list[Move]:
     The list is built once per shape and ``min_cells`` and kept on ``A``;
     each call returns a fresh copy of it.
     """
-    return list(_moves(A, min_cells)[1])
-
-
-def _moves(A: MultiIndicator, min_cells: int) -> tuple:
-    """``A``'s move table for ``min_cells`` and the moves it lists."""
     # a shape's masks are read-only, so its moves never go stale
     built = A.__dict__.setdefault("_moves", {})
     if min_cells not in built:
-        table = _move_table(A, min_cells)
-        built[min_cells] = table, _listed(*table)
-    return built[min_cells]
+        built[min_cells] = _legal_moves(A, min_cells)
+    return list(built[min_cells])
 
 
 @cache
@@ -73,10 +69,10 @@ def _face_walls(grid: GridSpec) -> tuple:
     return steps, _box_masks(grid.shape)[1].ravel()[near]
 
 
-def _move_table(A: MultiIndicator, min_cells: int) -> tuple:
-    """The legal moves as arrays: the ids of the cells a flip may toggle,
-    ascending; per component and step whether it may translate; per
-    component and copy whether it may relocate there."""
+def _legal_moves(A: MultiIndicator, min_cells: int) -> list:
+    """The legal moves, in proposal order: flips by ascending cell id, then
+    translations by component and step, then relocations by component and
+    target copy."""
     grid, masks, decomp = A.grid, A.masks, A.components
     ids, comp = decomp.ids, decomp.index
     steps, walls = _face_walls(grid)
@@ -106,13 +102,9 @@ def _move_table(A: MultiIndicator, min_cells: int) -> tuple:
     free = np.ones((decomp.count, grid.copies), dtype=bool)
     target, cell = np.nonzero(held)
     free[comp[cell], target] = False
-    return np.flatnonzero(flips), shifts, free
 
-
-def _listed(flips: np.ndarray, shifts: np.ndarray, free: np.ndarray) -> list:
-    """The moves of a move table, in proposal order."""
     (shifted, step), (moved, target) = np.nonzero(shifts), np.nonzero(free)
-    return ([("flip", i) for i in flips.tolist()]
+    return ([("flip", i) for i in np.flatnonzero(flips).tolist()]
             + [("translate", c, d // 2, 2 * (d % 2) - 1)
                for c, d in zip(shifted.tolist(), step.tolist())]
             + [("relocate", c, t) for c, t in zip(moved.tolist(), target.tolist())])
@@ -120,12 +112,21 @@ def _listed(flips: np.ndarray, shifts: np.ndarray, free: np.ndarray) -> list:
 
 def apply_move(A: MultiIndicator, move: Move) -> MultiIndicator:
     """The shape ``move`` makes from ``A``; ValueError for a move that is
-    not one of the three kinds, or whose component, axis, sign or target
-    copy does not fit ``A``."""
+    not one of the three kinds, whose ids, axis or sign are not integers
+    (Python or numpy ints, not bools), or whose cell, component, axis, sign
+    or target copy does not fit ``A``."""
     grid, kind = A.grid, move[0]
-    if kind not in ("flip", "translate", "relocate"):
+    if kind not in _FIELDS:
         raise ValueError(f"unknown move kind {kind!r}")
-    if kind != "flip":
+    if len(move) != 1 + len(_FIELDS[kind]) or not all(
+            isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+            for x in move[1:]):
+        raise ValueError(f"{move!r}: a {kind} move is {kind!r} then integers: "
+                         + ", ".join(_FIELDS[kind]))
+    if kind == "flip":
+        if not 0 <= move[1] < A.masks.size:
+            raise ValueError(f"{move!r}: the stack has no cell {move[1]}")
+    else:
         decomp = A.components
         if not 0 <= move[1] < decomp.count:
             raise ValueError(f"{move!r}: the shape has no component {move[1]!r}")
@@ -163,37 +164,6 @@ def _after(A: MultiIndicator, move: Move) -> np.ndarray:
     cells[ids] = False
     cells[ids + shift] = True
     return masks
-
-
-def _kept(A: MultiIndicator, min_cells: int) -> bytes:
-    """What labelling ``A`` and building its move table found, as one bytes
-    object: the component of each cell, then the flip ids, in the smallest
-    integer type that holds a cell id, then the translation and relocation
-    flags, one byte each.  One object per shape keeps a long chain's memo
-    from scattering small arrays over the heap."""
-    flips, shifts, free = _moves(A, min_cells)[0]
-    small = np.min_scalar_type(A.masks.size)
-    return (np.concatenate((A.components.index, flips)).astype(small).tobytes()
-            + shifts.tobytes() + free.tobytes())
-
-
-def _recall(A: MultiIndicator, min_cells: int, kept: bytes):
-    """Give ``A`` the components and move table that ``_kept`` took from a
-    shape with the same masks, so that neither is computed again."""
-    grid, ids = A.grid, np.flatnonzero(A.masks)
-    small = np.min_scalar_type(A.masks.size)
-    index = np.frombuffer(kept, small, len(ids))
-    # components are numbered from 0, and each holds a cell
-    count, steps = int(index.max()) + 1, 2 * grid.n
-    flags = count * (steps + grid.copies)
-    flips = np.frombuffer(kept[index.nbytes:-flags], small)
-    shifts, free = np.split(np.frombuffer(kept[-flags:], bool), [count * steps])
-    shifts, free = shifts.reshape(count, steps), free.reshape(count, grid.copies)
-    # a cached_property is read from the instance dict once it is there
-    A.__dict__["components"] = ComponentDecomposition(
-        ids=ids, index=index.astype(np.intp), count=count, shape=A.masks.shape)
-    A.__dict__["_moves"] = {min_cells: ((flips, shifts, free),
-                                        _listed(flips, shifts, free))}
 
 
 def _proposal(A: MultiIndicator, key: bytes, move: Move) -> tuple:
@@ -260,7 +230,7 @@ def minimize(init: MultiIndicator, kp: KernelParams, k: int = 1,
         cur_obj, best_spec = _score(current, kp, k)
         # the objective of every shape scored so far, keyed by its packed masks
         scored = {cur_key: cur_obj}
-        # the labelling and move table of every shape the chain stood on
+        # every shape the chain stood on, which keeps its labelling and moves
         stood = {}
         t0 = schedule.initial_temperature
         if t0 is None:
@@ -268,13 +238,12 @@ def minimize(init: MultiIndicator, kp: KernelParams, k: int = 1,
         best, best_obj = current, cur_obj
         for step in range(schedule.steps):
             temp = t0 * schedule.cooling ** step
+            stood.setdefault(cur_key, current)
             moves = enumerate_moves(current, min_cells=k)
             if not moves:
                 raise ValueError(f"no legal move: the shape has k = {k} cells, so "
                                  "none may be removed, and none can be added or "
                                  "moved")
-            if cur_key not in stood:
-                stood[cur_key] = _kept(current, k)
             move = moves[int(rng.integers(len(moves)))]
             key, masks = _proposal(current, cur_key, move)
             candidate, cand_obj = None, scored.get(key)
@@ -292,11 +261,10 @@ def minimize(init: MultiIndicator, kp: KernelParams, k: int = 1,
             # rejected without a draw
             accept = delta <= 0 or (temp > 0 and rng.random() < math.exp(-delta / temp))
             if accept:
+                # a scored candidate is new, so the chain never stood on it
                 if candidate is None:
-                    candidate = MultiIndicator._adopt(
+                    candidate = stood.get(key) or MultiIndicator._adopt(
                         grid, _after(current, move) if masks is None else masks)
-                    if key in stood:
-                        _recall(candidate, k, stood[key])
                 current, cur_key, cur_obj = candidate, key, cand_obj
             trace.append(TraceRow(step, temp, cur_obj, accept, move[0]))
     return AnnealResult(best=best, best_objective=best_obj, best_spectrum=best_spec,

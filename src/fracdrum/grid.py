@@ -291,13 +291,14 @@ def connected_components(A: MultiIndicator) -> ComponentDecomposition:
 
 def component_signs(decomp: ComponentDecomposition, u: LatticeField):
     """Sign of the field on each component: +1, -1, 0, or 'mixed'; values
-    within 1e-12 of zero count as zero."""
+    within 1e-12 max|u| of zero count as zero, so scaling u changes nothing."""
     out = []
     flat = u.values.ravel()
+    thr = 1e-12 * float(np.abs(flat).max(initial=0.0))
     for ids in decomp.cells:
         vals = flat[ids]
-        pos = np.any(vals > 1e-12)
-        neg = np.any(vals < -1e-12)
+        pos = np.any(vals > thr)
+        neg = np.any(vals < -thr)
         if pos and neg:
             out.append("mixed")
         elif pos:

@@ -85,8 +85,11 @@ class SpectralResult:
 
     def is_numerically_multiple(self, k: int) -> bool:
         """Whether the k-th eigenvalue (1-based) ties a neighbor numerically;
-        the one above it is tested only when this result holds k + 1 pairs."""
+        the one above it is tested only when this result holds k + 1 pairs.
+        ValueError for k outside 1..len(eigenvalues)."""
         lam = self.eigenvalues
+        if not 1 <= k <= len(lam):
+            raise ValueError(f"k = {k} is not in 1..{len(lam)}")
         gaps = np.diff(lam[max(k - 2, 0):k + 1])
         return bool(np.any(gaps < MULTIPLICITY_RTOL * abs(lam[k - 1])))
 

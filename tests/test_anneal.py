@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from fracdrum import (AnnealSchedule, GridSpec, KernelParams, LatticeField,
                       dirichlet_eigs, energy_decomposition, enumerate_moves,
                       interaction_energy, minimize, objective,
                       translation_gradient)
-from fracdrum.anneal import _kept, _recall
 from fracdrum.grid import _open_face, component_signs
 
 KP = KernelParams(n=1, s=0.5)
@@ -98,6 +98,17 @@ def test_apply_move_rejects_illegal_component_moves():
     for target in (-1, 2, 0):
         with pytest.raises(ValueError, match="target copy"):
             apply_move(A, ("relocate", 0, target))
+    # a flip names a cell of the 16-cell stack; ids, axes and signs are
+    # integers, Python or numpy, never bools or floats
+    for move in (("flip", -15), ("flip", 16), ("flip", 2.0), ("flip", True),
+                 ("translate", 0, 0, 1.0), ("translate", 0, 0, True),
+                 ("translate", 0.0, 0, 1), ("relocate", 0, 1.0), ("flip",),
+                 ("translate", 0, 0)):
+        with pytest.raises(ValueError, match=re.escape(repr(move))):
+            apply_move(A, move)
+    assert apply_move(A, ("flip", np.int64(1))).masks[0][1]
+    assert apply_move(A, ("translate", np.int32(1), np.int64(0),
+                          np.int8(1))).masks[1][5]
     # the legal moves of the same shape still apply
     B = small_two_copy()
     assert apply_move(B, ("relocate", 0, 1)).cell_count() == 2
@@ -250,9 +261,9 @@ def test_minimize_matches_the_reference_loop(n, copies, k, steps, cooling, t0):
 def test_a_cached_proposal_builds_and_labels_nothing(monkeypatch):
     import fracdrum.anneal as anneal
     import fracdrum.grid as grid
-    # per step, what its proposal did; and the labellings made while a
-    # current shape's moves were listed
-    steps, listing, labelled, currents = [], [False], [], set()
+    # per step, what its proposal did and the shape the chain stood on; and
+    # the labellings made while a current shape's moves were listed
+    steps, listing, labelled, currents = [], [False], [], []
     real_enumerate, real_score = anneal.enumerate_moves, anneal._score
     real_label, real_init = grid.connected_components, MultiIndicator.__init__
     real_adopt = MultiIndicator._adopt.__func__
@@ -262,7 +273,7 @@ def test_a_cached_proposal_builds_and_labels_nothing(monkeypatch):
             steps[-1].append(event)
 
     def enumerate_spy(A, min_cells=1):
-        currents.add(A.masks.tobytes())
+        currents.append(A)
         listing[0] = True
         moves = real_enumerate(A, min_cells)
         listing[0] = False
@@ -296,17 +307,30 @@ def test_a_cached_proposal_builds_and_labels_nothing(monkeypatch):
     res = two_interval_chain(steps=300)
 
     assert len(steps) == len(res.trace) == 300
-    hits = 0
-    for row, proposal in zip(res.trace, steps):
+    # the shape the chain stood on, by masks, up to each step
+    stood, hits, returns = {}, 0, 0
+    for row, proposal, A, after in zip(res.trace, steps, currents,
+                                       currents[1:] + [res.final]):
+        stood.setdefault(A.masks.tobytes(), A)
         if "score" in proposal:
             assert proposal == ["build", "score"]
         else:
             hits += 1
-            assert proposal == (["build"] if row.accepted else [])
-    assert hits > 100
+            assert proposal in ([], ["build"])
+        if row.accepted:
+            # an accepted shape is built if and only if the chain never
+            # stood on it, and one it stood on comes back as that object
+            known = stood.get(after.masks.tobytes())
+            assert ("build" in proposal) == (known is None)
+            assert known is None or after is known
+            returns += known is not None
+        else:
+            # a rejected proposal builds a shape only to score it
+            assert after is A and proposal != ["build"]
+    assert hits > 100 and returns > 10
     # every shape the chain stood on is labelled once, when its moves are
     # first listed
-    assert len(labelled) == len(currents)
+    assert len(labelled) == len(stood)
 
 
 def test_minimize_runs_every_eigensolve_on_one_blas_thread(monkeypatch):
@@ -601,6 +625,14 @@ def test_diagnostics_on_interval_ball():
     assert set(rep.growth_ratios) == {0.25, 0.5, 1.0}
     assert all(v > 0 for v in rep.growth_ratios.values())
     assert all(v > 0 for v in rep.positive_density.values())
+    # the audit does not depend on the field's scale
+    for c in (1e-13, 1e3):
+        scaled = LatticeField(g, [c * u.values[0]])
+        assert component_signs(A.components, scaled) == [1]
+        rep_c = diagnostics(A, scaled, KP, radii)
+        assert rep_c.component_signs == [1]
+        for r, v in rep.growth_ratios.items():
+            assert rep_c.growth_ratios[r] == pytest.approx(c * v, rel=1e-12)
 
 
 def diagnostics_by_radius_loop(A, u, kp, radii):
@@ -789,15 +821,6 @@ def test_move_enumeration_matches_the_per_component_reference(n, copies):
             moves = enumerate_moves(A, min_cells=min_cells)
             assert moves == reference_moves(A, min_cells)
             assert all(type(x) is int for move in moves for x in move[1:])
-            # what minimize keeps of a shape gives a new object with the same
-            # masks the same components and moves
-            twin = MultiIndicator(g, masks)
-            _recall(twin, min_cells, _kept(A, min_cells))
-            assert enumerate_moves(twin, min_cells=min_cells) == moves
-            assert np.array_equal(twin.components.labels, A.components.labels)
-            assert twin.components.index.dtype == A.components.index.dtype
-            assert [c.tolist() for c in twin.components.cells] \
-                == [c.tolist() for c in A.components.cells]
             for move in moves:
                 assert np.array_equal(apply_move(A, move).masks,
                                       reference_apply(A, move))

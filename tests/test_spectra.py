@@ -67,6 +67,10 @@ def test_block_diagonal_union_of_copies():
     assert res2.eigenvalues == pytest.approx(expected, rel=1e-10)
     assert res2.is_numerically_multiple(1)
     assert not res1.is_numerically_multiple(1)
+    assert not res1.is_numerically_multiple(4)
+    for k in (0, -1, 5):
+        with pytest.raises(ValueError, match="not in 1..4"):
+            res1.is_numerically_multiple(k)
 
 
 def test_nested_monotonicity_is_exact():
