@@ -17,7 +17,7 @@ from .extension import (ExtensionGrid, ExtensionSolution, WeissCurve,
                         trace_support_intervals, weiss_functional)
 from .form import (EnergyDecomposition, FormMatrix, FormOperator,
                    assemble_form, bilinear, energy_decomposition,
-                   exterior_tail, form_operator, interaction_energy, rayleigh)
+                   form_operator, interaction_energy, rayleigh)
 from .grid import (ComponentDecomposition, GridSpec, KernelParams,
                    LatticeField, MultiIndicator, component_signs,
                    connected_components)

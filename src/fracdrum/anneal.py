@@ -30,7 +30,7 @@ import numpy as np
 
 from .form import _distinct, assemble_form, interaction_energy
 from .grid import (GridSpec, KernelParams, LatticeField, MultiIndicator,
-                   _box_masks, _open_face, component_signs)
+                   _box_masks, _is_int, _open_face, component_signs)
 from .spectra import SpectralResult, _serial_blas, dirichlet_eigs
 
 Move = tuple
@@ -118,9 +118,7 @@ def apply_move(A: MultiIndicator, move: Move) -> MultiIndicator:
     grid, kind = A.grid, move[0]
     if kind not in _FIELDS:
         raise ValueError(f"unknown move kind {kind!r}")
-    if len(move) != 1 + len(_FIELDS[kind]) or not all(
-            isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-            for x in move[1:]):
+    if len(move) != 1 + len(_FIELDS[kind]) or not all(map(_is_int, move[1:])):
         raise ValueError(f"{move!r}: a {kind} move is {kind!r} then integers: "
                          + ", ".join(_FIELDS[kind]))
     if kind == "flip":
@@ -288,9 +286,11 @@ def translation_gradient(u: LatticeField, A1, A2, direction,
     the group along ``direction`` lowers the interaction energy.
     """
     grid = u.grid
-    direction = np.asarray(direction, dtype=int)
-    if direction.shape != (grid.n,) or np.sum(np.abs(direction)) != 1:
-        raise ValueError("direction must be a lattice unit vector")
+    direction = np.asarray(direction)
+    if (direction.shape != (grid.n,) or direction.dtype.kind not in "iu"
+            or np.sum(np.abs(direction)) != 1):
+        raise ValueError(f"direction must be a lattice unit vector of integers, "
+                         f"got {direction.tolist()!r}")
     axis = int(np.flatnonzero(direction)[0])
     m, stack = grid.cells_per_side, (grid.copies, *grid.shape)
     ids1, ids2 = _distinct(A1), _distinct(A2)

@@ -15,13 +15,13 @@ Pairs in different copies get weight exactly 0, and the same-cell weight is
 e_p collects the interaction of cell p with the zero exterior, both
 integration orders combined: twice the lattice sum over box cells outside
 the shape plus twice the closed-form integral of the kernel beyond the box.
-The beyond-box integral is evaluated exactly per box face (n=1: one term
-per side at its own distance; n=2: four half-plane terms minus the four
-corner-quadrant overlaps, the corners by fixed-order Gauss-Legendre
-quadrature in polar form).  Evaluating the tail at face resolution rather
-than collapsing it to the nearest-face distance is what keeps the absolute
-spectral and torsion errors at the few-tenths-of-a-percent level the
-validation suite pins.
+That integral is evaluated in one place, ``_box_tail``, once per box, at
+every cell center and exactly per box face (n=1: one term per side; n=2:
+four half-plane terms minus the four corner quadrants, from one table of
+fixed-order Gauss-Legendre quadratures in polar form, mirrored).  A tail
+at face resolution, not collapsed to the nearest-face distance, keeps the
+absolute spectral and torsion errors at the few-tenths-of-a-percent level
+the validation suite pins.
 
 A weight depends only on the offset between two cells, so the operator of a
 whole box is Toeplitz (n=1) or block-Toeplitz (n=2).  One table of Q's
@@ -55,15 +55,6 @@ _GL_NODES = 48     # Gauss-Legendre order for n=2 corner integrals
 # ---------------------------------------------------------------------------
 # beyond-box kernel integrals
 
-def _tail_1d(x: np.ndarray, L: float, s: float) -> np.ndarray:
-    """int_{|y|>L} |x-y|^{-(1+2s)} dy for points x inside (-L, L)."""
-    return ((L - x) ** (-2 * s) + (L + x) ** (-2 * s)) / (2 * s)
-
-
-def _halfplane_const(s: float) -> float:
-    return math.sqrt(math.pi) * math.gamma(s + 0.5) / (2 * s * math.gamma(1 + s))
-
-
 def _corner_integral(gx: np.ndarray, gy: np.ndarray, s: float) -> np.ndarray:
     """int over the quadrant {t > gx, u > gy} of (t^2+u^2)^{-(1+s)}.
 
@@ -87,49 +78,29 @@ def _corner_integral(gx: np.ndarray, gy: np.ndarray, s: float) -> np.ndarray:
     return out / (2 * s)
 
 
-def _tail_2d(pos: np.ndarray, L: float, s: float, corners=None) -> np.ndarray:
-    """int over R^2 minus the box [-L,L]^2 of |x-y|^{-(2+2s)} dy, per point.
-
-    ``corners``, if given, are the four corner-quadrant integrals of the
-    points, (x-, y-), (x-, y+), (x+, y-), (x+, y+) by the wall pairs they
-    leave out; otherwise they are evaluated here.
-    """
-    gxm = pos[:, 0] + L
-    gxp = L - pos[:, 0]
-    gym = pos[:, 1] + L
-    gyp = L - pos[:, 1]
-    c = _halfplane_const(s)
-    tot = c * (gxm ** (-2 * s) + gxp ** (-2 * s) + gym ** (-2 * s) + gyp ** (-2 * s))
-    if corners is None:
-        corners = [_corner_integral(gx, gy, s) for gx in (gxm, gxp) for gy in (gym, gyp)]
-    for corner in corners:
-        tot -= corner
-    return tot
-
-
-def exterior_tail(pos: np.ndarray, grid: GridSpec, s: float) -> np.ndarray:
-    """Beyond-box kernel integral for each cell center in pos (shape (N, n))."""
-    if grid.n == 1:
-        return _tail_1d(pos[:, 0], grid.L, s)
-    return _tail_2d(pos, grid.L, s)
-
-
 def _box_tail(grid: GridSpec, s: float) -> np.ndarray:
-    """``exterior_tail`` at every cell center of the box, in row-major order.
+    """int over R^n minus the box of |x-y|^{-(n+2s)} dy at every cell center
+    x of the box, in row-major order.
 
-    In 2-D the corner integrals are evaluated once, on the m x m table of
-    low-wall distances; a cell's distance to a high wall is the low-wall
-    distance of its mirror cell, so the other three corners are the table's
-    flips.
+    n=1: one closed-form term per wall.  n=2: four half-plane terms minus
+    the four corner quadrants.  The corner integrals are evaluated once, on
+    the m x m table of low-wall distances; a cell's distance to a high wall
+    is the low-wall distance of its mirror cell, so the other three corners
+    are the table's flips.
     """
+    x = grid.axis_centers()
+    low = x + grid.L
+    lo, hi = low ** (-2 * s), (grid.L - x) ** (-2 * s)
     if grid.n == 1:
-        return exterior_tail(grid.cell_centers(), grid, s)
-    low = grid.axis_centers() + grid.L
+        return (hi + lo) / (2 * s)
+    halfplane = math.sqrt(math.pi) * math.gamma(s + 0.5) / (2 * s * math.gamma(1 + s))
+    # x walls, then y walls: the summation order the frozen form digests pin
+    tot = halfplane * ((lo + hi)[:, None] + lo[None, :] + hi[None, :])
     gx, gy = np.meshgrid(low, low, indexing="ij")
     table = _corner_integral(gx.ravel(), gy.ravel(), s).reshape(gx.shape)
-    corners = [table, table[:, ::-1], table[::-1, :], table[::-1, ::-1]]
-    return _tail_2d(grid.cell_centers(), grid.L, s,
-                    [corner.ravel() for corner in corners])
+    for corner in (table, table[:, ::-1], table[::-1, :], table[::-1, ::-1]):
+        tot -= corner
+    return tot.ravel()
 
 
 # ---------------------------------------------------------------------------

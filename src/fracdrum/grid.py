@@ -27,16 +27,16 @@ class GridSpec:
     copies: int = 1
 
     def __post_init__(self):
-        if self.n not in (1, 2):
-            raise ValueError(f"n must be 1 or 2, got {self.n}")
+        if not _is_int(self.n) or self.n not in (1, 2):
+            raise ValueError(f"n must be 1 or 2, got {self.n!r}")
         if not self.h > 0:
             raise ValueError(f"h must be positive, got {self.h}")
         ratio = self.L / self.h
         if (not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio)
                 or round(ratio) < 1):
             raise ValueError(f"L/h must be a positive integer, got {ratio}")
-        if self.copies < 1:
-            raise ValueError(f"copies must be >= 1, got {self.copies}")
+        if not _is_int(self.copies) or self.copies < 1:
+            raise ValueError(f"copies must be an integer >= 1, got {self.copies!r}")
 
     # computed once per grid: the annealer reads these on every proposal
     @cached_property
@@ -69,6 +69,18 @@ class GridSpec:
     def interior(self) -> np.ndarray:
         """Read-only box mask of the cells strictly inside the box."""
         return _box_masks(self.shape)[0]
+
+    def copy_index(self, copy) -> int:
+        """``copy``, checked to number one of the grid's copies."""
+        if not _is_int(copy) or copy not in range(self.copies):
+            raise ValueError(f"copy must be an integer in 0..{self.copies - 1}, "
+                             f"got {copy!r}")
+        return copy
+
+
+def _is_int(x) -> bool:
+    """A Python or numpy int, not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 @cache
@@ -138,7 +150,7 @@ class MultiIndicator:
             raise ValueError("from_interval requires n=1")
         c = grid.axis_centers()
         masks = np.zeros((grid.copies, *grid.shape), dtype=bool)
-        masks[copy] = (c > lo) & (c < hi)
+        masks[grid.copy_index(copy)] = (c > lo) & (c < hi)
         return cls(grid, masks)
 
     def cell_count(self) -> int:
@@ -202,6 +214,8 @@ class LatticeField:
     def __init__(self, grid: GridSpec, values):
         self.grid = grid
         self.values = _stack(grid, values, float, "value arrays", "value")
+        if not np.isfinite(self.values).all():
+            raise ValueError("field values must be finite")
         self.support = MultiIndicator(grid, self.values != 0)
 
     def norm_sq(self) -> float:

@@ -62,7 +62,7 @@ def ball_indicator(volume: float, grid: GridSpec, copy: int = 0) -> MultiIndicat
     if count > len(order):
         raise ValueError("ball of that volume does not fit strictly inside the box")
     masks = np.zeros((grid.copies, *grid.shape), dtype=bool)
-    masks[copy].ravel()[order[:count]] = True
+    masks[grid.copy_index(copy)].ravel()[order[:count]] = True
     return MultiIndicator(grid, masks)
 
 

@@ -596,6 +596,21 @@ def test_translation_gradient_validation():
         translation_gradient(u, left, right, [2], KP)
     with pytest.raises(ValueError):
         translation_gradient(u, left, right, [1, 0], KP)
+    # entries that are not integers are refused, not truncated
+    for direction in ([1.0], [0.7], [1.7], [True], np.array([1.0])):
+        with pytest.raises(ValueError, match="lattice unit vector of integers"):
+            translation_gradient(u, left, right, direction, KP)
+    g2 = GridSpec(n=2, h=0.125, L=1.0)
+    vals2 = np.zeros(g2.shape)
+    vals2[3:5, 3:5] = 1.0
+    vals2[10:12, 3:5] = 1.0
+    u2d, kp2 = LatticeField(g2, [vals2]), KernelParams(n=2, s=0.5)
+    left2d, right2d = [51, 52, 67, 68], [163, 164, 179, 180]
+    assert translation_gradient(u2d, left2d, right2d, np.array([1, 0]), kp2) \
+        == translation_gradient(u2d, left2d, right2d, (1, 0), kp2)
+    for direction in ((1.7, 0), (1.0, 0), (0, -1.0)):
+        with pytest.raises(ValueError, match="lattice unit vector of integers"):
+            translation_gradient(u2d, left2d, right2d, direction, kp2)
     g = GridSpec(n=1, h=0.125, L=2.0)
     edge_right = list(range(27, 31))   # touches interior edge
     m = np.zeros(g.shape, dtype=bool)

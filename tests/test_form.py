@@ -7,8 +7,9 @@ from scipy import integrate
 
 from fracdrum import (GridSpec, KernelParams, LatticeField, MultiIndicator,
                       assemble_form, bilinear, energy_decomposition,
-                      exterior_tail, form_operator, interaction_energy, rayleigh,
+                      form_operator, interaction_energy, rayleigh,
                       translation_gradient)
+from fracdrum.form import _box_tail
 
 NSUB = 4
 SUB = [(i + 0.5) / NSUB - 0.5 for i in range(NSUB)]
@@ -148,37 +149,31 @@ def test_near_weights_match_plain_loops(n, s):
             assert F.weights[i, j] == pytest.approx(w, rel=1e-12)
 
 
+def box_tail_at(g, s, pts):
+    """The cell centers nearest ``pts`` and ``_box_tail`` at them."""
+    centers = g.cell_centers()
+    rows = [int(np.argmin(np.sum((centers - p) ** 2, axis=1))) for p in pts]
+    return centers[rows], _box_tail(g, s)[rows]
+
+
 def test_tail_1d_matches_quadrature():
     g = GridSpec(n=1, h=0.25, L=2.0)
     for s in (0.3, 0.5, 0.8):
-        for x in (-1.3, 0.0, 0.4, 1.6):
-            lib = exterior_tail(np.array([[x]]), g, s)[0]
-            assert lib == pytest.approx(quad_tail_1d(x, g.L, s), rel=1e-8)
+        centers, lib = box_tail_at(g, s, [(-1.375,), (0.125,), (0.375,), (1.625,)])
+        for (x,), tail in zip(centers, lib):
+            assert tail == pytest.approx(quad_tail_1d(x, g.L, s), rel=1e-8)
 
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_tail_2d_matches_quadrature():
-    g = GridSpec(n=2, h=0.25, L=1.0)
-    pts = [(0.0, 0.0), (0.6, -0.3), (-0.85, 0.85)]
+    # non-dyadic h: the mirrored corner table is not exact here
+    g = GridSpec(n=2, h=0.1, L=1.0)
+    pts = [(0.05, 0.05), (0.65, -0.35), (-0.85, 0.85)]
     for s in (0.4, 0.6):
-        lib = exterior_tail(np.array(pts), g, s)
-        for k, (x0, x1) in enumerate(pts):
+        centers, lib = box_tail_at(g, s, pts)
+        for (x0, x1), tail in zip(centers, lib):
             # the adaptive strips themselves limit agreement near the corner
-            assert lib[k] == pytest.approx(quad_tail_2d(x0, x1, g.L, s), rel=2e-6)
-
-
-@pytest.mark.parametrize("h", [1 / 16, 1 / 32, 1 / 40])
-def test_box_tail_from_one_corner_table_matches_per_point_tail(h):
-    import fracdrum.form as form
-    g = GridSpec(n=2, h=h, L=1.0)
-    for s in (0.3, 0.7):
-        per_point = exterior_tail(g.cell_centers(), g, s)
-        table = form._box_tail(g, s)
-        if (1 / h).is_integer() and math.log2(1 / h).is_integer():
-            # dyadic h: high-wall distances are the mirrored low-wall ones
-            assert np.array_equal(table, per_point)
-        else:
-            assert np.max(np.abs(table - per_point) / per_point) <= 1e-14
+            assert tail == pytest.approx(quad_tail_2d(x0, x1, g.L, s), rel=2e-6)
 
 
 @pytest.mark.parametrize("seed,count,h", [(0, 10, 0.125), (1, 40, 0.125),
@@ -548,46 +543,63 @@ def test_field_scatter_and_gather_match_cell_loops(n, h, copies, seed):
         F.field_vector(LatticeField(g, vals))
 
 
-def frozen_shape(n):
-    """A 1-D shape of two copies with a gap, or a 2-D L shape."""
-    if n == 1:
-        g = GridSpec(n=1, h=1 / 16, L=1.0, copies=2)
-        masks = np.zeros((2, *g.shape), dtype=bool)
-        masks[0, 3:9] = masks[0, 11:15] = masks[1, 5:21] = True
-    else:
-        g = GridSpec(n=2, h=1 / 8, L=1.0)
-        masks = np.zeros((1, *g.shape), dtype=bool)
-        masks[0, 2:10, 3:7] = masks[0, 6:9, 3:13] = True
-    return MultiIndicator(g, masks)
-
-
-# sha256 of Q, Q X and P C^-1 P^T X, recorded before the form's three offset
-# caches were folded into one
-FORM_DIGESTS = {
-    (1, 0.3): ("9770c4d26675faf3d5586d33bc6c1356048bf236c48ba2c578b691e96bb04382",
-               "4dad23a9ea347e6b7dbe4981d8c08f0e0e2bd9dffec6ecbad883594f4e299fb2",
-               "278714337eab8fd69e4b3ed187de73fe53d1f538e317edb87430d0aa34a63db3"),
-    (1, 0.7): ("8aac2006f12f490f9f9d20daf2ea41c43d630c945059a787b102643646307cc6",
-               "7d07419f01e44283f1e335c79bc486004d833583943b83d9c8717c5ea785de1d",
-               "645f19eaee36ca45dd283198217eda0d8b8ff31d68d4583ee9fa92360d28891a"),
-    (2, 0.3): ("ac21686cacb8980764ea72dda1931e4572f122181f9ce6da308ec752d4706329",
-               "b6d775c30be40c611b1264ab9c9bf647234dc3701da7590257599de65c200dd5",
-               "3f2af5007b4a45c0558a3e18bc664b8637144346e3cae2e027d5d95bd1dc2ef7"),
-    (2, 0.7): ("aa14346124aa11937dcbef2b5e80a7d45a6863bb1a512d64c56b7bea799a41d0",
-               "4229cab588e4ea111a2d9a3c1da6a26b375e8cd498c5ba527b898a507e339617",
-               "52224717e3c057637f892c02930ab5c7c171911788b28c8a42cbc73b713b1919"),
+# per (n, h): the copy count and the blocks of active cells, by copy; a 1-D
+# shape of two copies with a gap, or a 2-D L shape
+FROZEN_SHAPES = {
+    (1, 1 / 16): (2, [(0, np.s_[3:9]), (0, np.s_[11:15]), (1, np.s_[5:21])]),
+    (1, 0.1): (2, [(0, np.s_[2:7]), (0, np.s_[9:12]), (1, np.s_[4:17])]),
+    (2, 1 / 8): (1, [(0, np.s_[2:10, 3:7]), (0, np.s_[6:9, 3:13])]),
+    (2, 0.1): (1, [(0, np.s_[2:13, 3:8]), (0, np.s_[8:12, 3:17])]),
 }
 
 
-@pytest.mark.parametrize("n,s", sorted(FORM_DIGESTS))
-def test_form_bytes_are_frozen(n, s):
-    A, kp = frozen_shape(n), KernelParams(n=n, s=s)
+def frozen_shape(n, h):
+    copies, blocks = FROZEN_SHAPES[n, h]
+    g = GridSpec(n=n, h=h, L=1.0, copies=copies)
+    masks = np.zeros((copies, *g.shape), dtype=bool)
+    for copy, cells in blocks:
+        masks[copy][cells] = True
+    return MultiIndicator(g, masks)
+
+
+# sha256 of Q, Q X and P C^-1 P^T X by (n, s, h), recorded at dyadic h before
+# the form's three offset caches were folded into one, and at the
+# non-dyadic h = 0.1, where the tail's mirrored corner table is not exact,
+# before the per-point tail was folded into the per-box one
+FORM_DIGESTS = {
+    (1, 0.3, 1 / 16): ("9770c4d26675faf3d5586d33bc6c1356048bf236c48ba2c578b691e96bb04382",
+                       "4dad23a9ea347e6b7dbe4981d8c08f0e0e2bd9dffec6ecbad883594f4e299fb2",
+                       "278714337eab8fd69e4b3ed187de73fe53d1f538e317edb87430d0aa34a63db3"),
+    (1, 0.7, 1 / 16): ("8aac2006f12f490f9f9d20daf2ea41c43d630c945059a787b102643646307cc6",
+                       "7d07419f01e44283f1e335c79bc486004d833583943b83d9c8717c5ea785de1d",
+                       "645f19eaee36ca45dd283198217eda0d8b8ff31d68d4583ee9fa92360d28891a"),
+    (1, 0.5, 0.1): ("4bb41f1df02e9a57f5776cf881a71d36773b65468506ffa322e131c87ac99999",
+                    "45f99f692d6b1f21d834efb62ffeba30150646631dae33a488138617a63c41f6",
+                    "f7f55f705bccc9d8cd0280630b67097030049f23314da2529fd60f76fb37e214"),
+    (2, 0.3, 1 / 8): ("ac21686cacb8980764ea72dda1931e4572f122181f9ce6da308ec752d4706329",
+                      "b6d775c30be40c611b1264ab9c9bf647234dc3701da7590257599de65c200dd5",
+                      "3f2af5007b4a45c0558a3e18bc664b8637144346e3cae2e027d5d95bd1dc2ef7"),
+    (2, 0.7, 1 / 8): ("aa14346124aa11937dcbef2b5e80a7d45a6863bb1a512d64c56b7bea799a41d0",
+                      "4229cab588e4ea111a2d9a3c1da6a26b375e8cd498c5ba527b898a507e339617",
+                      "52224717e3c057637f892c02930ab5c7c171911788b28c8a42cbc73b713b1919"),
+    (2, 0.5, 0.1): ("fdde63361d6e8e921aeffa3108e367f480c04baa3989aacaea39d5eaff0f89e7",
+                    "ba4caf1a21922273602bdc8cb788c03dfba208f77ee7aed04e31d294a0291546",
+                    "c9913c3782a68b7866b884325435c0c7d7056ad96c3caaade523062a46ca7c98"),
+}
+
+
+# the dyadic cases keep the ids they were first recorded under
+@pytest.mark.parametrize("n,s,h", [
+    pytest.param(n, s, h, id=f"{n}-{s}" if h != 0.1 else f"{n}-{s}-h{h}")
+    for n, s, h in FORM_DIGESTS])
+def test_form_bytes_are_frozen(n, s, h):
+    A, kp = frozen_shape(n, h), KernelParams(n=n, s=s)
     op = form_operator(A, kp)
     X = np.random.default_rng(7).normal(size=(op.size, 3))
     arrays = (assemble_form(A, kp).quadratic_matrix, op.apply(X), op.precondition(X))
     digests = tuple(hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
                     for a in arrays)
-    assert digests == FORM_DIGESTS[n, s]
+    assert digests == FORM_DIGESTS[n, s, h]
 
 
 def assemble_by_copy(A, kp):

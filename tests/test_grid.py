@@ -48,6 +48,37 @@ def test_grid_rejects_non_finite_cell_count(h, L):
         GridSpec(n=1, h=h, L=L)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("n", 1.0), ("n", True), ("n", 2.0),
+    ("copies", 1.5), ("copies", 2.0), ("copies", True), ("copies", 0),
+])
+def test_grid_integer_fields_are_refused_by_name(field, value):
+    with pytest.raises(ValueError, match=rf"^{field} must be"):
+        GridSpec(**{"n": 1, "h": 0.25, "L": 1.0, field: value})
+    # numpy integers are integers
+    assert GridSpec(n=np.int64(2), h=0.25, L=1.0, copies=np.int32(2)).copies == 2
+
+
+@pytest.mark.parametrize("copy", [-1, 2, 3, 1.0, True, None])
+def test_from_interval_refuses_a_copy_outside_the_grid(copy):
+    g = GridSpec(n=1, h=0.25, L=1.0, copies=2)
+    with pytest.raises(ValueError, match=r"^copy must be an integer in 0\.\.1"):
+        MultiIndicator.from_interval(g, -0.5, 0.5, copy=copy)
+    assert MultiIndicator.from_interval(g, -0.5, 0.5, copy=np.int64(1)).masks[1].any()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_lattice_field_refuses_non_finite_values(bad):
+    g = GridSpec(n=1, h=0.25, L=1.0, copies=2)
+    vals = np.zeros((2, *g.shape))
+    vals[1, 2:6] = [1.0, 2.0, bad, 3.0]
+    with pytest.raises(ValueError, match="finite"):
+        LatticeField(g, vals)
+    A = MultiIndicator(g, vals != 0)
+    with pytest.raises(ValueError, match="finite"):
+        A.field([1.0, 2.0, bad, 3.0])
+
+
 def test_indicator_boundary_enforcement():
     g = GridSpec(n=1, h=0.25, L=1.0)
     mask = np.zeros(g.shape, dtype=bool)

@@ -105,6 +105,10 @@ def test_ball_indicator_errors():
     with pytest.raises(ValueError):
         # fits in the box only by touching the boundary ring
         ball_indicator(2.0, g)
+    # a copy the grid does not have is refused, not wrapped round
+    for copy in (-1, 1, 0.0, True):
+        with pytest.raises(ValueError, match=r"^copy must be an integer in 0\.\.0"):
+            ball_indicator(g.cell_volume, g, copy=copy)
 
 
 def test_ball_indicator_matches_disk():
