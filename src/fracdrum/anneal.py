@@ -27,6 +27,7 @@ from functools import cache
 import math
 
 import numpy as np
+import numpy.random     # loaded with the package, not in the first chain
 
 from .form import _distinct, assemble_form, interaction_energy
 from .grid import (GridSpec, KernelParams, LatticeField, MultiIndicator,

@@ -15,6 +15,8 @@ from enum import Enum
 import math
 
 import numpy as np
+import numpy.ma         # np.unique reads it; loaded with the package, not
+import numpy.random     # in the first sweep
 
 GRAD_TOL = 1e-9
 EIG_TOL = 1e-8

@@ -41,6 +41,7 @@ import sys
 import time
 
 import numpy as np
+import numpy.random     # loaded with the package, not in the first run
 
 from . import __version__
 from .anneal import AnnealSchedule, diagnostics, minimize

@@ -10,6 +10,8 @@ midpoint-weight conductances misprice the singular bottom band by tens of
 percent at the extreme exponents.  Horizontal conductances depend only on
 the row, so the five-point operator separates: a DST-II along x leaves one
 tridiagonal system in y per mode, solved a quarter of the modes per call.
+Both steps are scipy's compiled code, pocketfft and LAPACK ``dgtsv``, loaded
+from their files and called as ``scipy.fft`` and ``solve_banded`` call them.
 
 The Weiss quantity combines the weighted Dirichlet bulk on a half ball
 (even reflection doubles it), the length of the trace support inside the
@@ -29,9 +31,10 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.linalg import solve_banded
 
-_NSUB = 4              # bulk quadrature subpoints per axis
+from .spectra import _flapack, _scipy_compiled
+
+_NSUB = 4              # bulk quadrature subpoints per axis; hx/_NSUB the least radius
 _SPHERE_NODES = 360
 
 
@@ -136,6 +139,14 @@ def _residual_and_energy(v, trace, cond):
     return r, float(energy + np.sum(fx * dx))
 
 
+def _solve_tridiagonal(ab, b):
+    """``scipy.linalg.solve_banded((1, 1), ab, b)``'s LAPACK ``dgtsv`` call."""
+    *_, x, info = _flapack.dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"singular tridiagonal system (dgtsv info {info})")
+    return x
+
+
 def harmonic_extension(trace, g: ExtensionGrid, s: float) -> ExtensionSolution:
     """Solve the weighted Laplace problem for a given trace and report the
     Dirichlet energy of the solution over the half plane grid.
@@ -146,31 +157,33 @@ def harmonic_extension(trace, g: ExtensionGrid, s: float) -> ExtensionSolution:
     diagonalises it with eigenvalues ``4 sin^2(pi k / 2 nx)``, which leaves nx
     decoupled tridiagonal systems in y (Buzbee, Golub & Nielson 1970).
     """
-    # imported here: loading scipy.fft costs every CLI process ~0.05 s
-    from scipy.fft import dst, idst
-
     if not 0 < s < 1:
         raise ValueError("smoothness index must lie in (0, 1)")
     trace = np.asarray(trace, dtype=float)
-    if trace.shape != (g.nx,):
-        raise ValueError(f"trace must have {g.nx} cell values, got {trace.shape}")
+    if trace.shape != (g.nx,) or not np.isfinite(trace).all():
+        raise ValueError(f"trace must have {g.nx} finite cell values, got {trace.shape}")
     if trace[0] != 0 or trace[-1] != 0:
         raise ValueError("trace support must stay strictly inside the box")
     nx, ny = g.nx, g.ny
-    cond = _conductances(g, s)
+    with np.errstate(all="ignore"):     # powers of y cancel to 0 near s = 1e-20
+        cond = _conductances(g, s)
+    if not all(np.isfinite(c).all() for c in cond):
+        raise ValueError(f"smoothness index s = {s} gives non-finite conductances")
     ch, cv, ct, ctop = cond
 
     lam = 4.0 * np.sin(np.pi * np.arange(1, nx + 1) / (2 * nx)) ** 2
     v = np.zeros((nx, ny))
-    v[:, 0] = dst(ct * trace, type=2, norm="ortho")
+    # scipy.fft's DST-II, "ortho" (norm code 1), inverted by the DST-III
+    pocketfft = _scipy_compiled("fft._pocketfft.pypocketfft")
+    v[:, 0] = pocketfft.dst(ct * trace, 2, (0,), 1, None, 1, None)
     # the uncoupled tridiagonals of a quarter of the modes laid end to end
     for m in np.array_split(np.arange(nx), 4):
         ab = np.zeros((3, len(m), ny))
         ab[0, :, 1:] = ab[2, :, :-1] = -cv
         ab[1] = lam[m, None] * ch + np.append(ct, cv) + np.append(cv, ctop)
-        v[m] = solve_banded((1, 1), ab.reshape(3, -1), v[m].ravel()).reshape(-1, ny)
+        v[m] = _solve_tridiagonal(ab.reshape(3, -1), v[m].ravel()).reshape(-1, ny)
     del ab
-    v = idst(v, type=2, norm="ortho", axis=0)
+    v = pocketfft.dst(v, 3, (0,), 1, None, 1, None)
 
     r, energy = _residual_and_energy(v, trace, cond)
     resid, scale = np.linalg.norm(r), np.linalg.norm(ct * trace)
@@ -245,8 +258,8 @@ def weiss_functional(sol: ExtensionSolution, center: float, radii,
     if support_intervals is None:
         support_intervals = trace_support_intervals(trace, g)
     radii = np.asarray(radii, dtype=float)
-    if not (np.all(radii > 0) and float(radii.max()) < min(g.L, g.H) / 2):
-        raise ValueError("radii must lie in (0, min(L, H)/2)")
+    if not (np.all(radii >= g.hx / _NSUB) and float(radii.max()) < min(g.L, g.H) / 2):
+        raise ValueError(f"radii must lie in [hx/{_NSUB}, min(L, H)/2)")
     rmax = float(radii.max())
     if not -g.L <= center - rmax <= center + rmax <= g.L:
         raise ValueError("ball of largest radius leaves the grid")

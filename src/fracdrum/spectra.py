@@ -12,10 +12,11 @@ Torsion is always solved matrix-free: CG on Q applied by FFT
 this module's ``cg``, with the operation order and so the bits of
 ``scipy.sparse.linalg.cg``; nothing here loads ``scipy.sparse``.  Eigenpairs of
 the assembled dense Q, up to DENSE_LIMIT active cells, come from LAPACK
-``dsyevr`` (MRRR) called directly, with the arguments that
-``scipy.linalg.eigh(Q, subset_by_index=...)`` passes and so its bits; what
-is left out is eigh's per-call validation and work-size query, which at
-N=12 took longer than the solve.  That branch keeps the name ``"eigh"``.
+``dsyevr`` (MRRR) in scipy's compiled ``_flapack``, loaded from its file
+(importing scipy.linalg would double a process's start) and called with the
+arguments that ``scipy.linalg.eigh(Q, subset_by_index=...)`` passes and so
+its bits; left out are eigh's per-call validation and work-size query, which
+at N=12 took longer than the solve.  That branch keeps the name ``"eigh"``.
 Above DENSE_LIMIT no N x N array is built: block LOBPCG (Knyazev, SISC
 2001) runs on the same operator and preconditioner, with the search basis
 kept orthonormal as in Hetmaniuk and Lehoucq (J. Comput. Phys. 218, 2006),
@@ -36,12 +37,15 @@ from contextlib import contextmanager
 import ctypes
 from dataclasses import dataclass
 import functools
+import importlib.machinery
+import importlib.util
 import math
 import os
+import sys
 import threading
 
 import numpy as np
-from scipy.linalg.lapack import dsyevr, dsyevr_lwork
+import numpy.random     # loaded with the package, not at a LOBPCG start
 
 from .form import FormMatrix, FormOperator, assemble_form, form_operator
 from .grid import KernelParams, MultiIndicator
@@ -60,6 +64,29 @@ MULTIPLICITY_RTOL = 1e-6      # gap below this (relative) flags a numeric tie
 RESIDUAL_RTOL = 1e-8
 LOBPCG_MAXITER = 400
 CG_MAXITER = 200              # preconditioned torsion CG takes 4-26 iterations
+
+
+def _scipy_compiled(name: str):
+    """The compiled module ``scipy.<name>``, loaded from its file so that no
+    scipy ``__init__`` runs; a later ``import scipy...`` reuses it."""
+    full = f"scipy.{name}"
+    if full not in sys.modules:
+        root = importlib.util.find_spec("scipy")        # runs no scipy code
+        spec = root and importlib.machinery.FileFinder(
+            os.path.join(root.submodule_search_locations[0], *name.split(".")[:-1]),
+            (importlib.machinery.ExtensionFileLoader,
+             importlib.machinery.EXTENSION_SUFFIXES)).find_spec(full)
+        if spec is None:
+            return importlib.import_module(full)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[full] = module
+    return sys.modules[full]
+
+
+# loaded now, not at the first solve: _openblas() reads the process's
+# OpenBLAS builds once, and must find the one _flapack links
+_flapack = _scipy_compiled("linalg._flapack")
 
 
 def kernel_operator_constant(n: int, s: float) -> float:
@@ -229,7 +256,7 @@ def dirichlet_eigs(A: MultiIndicator, kp: KernelParams, count: int,
 @functools.cache
 def _dsyevr_work(N: int) -> tuple:
     """LAPACK's (lwork, liwork) for ``dsyevr`` on an N x N matrix."""
-    work, iwork, info = dsyevr_lwork(N, lower=1)
+    work, iwork, info = _flapack.dsyevr_lwork(N, lower=1)
     if info != 0:
         raise RuntimeError(f"dsyevr work-size query failed (info {info})")
     return int(work), int(iwork)
@@ -243,9 +270,9 @@ def _dense_pairs(Q: np.ndarray, count: int):
     finiteness check is left out: ``_box_stencil`` refuses non-finite
     entries once per (grid, kernel)."""
     lwork, liwork = _dsyevr_work(len(Q))
-    vals, vecs, found, _, info = dsyevr(Q, compute_v=1, range="I", lower=1,
-                                        il=1, iu=count, lwork=lwork,
-                                        liwork=liwork)
+    vals, vecs, found, _, info = _flapack.dsyevr(Q, compute_v=1, range="I",
+                                                 lower=1, il=1, iu=count,
+                                                 lwork=lwork, liwork=liwork)
     if info != 0 or found != count:
         raise RuntimeError(f"dsyevr failed (info {info}, {found} of {count} "
                            "pairs found)")

@@ -405,15 +405,27 @@ def _python_with_src(code: str, *args: str) -> subprocess.CompletedProcess:
 
 
 def test_cli_import_leaves_fft_and_ndimage_unloaded():
-    # both are imported where they are used: every CLI process would pay
-    # their load time, including experiments that never touch them; nothing
-    # uses scipy.sparse at all
+    # no scipy package is imported, so no __init__ of scipy, scipy.fft,
+    # scipy.ndimage or scipy.sparse runs: the one compiled module that every
+    # process needs, LAPACK, is loaded from its file
     proc = _python_with_src(
-        "import sys, fracdrum.cli; print(' '.join("
-        "m for m in sys.modules if m in ('scipy.fft', 'scipy.ndimage')"
-        " or m.startswith('scipy.sparse')))")
+        "import sys, fracdrum.cli; "
+        "print(*(m for m in sys.modules if m.startswith('scipy')))")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == []
+    assert proc.stdout.split() == ["scipy.linalg._flapack"]
+
+
+def test_weiss_run_loads_only_pocketfft_beyond_lapack(tmp_path):
+    cfg = write_config(tmp_path, {"s": 0.5, "h": 0.0625, "L": 2.0, "H": 2.0,
+                                  "field": {"kind": "bump"}, "radii": [0.25]})
+    proc = _python_with_src(
+        "import sys; from fracdrum import cli; "
+        "code = cli.run('weiss', sys.argv[1], sys.argv[2]); "
+        "print(code, *sorted(m for m in sys.modules if m.startswith('scipy')))",
+        cfg, str(tmp_path / "out"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "scipy.fft._pocketfft.pypocketfft",
+                                   "scipy.linalg._flapack"]
 
 
 def test_torsion_run_loads_no_scipy_sparse(tmp_path):
@@ -627,15 +639,28 @@ def test_unexpected_failure_exits_3_with_record(tmp_path, monkeypatch, capsys,
 
 def test_extension_residual_failure_exits_3(tmp_path, monkeypatch):
     import fracdrum.extension as extension
-    solve = extension.solve_banded
-    monkeypatch.setattr(extension, "solve_banded",
-                        lambda lu, ab, b: solve(lu, ab, b) * (1 + 1e-6))
+    solve = extension._solve_tridiagonal
+    monkeypatch.setattr(extension, "_solve_tridiagonal",
+                        lambda ab, b: solve(ab, b) * (1 + 1e-6))
     doc = {"s": 0.5, "h": 0.0625, "L": 2.0, "field": {"kind": "bump"},
            "radii": [0.25]}
     code, out = run_cli(tmp_path, "weiss", doc)
     assert code == 3
     record = json.loads((out / "error.json").read_text())
     assert record["type"] == "RuntimeError" and "residual" in record["error"]
+
+
+@pytest.mark.parametrize("s, radii, name", [(1e-20, [0.25], "s = 1e-20"),
+                                             (0.5, [1e-300], "radii")])
+def test_weiss_refuses_a_vanishing_s_or_radius(tmp_path, s, radii, name):
+    # at s = 1e-20 the conductances are not finite; at r = 1e-300, r ** 2
+    # underflows and the value was -Infinity, written with exit 0
+    doc = {"s": s, "h": 0.25, "L": 2.0, "field": {"kind": "bump"}, "radii": radii}
+    code, out = run_cli(tmp_path, "weiss", doc)
+    assert code == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record["type"] == "ValueError" and name in record["error"]
+    assert not (out / "summary.json").exists()
 
 
 def test_torsion_cg_without_convergence_exits_3(tmp_path, monkeypatch):

@@ -62,6 +62,11 @@ def test_trace_validation():
         harmonic_extension(touching, g, 0.5)
     with pytest.raises(ValueError):
         harmonic_extension(np.zeros(g.nx), g, 1.5)
+    for bad in (np.nan, np.inf):
+        spoiled = np.zeros(g.nx)
+        spoiled[4] = bad
+        with pytest.raises(ValueError, match="finite"):
+            harmonic_extension(spoiled, g, 0.5)
 
 
 @pytest.mark.parametrize("L,H", [(1e308, 1.0), (1.0, 1e308), (1.0, np.inf)])
@@ -72,13 +77,55 @@ def test_grid_rejects_non_finite_cell_counts(L, H):
 
 def test_extension_residual_contract(monkeypatch):
     import fracdrum.extension as extension
-    solve = extension.solve_banded
-    monkeypatch.setattr(extension, "solve_banded",
-                        lambda lu, ab, b: solve(lu, ab, b) * (1 + 1e-6))
+    solve = extension._solve_tridiagonal
+    monkeypatch.setattr(extension, "_solve_tridiagonal",
+                        lambda ab, b: solve(ab, b) * (1 + 1e-6))
     g = ExtensionGrid(hx=1 / 16, hy=1 / 16, L=2.0, H=2.0)
     tr = np.where(np.abs(g.x_nodes()) < 1.0, bump(g.x_nodes()), 0.0)
     with pytest.raises(RuntimeError, match="residual"):
         harmonic_extension(tr, g, 0.5)
+
+
+def test_tiny_smoothness_is_refused_by_name():
+    # y^(1-a) differences cancel to 0 near s = 1e-20, and the conductances
+    # they divide are not finite
+    g = ExtensionGrid(hx=0.25, hy=0.25, L=2.0, H=2.0)
+    tr = np.where(np.abs(g.x_nodes()) < 1.0, bump(g.x_nodes()), 0.0)
+    with pytest.raises(ValueError, match="s = 1e-20"):
+        harmonic_extension(tr, g, 1e-20)
+    assert np.isfinite(harmonic_extension(tr, g, 1e-10).energy)
+
+
+def scipy_extension(trace, g, s):
+    """The extension solve through scipy's public API: ``scipy.fft.dst`` and
+    ``idst``, and ``scipy.linalg.solve_banded``."""
+    from scipy.fft import dst, idst
+    from scipy.linalg import solve_banded
+    from fracdrum.extension import _conductances, _residual_and_energy
+    nx, ny = g.nx, g.ny
+    cond = ch, cv, ct, ctop = _conductances(g, s)
+    lam = 4.0 * np.sin(np.pi * np.arange(1, nx + 1) / (2 * nx)) ** 2
+    v = np.zeros((nx, ny))
+    v[:, 0] = dst(ct * trace, type=2, norm="ortho")
+    for m in np.array_split(np.arange(nx), 4):
+        ab = np.zeros((3, len(m), ny))
+        ab[0, :, 1:] = ab[2, :, :-1] = -cv
+        ab[1] = lam[m, None] * ch + np.append(ct, cv) + np.append(cv, ctop)
+        v[m] = solve_banded((1, 1), ab.reshape(3, -1), v[m].ravel()).reshape(-1, ny)
+    v = idst(v, type=2, norm="ortho", axis=0)
+    return v, _residual_and_energy(v, trace, cond)[1]
+
+
+@pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+def test_extension_keeps_the_bits_of_scipys_public_path(s):
+    # the probe workload's bump grid; pocketfft and dgtsv are called with
+    # the arguments scipy's public functions pass them
+    g = ExtensionGrid(hx=1 / 128, hy=1 / 128, L=2.0, H=2.0)
+    tr = np.where(np.abs(g.x_nodes()) < 1.0, bump(g.x_nodes()), 0.0)
+    sol = harmonic_extension(tr, g, s)
+    values, energy = scipy_extension(tr, g, s)
+    assert np.array_equal(sol.values, values)
+    assert sol.energy == energy
 
 
 @pytest.mark.parametrize("s", [0.3, 0.7])
@@ -234,6 +281,11 @@ def test_weiss_radius_validation():
         weiss_functional(sol, 0.0, np.array([-0.1, 0.2]))
     with pytest.raises(ValueError, match="leaves the grid"):
         weiss_functional(sol, 0.7, np.array([0.4]))
+    # below one quadrature subcell (hx/4): r ** 2 underflows at 1e-300, and
+    # at 1e-3 the half ball holds no bulk subpoint
+    for radii in ([1e-300], [1e-3, 0.2]):
+        with pytest.raises(ValueError, match="radii"):
+            weiss_functional(sol, 0.0, np.array(radii))
 
 
 @pytest.mark.parametrize("center, radii, match", [
@@ -309,6 +361,6 @@ def test_harmonic_extension_peak_memory():
     # mode was solved in one call and kept through the check)
     g = ExtensionGrid(hx=1 / 128, hy=1 / 128, L=2.0, H=2.0)
     trace = np.where(np.abs(g.x_nodes()) < 1.0, bump(g.x_nodes()), 0.0)
-    harmonic_extension(trace, g, 0.5)         # loads scipy.fft and its plans
+    harmonic_extension(trace, g, 0.5)         # loads pocketfft and its plans
     peak = traced_peak(lambda: harmonic_extension(trace, g, 0.5))
     assert peak < 6.25 * g.nx * g.ny * 8

@@ -344,6 +344,31 @@ def test_blas_kernels_name_the_kernels_each_openblas_picked():
     assert kernels == dict.fromkeys(kernels, "Nehalem")
 
 
+def test_serial_scope_holds_the_openblas_lapack_links():
+    # _openblas() reads the process's OpenBLAS builds once, at the first
+    # eigensolve's _serial_blas scope; scipy's LAPACK module must be loaded
+    # by then, or the dense dsyevr would run on the default thread count
+    src = os.path.dirname(os.path.dirname(spectra.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "from fracdrum import GridSpec, KernelParams, MultiIndicator, spectra\n"
+        "g = GridSpec(n=1, h=0.25, L=2.0)\n"
+        "A = MultiIndicator.from_interval(g, -1.0, 1.0)\n"
+        "assert spectra.dirichlet_eigs(A, KernelParams(n=1, s=0.5), 2).solver == 'eigh'\n"
+        "with open('/proc/self/maps') as f:\n"
+        "    maps = {l.split()[-1] for l in f if 'openblas' in l.lower()}\n"
+        "maps = {p for p in maps if p.startswith('/') and '.so' in p}\n"
+        "print(len(maps), *sorted(maps - set(spectra._openblas())))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    loaded, *missing = proc.stdout.split()
+    if loaded == "0":
+        pytest.skip("no OpenBLAS loaded, or no /proc/self/maps")
+    assert missing == []
+
+
 def test_matrix_free_solvers_never_assemble(monkeypatch):
     import fracdrum.form as form
     A = two_rects()
