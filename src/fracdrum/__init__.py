@@ -9,8 +9,8 @@ from .anneal import (AnnealResult, AnnealSchedule, apply_move, diagnostics,
 from .charges import (ChargeConfig, DescentResult, Stationarity,
                       StationarityReport, SweepSummary, classify,
                       conjecture_sweep, descend, energy as charge_energy,
-                      euler_residual, gradient as charge_gradient,
-                      hessian as charge_hessian, translation_complement_eigs)
+                      gradient as charge_gradient, hessian as charge_hessian,
+                      translation_complement_eigs)
 from .extension import (ExtensionGrid, ExtensionSolution, WeissCurve,
                         equivalence_constant, harmonic_extension,
                         homogeneous_profile, monotonicity_report,
@@ -21,8 +21,8 @@ from .form import (EnergyDecomposition, FormMatrix, FormOperator,
 from .grid import (ComponentDecomposition, GridSpec, KernelParams,
                    LatticeField, MultiIndicator, component_signs,
                    connected_components)
-from .rearrange import (BallEnergyReport, RearrangedField, ball_energy_check,
-                        ball_indicator, center_outward_order, rearrange)
+from .rearrange import (BallEnergyReport, ball_energy_check, ball_indicator,
+                        center_outward_order, rearrange)
 from .spectra import (SpectralResult, TorsionResult, dirichlet_eigs,
                       gamma_distance, kernel_operator_constant, objective,
                       torsion_solve)

@@ -6,17 +6,16 @@ translations (by component id, axis, then -/+ sign), then whole-component
 relocations to another copy (by component id, then target copy).  A cell's
 id is its flat index into the (copies, *box) mask.
 
-Each distinct shape is scored once per run: ``minimize`` keeps every
-objective it computes, keyed by the shape's masks packed one bit per cell.
-A proposal is answered from the current masks and the move alone: its key
-is the current key with one bit flipped, or the packed masks of the moved
-component, and a shape found among the scored ones is neither built,
-assembled nor solved.  A ``MultiIndicator`` is built only for a shape that
-is scored or accepted.  Scoring is a pure function of the shape and there is
-no incremental eigenvalue update, so the chain is the same bit for bit as
-one that solves every proposal.  Each shape the chain stands on is kept by
-its key, with its labelling and move list, so it is labelled and its moves
-listed once per run: a shape accepted again is that same object.  The whole
+Each distinct shape is built and scored once per run: ``minimize`` keeps
+every shape it scores, with its objective, in one memo keyed by the shape's
+masks packed one bit per cell.  A proposal is answered from the current
+masks and the move alone: its key is the current key with one bit flipped,
+or the packed masks of the moved component, and a shape found in the memo is
+neither built, assembled nor solved, and is the memo's own object when
+accepted.  So each shape the chain stands on keeps its labelling and move
+list, and is labelled and its moves listed once per run.  Scoring is a pure
+function of the shape and there is no incremental eigenvalue update, so the
+chain is the same bit for bit as one that solves every proposal.  The whole
 chain runs in one ``_serial_blas`` scope.
 """
 
@@ -227,17 +226,14 @@ def minimize(init: MultiIndicator, kp: KernelParams, k: int = 1,
     with _serial_blas():
         current, cur_key = init, np.packbits(init.masks).tobytes()
         cur_obj, best_spec = _score(current, kp, k)
-        # the objective of every shape scored so far, keyed by its packed masks
-        scored = {cur_key: cur_obj}
-        # every shape the chain stood on, which keeps its labelling and moves
-        stood = {}
+        # every shape scored so far and its objective, by its packed masks
+        scored = {cur_key: (current, cur_obj)}
         t0 = schedule.initial_temperature
         if t0 is None:
             t0 = 0.1 * abs(cur_obj)
         best, best_obj = current, cur_obj
         for step in range(schedule.steps):
             temp = t0 * schedule.cooling ** step
-            stood.setdefault(cur_key, current)
             moves = enumerate_moves(current, min_cells=k)
             if not moves:
                 raise ValueError(f"no legal move: the shape has k = {k} cells, so "
@@ -245,12 +241,13 @@ def minimize(init: MultiIndicator, kp: KernelParams, k: int = 1,
                                  "moved")
             move = moves[int(rng.integers(len(moves)))]
             key, masks = _proposal(current, cur_key, move)
-            candidate, cand_obj = None, scored.get(key)
-            if cand_obj is None:
+            if key in scored:
+                candidate, cand_obj = scored[key]
+            else:
                 candidate = MultiIndicator._adopt(
                     grid, _after(current, move) if masks is None else masks)
                 cand_obj, spec = _score(candidate, kp, k)
-                scored[key] = cand_obj
+                scored[key] = candidate, cand_obj
                 # best_obj <= cur_obj, so a shape below the best is downhill
                 # and accepted without a draw; a shape scored earlier never is
                 if cand_obj < best_obj:
@@ -260,10 +257,6 @@ def minimize(init: MultiIndicator, kp: KernelParams, k: int = 1,
             # rejected without a draw
             accept = delta <= 0 or (temp > 0 and rng.random() < math.exp(-delta / temp))
             if accept:
-                # a scored candidate is new, so the chain never stood on it
-                if candidate is None:
-                    candidate = stood.get(key) or MultiIndicator._adopt(
-                        grid, _after(current, move) if masks is None else masks)
                 current, cur_key, cur_obj = candidate, key, cand_obj
             trace.append(TraceRow(step, temp, cur_obj, accept, move[0]))
     return AnnealResult(best=best, best_objective=best_obj, best_spectrum=best_spec,

@@ -15,8 +15,7 @@ from enum import Enum
 import math
 
 import numpy as np
-import numpy.ma         # np.unique reads it; loaded with the package, not
-import numpy.random     # in the first sweep
+import numpy.random     # loaded with the package, not in the first sweep
 
 GRAD_TOL = 1e-9
 EIG_TOL = 1e-8
@@ -43,7 +42,9 @@ class ChargeConfig:
             raise ValueError("masses must have unit sum of squares")
         if not 0 < self.exponent < math.inf:
             raise ValueError("exponent must be positive and finite")
-        if len(np.unique(pos, axis=0)) < len(pos):  # no distance can overflow
+        # sorted rows, so equal ones are neighbours; no distance can overflow
+        rows = pos[np.lexsort(pos.T)] if pos.size else pos
+        if (rows[1:] == rows[:-1]).all(axis=1).any():
             raise ValueError("positions must be pairwise distinct")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "masses", mas)
@@ -143,12 +144,6 @@ def _hessian(diff, d, mas, p) -> np.ndarray:
     H = -blk
     H[np.diag_indices(count)] = blk.sum(axis=1)
     return H.transpose(0, 2, 1, 3).reshape(count * n, count * n)
-
-
-def euler_residual(c: ChargeConfig) -> float:
-    """Degree (-p) homogeneity check <grad, x - centroid> + p * energy, as
-    ``classify`` reports it."""
-    return classify(c).euler_residual
 
 
 def translation_basis(d: int, n: int) -> np.ndarray:

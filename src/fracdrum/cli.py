@@ -260,6 +260,9 @@ def _run_eigs(cfg: dict, seed: int, manifest: dict) -> tuple[dict, dict]:
     grid, kp = _kernel(cfg)
     A = _shape_from_config(cfg["shape"], grid)
     count = cfg["count"]
+    if A.cell_count() < count:
+        raise ConfigError(f"field 'count' ({count}) exceeds the {A.cell_count()} "
+                          "cells of field 'shape'")
     t0 = time.perf_counter()
     res = dirichlet_eigs(A, kp, count)
     manifest["timings_s"]["eigs_s"] = time.perf_counter() - t0
@@ -372,7 +375,7 @@ def _run_rearrange_check(cfg: dict, seed: int, manifest: dict) -> tuple[dict, di
         vals = np.zeros(A.masks.shape)
         vals[A.masks] = rng.uniform(0.1, 1.0, size=A.cell_count())
         u = LatticeField(grid, vals)
-        star = rearrange(u).field
+        star = rearrange(u)
         F_star = assemble_form(star.support, kp)
         num = rayleigh(F_star, star) * star.norm_sq()
         den = rayleigh(F_u, u) * u.norm_sq()
@@ -405,10 +408,13 @@ def _run_toy_classify(cfg: dict, seed: int, manifest: dict) -> tuple[dict, dict]
         raise ConfigError("field 'positions' must hold at least two charges")
     if len({len(p) for p in positions}) > 1:
         raise ConfigError("field 'positions' must hold points of one dimension")
-    if s is not None:
-        c = ChargeConfig.from_smoothness(positions, masses, s)
-    else:
-        c = ChargeConfig(positions, masses, exponent)
+    try:
+        if s is not None:
+            c = ChargeConfig.from_smoothness(positions, masses, s)
+        else:
+            c = ChargeConfig(positions, masses, exponent)
+    except ValueError as exc:       # masses off the unit sphere, or a repeated point
+        raise ConfigError(f"fields 'positions' and 'masses': {exc}") from None
     t0 = time.perf_counter()
     rep = classify(c)
     manifest["timings_s"]["classify_s"] = time.perf_counter() - t0
@@ -429,6 +435,10 @@ def _run_weiss(cfg: dict, seed: int, manifest: dict) -> tuple[dict, dict]:
         eg = ExtensionGrid(hx=cfg["h"], hy=cfg["h"], L=L, H=H)
     except ValueError as exc:       # h divides 2L or H a fractional number of times
         raise ConfigError(f"fields 'h', 'L' and 'H': {exc}") from None
+    reach = max(cfg["radii"])
+    if not -L <= center - reach <= center + reach <= L:
+        raise ConfigError(f"fields 'center' and 'radii': the ball of radius {reach} "
+                          f"about {center} leaves [-L, L]")
     xs = eg.x_nodes()
     intervals = None
     if cfg["field"]["kind"] == "profile":

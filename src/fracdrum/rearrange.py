@@ -10,7 +10,6 @@ sets follows only as the spacing shrinks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import hashlib
 import math
 
 import numpy as np
@@ -28,13 +27,7 @@ def center_outward_order(grid: GridSpec) -> np.ndarray:
     return order[grid.interior().ravel()[order]]
 
 
-@dataclass
-class RearrangedField:
-    field: LatticeField
-    value_multiset_checksum: str
-
-
-def rearrange(u: LatticeField) -> RearrangedField:
+def rearrange(u: LatticeField) -> LatticeField:
     """Sort the nonzero values descending and refill center-outward."""
     vals = u.values.ravel()
     if np.any(vals < 0):
@@ -46,9 +39,7 @@ def rearrange(u: LatticeField) -> RearrangedField:
         raise ValueError("rearranged support does not fit strictly inside the box")
     out = np.zeros(u.values.shape)
     out[0].ravel()[order[:len(nz)]] = nz
-    checksum = hashlib.sha256(np.ascontiguousarray(nz).tobytes()).hexdigest()
-    return RearrangedField(field=LatticeField(grid, out),
-                           value_multiset_checksum=checksum)
+    return LatticeField(grid, out)
 
 
 def ball_indicator(volume: float, grid: GridSpec, copy: int = 0) -> MultiIndicator:

@@ -351,7 +351,7 @@ def _sine_start(op: FormOperator, block: int) -> np.ndarray:
     ks = ks[np.argsort(freq, kind="stable")]
     # dirichlet_eigs comes here with N >= 5 block cells, so the box has a
     # mode for every column each copy gets
-    present = np.unique(copy)
+    present = np.flatnonzero(np.bincount(copy))
     X = np.zeros((op.size, block))
     for j in range(block):
         k, c = ks[j // len(present)], present[j % len(present)]

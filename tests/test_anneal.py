@@ -264,6 +264,7 @@ def test_a_cached_proposal_builds_and_labels_nothing(monkeypatch):
     # per step, what its proposal did and the shape the chain stood on; and
     # the labellings made while a current shape's moves were listed
     steps, listing, labelled, currents = [], [False], [], []
+    scored = []     # each shape passed to _score, in order
     real_enumerate, real_score = anneal.enumerate_moves, anneal._score
     real_label, real_init = grid.connected_components, MultiIndicator.__init__
     real_adopt = MultiIndicator._adopt.__func__
@@ -280,9 +281,10 @@ def test_a_cached_proposal_builds_and_labels_nothing(monkeypatch):
         steps.append([])
         return moves
 
-    def score_spy(*args):
+    def score_spy(A, *args):
         record("score")
-        return real_score(*args)
+        scored.append(A)
+        return real_score(A, *args)
 
     def label_spy(A):
         if listing[0]:
@@ -307,20 +309,25 @@ def test_a_cached_proposal_builds_and_labels_nothing(monkeypatch):
     res = two_interval_chain(steps=300)
 
     assert len(steps) == len(res.trace) == 300
-    # the shape the chain stood on, by masks, up to each step
-    stood, hits, returns = {}, 0, 0
+    # the shapes scored and the shapes the chain stood on, by masks, up to
+    # each step; the initial shape is scored before the first step
+    shapes = iter(scored)
+    init = next(shapes)
+    seen, stood, hits, returns = {init.masks.tobytes(): init}, {}, 0, 0
     for row, proposal, A, after in zip(res.trace, steps, currents,
                                        currents[1:] + [res.final]):
         stood.setdefault(A.masks.tobytes(), A)
+        known = seen.get(after.masks.tobytes())
         if "score" in proposal:
             assert proposal == ["build", "score"]
+            new = next(shapes)
+            seen[new.masks.tobytes()] = new
         else:
             hits += 1
             assert proposal in ([], ["build"])
         if row.accepted:
-            # an accepted shape is built if and only if the chain never
-            # stood on it, and one it stood on comes back as that object
-            known = stood.get(after.masks.tobytes())
+            # an accepted shape is built if and only if it was never scored,
+            # and one scored earlier comes back as that object
             assert ("build" in proposal) == (known is None)
             assert known is None or after is known
             returns += known is not None

@@ -9,7 +9,7 @@ import pytest
 from fracdrum import charges
 from fracdrum.charges import (ESCAPE_DIAMETER, ChargeConfig, Stationarity,
                               classify, conjecture_sweep, descend, descend_batch,
-                              energy, euler_residual, gradient, hessian,
+                              energy, gradient, hessian,
                               sweep_trials, translation_basis,
                               translation_complement_eigs)
 
@@ -156,7 +156,7 @@ def test_euler_identity():
     for _ in range(50):
         c = random_config(rng, 4, 2)
         scale = max(1.0, abs(c.exponent * energy(c)))
-        assert abs(euler_residual(c)) / scale <= 1e-9
+        assert abs(classify(c).euler_residual) / scale <= 1e-9
 
 
 def test_rigid_motion_and_scaling_invariance():
@@ -249,6 +249,26 @@ def test_raw_evaluations_refuse_non_finite_values_without_warnings():
 def test_config_refuses_a_non_finite_exponent(exponent):
     with pytest.raises(ValueError, match="positive and finite"):
         ChargeConfig(np.array([[0.0], [1.0]]), np.array([RT2, RT2]), exponent)
+
+
+# the verdicts np.unique(positions, axis=0) gives: rows are compared by ==
+@pytest.mark.parametrize("positions, repeated", [
+    ([[0.0], [-0.0]], True),
+    ([[np.nan], [np.nan]], False),
+    ([[np.inf], [np.inf]], True),
+    ([[1.0, 2.0], [3.0, 4.0], [1.0, 2.0]], True),
+    ([[1.0, 2.0], [1.0, 3.0], [0.0, 2.0]], False),
+    ([[], []], True),
+    ([[]], False),
+])
+def test_config_refuses_repeated_positions(positions, repeated):
+    positions = np.array(positions, dtype=float)
+    masses = np.full(len(positions), 1 / math.sqrt(len(positions)))
+    if repeated:
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            ChargeConfig(positions, masses, 2.0)
+    else:
+        ChargeConfig(positions, masses, 2.0)
 
 
 @pytest.mark.parametrize("positions, masses", [

@@ -407,12 +407,13 @@ def _python_with_src(code: str, *args: str) -> subprocess.CompletedProcess:
 def test_cli_import_leaves_fft_and_ndimage_unloaded():
     # no scipy package is imported, so no __init__ of scipy, scipy.fft,
     # scipy.ndimage or scipy.sparse runs: the one compiled module that every
-    # process needs, LAPACK, is loaded from its file
+    # process needs, LAPACK, is loaded from its file; nor is numpy.ma
     proc = _python_with_src(
         "import sys, fracdrum.cli; "
-        "print(*(m for m in sys.modules if m.startswith('scipy')))")
+        "print(*(m for m in sys.modules if m.startswith('scipy')), "
+        "'numpy.ma' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["scipy.linalg._flapack"]
+    assert proc.stdout.split() == ["scipy.linalg._flapack", "False"]
 
 
 def test_weiss_run_loads_only_pocketfft_beyond_lapack(tmp_path):
@@ -538,6 +539,18 @@ def test_torsion_run_loads_no_scipy_sparse(tmp_path):
     # the bump's support (-1, 1) needs L >= 1 + h/2 to stay off the wall cells
     ("weiss", {"s": 0.5, "h": 0.125, "L": 1.0, "field": {"kind": "bump"},
                "radii": [0.1]}, "L"),
+    # more eigenvalues requested than the shape has cells
+    ("eigs", {"n": 1, "s": 0.5, "h": 0.25, "L": 1.0, "count": 50,
+              "shape": {"kind": "intervals", "items": [[0, -0.5, 0.5]]}}, "count"),
+    # a ball of the largest radius that reaches past the grid
+    *[("weiss", {"s": 0.5, "h": 0.0625, "L": 1.0, "field": {"kind": "profile"},
+                 "center": 0.8, "radii": [0.3]}, field)
+      for field in ("center", "radii")],
+    # masses off the unit sphere, and a repeated position
+    ("toy-classify", {"positions": [[0.0], [1.0]], "masses": [0.6, 0.6],
+                      "exponent": 3.0}, "masses"),
+    ("toy-classify", {"positions": [[0.5], [0.5]], "masses": [0.6, 0.8],
+                      "exponent": 3.0}, "positions"),
 ])
 def test_malformed_field_exits_2_naming_it(tmp_path, capsys, experiment, doc, field):
     code, out = run_cli(tmp_path, experiment, doc)
