@@ -4,6 +4,11 @@ the weighted half-plane extension with its radius-scaled energy quantity."""
 
 __version__ = "0.1.0"
 
+# numpy loads these lazily; loaded with the package, they are not loaded
+# inside the first op that reaches them
+import numpy.fft as _fft
+import numpy.random as _random
+
 from .anneal import (AnnealResult, AnnealSchedule, apply_move, diagnostics,
                      enumerate_moves, minimize, translation_gradient)
 from .charges import (ChargeConfig, DescentResult, Stationarity,

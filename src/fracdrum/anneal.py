@@ -26,7 +26,6 @@ from functools import cache
 import math
 
 import numpy as np
-import numpy.random     # loaded with the package, not in the first chain
 
 from .form import _distinct, assemble_form, interaction_energy
 from .grid import (GridSpec, KernelParams, LatticeField, MultiIndicator,
@@ -219,8 +218,9 @@ def minimize(init: MultiIndicator, kp: KernelParams, k: int = 1,
     """Anneal ``objective = eigenvalue_k + volume`` starting from ``init``."""
     if schedule is None:
         schedule = AnnealSchedule()
-    if init.cell_count() < k:
-        raise ValueError("initial shape has fewer cells than requested eigenvalues")
+    if not 1 <= k <= init.cell_count():
+        raise ValueError(f"'k' must be in 1..{init.cell_count()}, the cell count of "
+                         f"'init', got {k}")
     grid, rng = init.grid, np.random.default_rng(schedule.seed)
     trace: list[TraceRow] = []
     with _serial_blas():

@@ -15,7 +15,6 @@ from enum import Enum
 import math
 
 import numpy as np
-import numpy.random     # loaded with the package, not in the first sweep
 
 GRAD_TOL = 1e-9
 EIG_TOL = 1e-8
@@ -34,18 +33,18 @@ class ChargeConfig:
         pos = np.asarray(self.positions, dtype=float)
         mas = np.asarray(self.masses, dtype=float)
         if pos.ndim != 2 or pos.shape[0] < 1:
-            raise ValueError("positions must be a (d, n) array with d >= 1")
+            raise ValueError("'positions' must be a (d, n) array with d >= 1")
         if mas.shape != (pos.shape[0],):
-            raise ValueError("masses must be a length-d vector")
+            raise ValueError("'masses' must be a length-d vector")
         # Python floats: an overflowing square is inf, with no warning
         if not abs(math.fsum(m * m for m in mas.tolist()) - 1.0) <= 1e-8:
-            raise ValueError("masses must have unit sum of squares")
+            raise ValueError("'masses' must have unit sum of squares")
         if not 0 < self.exponent < math.inf:
-            raise ValueError("exponent must be positive and finite")
+            raise ValueError("'exponent' must be positive and finite")
         # sorted rows, so equal ones are neighbours; no distance can overflow
         rows = pos[np.lexsort(pos.T)] if pos.size else pos
         if (rows[1:] == rows[:-1]).all(axis=1).any():
-            raise ValueError("positions must be pairwise distinct")
+            raise ValueError("'positions' must be pairwise distinct")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "masses", mas)
 
@@ -194,7 +193,7 @@ def classify(c: ChargeConfig) -> StationarityReport:
     strictly, as the scaling direction is an exact zero at any stationary
     point.  Gradient norm, eigenvalue, Euler residual and energy are reported
     in the input's units; a non-finite one raises RuntimeError."""
-    _require_pairs(c.count)
+    _require_pairs(c.count, "positions")
     p, mas = c.exponent, c.masses
     with np.errstate(all="ignore"):     # non-finite values are refused below
         top = np.abs(c.positions).max()
@@ -231,9 +230,9 @@ class DescentResult:
     final_gradient_norm: float
 
 
-def _require_pairs(count: int) -> None:
+def _require_pairs(count: int, name: str) -> None:
     if count < 2:
-        raise ValueError(f"the model needs at least two charges, got {count}")
+        raise ValueError(f"'{name}' must give at least two charges, got {count}")
 
 
 def descend(c: ChargeConfig, max_steps: int = 5000) -> DescentResult:
@@ -265,7 +264,7 @@ def descend_batch(configs, max_steps: int = 5000) -> list[DescentResult]:
     if not configs:
         return []
     shape = (configs[0].count, configs[0].dim, configs[0].exponent)
-    _require_pairs(shape[0])
+    _require_pairs(shape[0], "positions")
     if any((c.count, c.dim, c.exponent) != shape for c in configs):
         raise ValueError("a descent batch must share charge count, dimension "
                          "and exponent")
@@ -389,7 +388,7 @@ def sweep_trials(d: int, n: int, s: float, trials: int, seed: int = 0,
     the unit sphere from rng seeded by (seed, t).  Trials descend through
     ``descend_batch``, SWEEP_BLOCK at a time, so any one replays alone.
     """
-    _require_pairs(d)
+    _require_pairs(d, "d")
     exponent = n + 2.0 * s
 
     def trial(t):

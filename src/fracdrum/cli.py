@@ -41,7 +41,6 @@ import sys
 import time
 
 import numpy as np
-import numpy.random     # loaded with the package, not in the first run
 
 from . import __version__
 from .anneal import AnnealSchedule, diagnostics, minimize
@@ -183,18 +182,8 @@ def _value(v, spec: dict, name: str):
 
 
 def _kernel(cfg: dict) -> tuple[GridSpec, KernelParams]:
-    try:
-        grid = GridSpec(n=cfg["n"], h=cfg["h"], L=cfg["L"], copies=cfg["copies"])
-    except ValueError as exc:       # h does not divide L
-        raise ConfigError(f"fields 'h' and 'L': {exc}") from None
-    return grid, KernelParams(n=cfg["n"], s=cfg["s"])
-
-
-def _copy_index(value: int, grid: GridSpec, field: str) -> int:
-    if value not in range(grid.copies):
-        raise ConfigError(f"field '{field}' names copy {value!r}, outside "
-                          f"0..{grid.copies - 1}")
-    return value
+    return (GridSpec(n=cfg["n"], h=cfg["h"], L=cfg["L"], copies=cfg["copies"]),
+            KernelParams(n=cfg["n"], s=cfg["s"]))
 
 
 def _shape_from_config(spec: dict, grid: GridSpec, rng=None) -> MultiIndicator:
@@ -210,21 +199,17 @@ def _shape_from_config(spec: dict, grid: GridSpec, rng=None) -> MultiIndicator:
             inside = [(centers > lo) & (centers < hi)
                       for lo, hi in zip(bounds[::2], bounds[1::2])]
             box = np.all(np.meshgrid(*inside, indexing="ij"), axis=0)
-            masks[_copy_index(c, grid, "items")] |= box
+            masks[grid.copy_index(c)] |= box
             if not (box.any() and grid.interior()[box].all()):
                 raise ConfigError(f"field 'items[{i}]' must select at least one "
                                   "cell, and no cell on the box wall")
         return MultiIndicator(grid, masks)
-    copy = _copy_index(spec["copy"], grid, "copy")
     if kind == "ball":
-        try:
-            A = ball_indicator(spec["volume"], grid, copy=copy)
-        except ValueError as exc:   # larger than the box or its interior
-            raise ConfigError(f"field 'volume': {exc}") from None
+        A = ball_indicator(spec["volume"], grid, copy=spec["copy"])
         if not A.cell_count():
             raise ConfigError("field 'volume' must select at least one cell")
         return A
-    return _random_blob(grid, spec["cells"], copy, rng)
+    return _random_blob(grid, spec["cells"], grid.copy_index(spec["copy"]), rng)
 
 
 def _random_blob(grid: GridSpec, cells: int, copy: int, rng) -> MultiIndicator:
@@ -260,9 +245,6 @@ def _run_eigs(cfg: dict, seed: int, manifest: dict) -> tuple[dict, dict]:
     grid, kp = _kernel(cfg)
     A = _shape_from_config(cfg["shape"], grid)
     count = cfg["count"]
-    if A.cell_count() < count:
-        raise ConfigError(f"field 'count' ({count}) exceeds the {A.cell_count()} "
-                          "cells of field 'shape'")
     t0 = time.perf_counter()
     res = dirichlet_eigs(A, kp, count)
     manifest["timings_s"]["eigs_s"] = time.perf_counter() - t0
@@ -318,9 +300,6 @@ def _run_optimize_shape(cfg: dict, seed: int, manifest: dict) -> tuple[dict, dic
     k, steps = cfg["k"], cfg["steps"]
     blob_rng = np.random.default_rng([seed, _BLOB_TAG])
     init = _shape_from_config(cfg["init"], grid, rng=blob_rng)
-    if init.cell_count() < k:
-        raise ConfigError(f"field 'k' ({k}) exceeds the {init.cell_count()} "
-                          "cells of field 'init'")
     schedule = AnnealSchedule(steps=steps, cooling=cfg["cooling"],
                               initial_temperature=cfg["initial_temperature"],
                               seed=seed)
@@ -404,17 +383,10 @@ def _run_toy_classify(cfg: dict, seed: int, manifest: dict) -> tuple[dict, dict]
     s, exponent = cfg["s"], cfg["exponent"]
     if (s is None) == (exponent is None):
         raise ConfigError("exactly one of 's' and 'exponent' is required")
-    if len(positions) < 2:
-        raise ConfigError("field 'positions' must hold at least two charges")
     if len({len(p) for p in positions}) > 1:
         raise ConfigError("field 'positions' must hold points of one dimension")
-    try:
-        if s is not None:
-            c = ChargeConfig.from_smoothness(positions, masses, s)
-        else:
-            c = ChargeConfig(positions, masses, exponent)
-    except ValueError as exc:       # masses off the unit sphere, or a repeated point
-        raise ConfigError(f"fields 'positions' and 'masses': {exc}") from None
+    c = (ChargeConfig(positions, masses, exponent) if s is None
+         else ChargeConfig.from_smoothness(positions, masses, s))
     t0 = time.perf_counter()
     rep = classify(c)
     manifest["timings_s"]["classify_s"] = time.perf_counter() - t0
@@ -431,14 +403,7 @@ def _run_toy_classify(cfg: dict, seed: int, manifest: dict) -> tuple[dict, dict]
 def _run_weiss(cfg: dict, seed: int, manifest: dict) -> tuple[dict, dict]:
     s, L, center = cfg["s"], cfg["L"], cfg["center"]
     H = L if cfg["H"] is None else cfg["H"]
-    try:
-        eg = ExtensionGrid(hx=cfg["h"], hy=cfg["h"], L=L, H=H)
-    except ValueError as exc:       # h divides 2L or H a fractional number of times
-        raise ConfigError(f"fields 'h', 'L' and 'H': {exc}") from None
-    reach = max(cfg["radii"])
-    if not -L <= center - reach <= center + reach <= L:
-        raise ConfigError(f"fields 'center' and 'radii': the ball of radius {reach} "
-                          f"about {center} leaves [-L, L]")
+    eg = ExtensionGrid(h=cfg["h"], L=L, H=H)
     xs = eg.x_nodes()
     intervals = None
     if cfg["field"]["kind"] == "profile":

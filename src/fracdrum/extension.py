@@ -34,7 +34,7 @@ import numpy as np
 
 from .spectra import _flapack, _scipy_compiled
 
-_NSUB = 4              # bulk quadrature subpoints per axis; hx/_NSUB the least radius
+_NSUB = 4              # bulk quadrature subpoints per axis; h/_NSUB the least radius
 _SPHERE_NODES = 360
 
 
@@ -47,48 +47,46 @@ def equivalence_constant(n: int, s: float) -> float:
 
 @dataclass(frozen=True)
 class ExtensionGrid:
-    """Tensor grid for the upper half plane: x-nodes at cell centers of
-    [-L, L], y-rows at (j + 1/2) hy up to height H."""
-    hx: float
-    hy: float
+    """Tensor grid for the upper half plane, spacing h on both axes: x-nodes
+    at cell centers of [-L, L], y-rows at (j + 1/2) h up to height H."""
+    h: float
     L: float
     H: float
 
     def __post_init__(self):
-        if self.hx <= 0 or self.hy <= 0:
-            raise ValueError("spacings must be positive")
-        for extent, step, name in ((2 * self.L, self.hx, "2L/hx"),
-                                   (self.H, self.hy, "H/hy")):
-            ratio = extent / step
+        if not self.h > 0:
+            raise ValueError(f"'h' must be positive, got {self.h}")
+        for extent, name in ((2 * self.L, "2 'L'/'h'"), (self.H, "'H'/'h'")):
+            ratio = extent / self.h
             if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 \
                     or round(ratio) < 1:
                 raise ValueError(f"{name} must be a positive integer, got {ratio}")
 
     @property
     def nx(self) -> int:
-        return int(round(2 * self.L / self.hx))
+        return int(round(2 * self.L / self.h))
 
     @property
     def ny(self) -> int:
-        return int(round(self.H / self.hy))
+        return int(round(self.H / self.h))
 
     def x_nodes(self) -> np.ndarray:
-        return -self.L + (np.arange(self.nx) + 0.5) * self.hx
+        return -self.L + (np.arange(self.nx) + 0.5) * self.h
 
     def y_rows(self) -> np.ndarray:
-        return (np.arange(self.ny) + 0.5) * self.hy
+        return (np.arange(self.ny) + 0.5) * self.h
 
 
 def _conductances(g: ExtensionGrid, s: float):
     """Edge conductances for the y^a-weighted Dirichlet energy."""
     a = 1.0 - 2.0 * s
     yr = g.y_rows()
-    edges = np.arange(g.ny + 1) * g.hy
+    edges = np.arange(g.ny + 1) * g.h
     band = (edges[1:] ** (1 + a) - edges[:-1] ** (1 + a)) / (1 + a)
-    ch = band / g.hx
-    cv = g.hx * (1 - a) / (yr[1:] ** (1 - a) - yr[:-1] ** (1 - a))
-    ct = (1 - a) * (g.hy / 2) ** (a - 1) * g.hx
-    ctop = g.hx * (1 - a) / (g.H ** (1 - a) - yr[-1] ** (1 - a))
+    ch = band / g.h
+    cv = g.h * (1 - a) / (yr[1:] ** (1 - a) - yr[:-1] ** (1 - a))
+    ct = (1 - a) * (g.h / 2) ** (a - 1) * g.h
+    ctop = g.h * (1 - a) / (g.H ** (1 - a) - yr[-1] ** (1 - a))
     return ch, cv, ct, ctop
 
 
@@ -107,14 +105,14 @@ class ExtensionSolution:
         qy = np.asarray(qy, dtype=float)
         xs = self.grid.x_nodes()
         yr = self.grid.y_rows()
-        fi = (qx - xs[0]) / self.grid.hx
+        fi = (qx - xs[0]) / self.grid.h
         i0 = np.clip(np.floor(fi).astype(int), 0, len(xs) - 2)
         wx = np.clip(fi - i0, 0.0, 1.0)
         wy0 = np.clip(qy / yr[0], 0.0, 1.0)
         v_lo = self.trace[i0] * (1 - wx) + self.trace[i0 + 1] * wx
         v_hi = self.values[i0, 0] * (1 - wx) + self.values[i0 + 1, 0] * wx
         below = v_lo * (1 - wy0) + v_hi * wy0
-        fj = (qy - yr[0]) / self.grid.hy
+        fj = (qy - yr[0]) / self.grid.h
         j0 = np.clip(np.floor(fj).astype(int), 0, len(yr) - 2)
         wyg = np.clip(fj - j0, 0.0, 1.0)
         g_lo = self.values[i0, j0] * (1 - wx) + self.values[i0 + 1, j0] * wx
@@ -208,7 +206,7 @@ def trace_support_intervals(trace, g: ExtensionGrid):
     xs = g.x_nodes()
     nz = np.abs(np.asarray(trace, dtype=float)) > 0
     edges = np.flatnonzero(np.diff(nz, prepend=False, append=False))
-    return [(xs[i] - g.hx / 2, xs[j - 1] + g.hx / 2)
+    return [(xs[i] - g.h / 2, xs[j - 1] + g.h / 2)
             for i, j in zip(edges[::2], edges[1::2])]
 
 
@@ -258,46 +256,47 @@ def weiss_functional(sol: ExtensionSolution, center: float, radii,
     if support_intervals is None:
         support_intervals = trace_support_intervals(trace, g)
     radii = np.asarray(radii, dtype=float)
-    if not (np.all(radii >= g.hx / _NSUB) and float(radii.max()) < min(g.L, g.H) / 2):
-        raise ValueError(f"radii must lie in [hx/{_NSUB}, min(L, H)/2)")
+    if not (np.all(radii >= g.h / _NSUB) and float(radii.max()) < min(g.L, g.H) / 2):
+        raise ValueError(f"'radii' must lie in [h/{_NSUB}, min(L, H)/2)")
     rmax = float(radii.max())
     if not -g.L <= center - rmax <= center + rmax <= g.L:
-        raise ValueError("ball of largest radius leaves the grid")
+        raise ValueError(f"'center' and 'radii': the ball of radius {rmax} about "
+                         f"{center} leaves the grid [-L, L]")
 
     xs = g.x_nodes()
     yr = g.y_rows()
-    y0 = g.hy / 2
-    hx, hy = g.hx, g.hy
+    h = g.h
+    y0 = h / 2
 
-    I = np.where(np.abs(xs - center) <= rmax + 2 * hx)[0]
+    I = np.where(np.abs(xs - center) <= rmax + 2 * h)[0]
     I = I[I + 1 < g.nx]
     J = np.arange(g.ny - 1)
-    J = J[yr[J] <= rmax + 2 * hy]
+    J = J[yr[J] <= rmax + 2 * h]
     # subpoint (xi, eta) of cell (i, j) on axes 2, 3; only dens_int is full
     t = (np.arange(_NSUB) + 0.5) / _NSUB
     ii, jj = np.ix_(I, J)
     v00, v10 = vals[ii, jj], vals[ii + 1, jj]
     v01, v11 = vals[ii, jj + 1], vals[ii + 1, jj + 1]
-    dx2 = (xs[ii][..., None, None] + t[:, None] * hx - center) ** 2
-    py = yr[jj][..., None, None] + t * hy
+    dx2 = (xs[ii][..., None, None] + t[:, None] * h - center) ** 2
+    py = yr[jj][..., None, None] + t * h
     ux = ((v10 - v00)[..., None, None] * (1 - t)
-          + (v11 - v01)[..., None, None] * t) / hx
+          + (v11 - v01)[..., None, None] * t) / h
     uy = ((v01 - v00)[..., None, None] * (1 - t)[:, None]
-          + (v11 - v10)[..., None, None] * t[:, None]) / hy
+          + (v11 - v10)[..., None, None] * t[:, None]) / h
     del v00, v10, v01, v11
     dens_int = ux ** 2 + uy ** 2
     del ux, uy
     dens_int *= py ** a
-    area_sub = hx * hy / _NSUB ** 2
+    area_sub = h * h / _NSUB ** 2
 
     tr0, tr1 = trace[I], trace[I + 1]
     w0, w1 = vals[I, 0], vals[I + 1, 0]
-    sx = xs[I][:, None] + t[None, :] * hx
+    sx = xs[I][:, None] + t[None, :] * h
     du = (w0[:, None] * (1 - t)[None, :] + w1[:, None] * t[None, :]
           - tr0[:, None] * (1 - t)[None, :] - tr1[:, None] * t[None, :])
-    dtr = (tr1 - tr0) / hx
-    drow = (w1 - w0) / hx
-    wsub = hx / _NSUB
+    dtr = (tr1 - tr0) / h
+    drow = (w1 - w0) / h
+    wsub = h / _NSUB
 
     near_x, near_y = dx2.min(axis=(1, 2, 3)), py.min(axis=(0, 2, 3)) ** 2
     out_w, out_bulk, out_thin, out_sph = [], [], [], []

@@ -43,7 +43,6 @@ import itertools
 import math
 
 import numpy as np
-import numpy.fft        # loaded with the package, not in the first operator
 from numpy.polynomial.legendre import leggauss
 
 from .grid import GridSpec, KernelParams, LatticeField, MultiIndicator

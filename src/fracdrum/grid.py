@@ -28,15 +28,15 @@ class GridSpec:
 
     def __post_init__(self):
         if not _is_int(self.n) or self.n not in (1, 2):
-            raise ValueError(f"n must be 1 or 2, got {self.n!r}")
+            raise ValueError(f"'n' must be 1 or 2, got {self.n!r}")
         if not self.h > 0:
-            raise ValueError(f"h must be positive, got {self.h}")
+            raise ValueError(f"'h' must be positive, got {self.h}")
         ratio = self.L / self.h
         if (not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio)
                 or round(ratio) < 1):
-            raise ValueError(f"L/h must be a positive integer, got {ratio}")
+            raise ValueError(f"'L'/'h' must be a positive integer, got {ratio}")
         if not _is_int(self.copies) or self.copies < 1:
-            raise ValueError(f"copies must be an integer >= 1, got {self.copies!r}")
+            raise ValueError(f"'copies' must be an integer >= 1, got {self.copies!r}")
 
     # computed once per grid: the annealer reads these on every proposal
     @cached_property
@@ -73,7 +73,7 @@ class GridSpec:
     def copy_index(self, copy) -> int:
         """``copy``, checked to number one of the grid's copies."""
         if not _is_int(copy) or copy not in range(self.copies):
-            raise ValueError(f"copy must be an integer in 0..{self.copies - 1}, "
+            raise ValueError(f"'copy' must be an integer in 0..{self.copies - 1}, "
                              f"got {copy!r}")
         return copy
 

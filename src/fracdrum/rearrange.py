@@ -44,14 +44,15 @@ def rearrange(u: LatticeField) -> LatticeField:
 
 def ball_indicator(volume: float, grid: GridSpec, copy: int = 0) -> MultiIndicator:
     """Centered lattice ball with ceil(volume / h^n) cells on one copy."""
-    if volume < 0:
-        raise ValueError("volume must be nonnegative")
-    if volume > (2 * grid.L) ** grid.n:
-        raise ValueError("volume exceeds the box")
+    box = (2 * grid.L) ** grid.n
+    if not 0 <= volume <= box:                      # NaN fails too
+        raise ValueError(f"'volume' must lie in [0, {box}], the box's volume, "
+                         f"got {volume}")
     count = math.ceil(volume / grid.cell_volume - 1e-9)
     order = center_outward_order(grid)
     if count > len(order):
-        raise ValueError("ball of that volume does not fit strictly inside the box")
+        raise ValueError(f"'volume' {volume} needs {count} cells, more than the "
+                         f"{len(order)} strictly inside the box")
     masks = np.zeros((grid.copies, *grid.shape), dtype=bool)
     masks[grid.copy_index(copy)].ravel()[order[:count]] = True
     return MultiIndicator(grid, masks)

@@ -45,7 +45,6 @@ import sys
 import threading
 
 import numpy as np
-import numpy.random     # loaded with the package, not at a LOBPCG start
 
 from .form import FormMatrix, FormOperator, assemble_form, form_operator
 from .grid import KernelParams, MultiIndicator
@@ -216,7 +215,8 @@ def dirichlet_eigs(A: MultiIndicator, kp: KernelParams, count: int,
     """
     N = A.cell_count()
     if count < 1 or count > N:
-        raise ValueError(f"count must be in 1..{N}, got {count}")
+        raise ValueError(f"'count' must be in 1..{N}, the shape's cell count, "
+                         f"got {count}")
     block = max(2 * count, 8)
     # LOBPCG's [X, W, P] basis holds up to 3 blocks of columns; on fewer
     # than 5 blocks' worth of cells the dense solve is the cheaper one

@@ -274,7 +274,7 @@ def test_criterion_6_extension_and_weiss():
     from scipy import integrate
 
     # (a) s = 1/2 probes against the classical Poisson kernel
-    ge = ExtensionGrid(hx=1 / 64, hy=1 / 64, L=4.0, H=4.0)
+    ge = ExtensionGrid(h=1 / 64, L=4.0, H=4.0)
     sol = harmonic_extension(bump(ge.x_nodes()), ge, 0.5)
     probe_errs = []
     for px, py in ((0.0, 0.25), (0.5, 0.5)):
@@ -303,7 +303,7 @@ def test_criterion_6_extension_and_weiss():
     # quadrature at a = -0.4), so the assertion covers s in {0.3, 0.5}
     spreads = {}
     for s in (0.3, 0.5, 0.7):
-        gw = ExtensionGrid(hx=1 / 256, hy=1 / 256, L=1.0, H=1.0)
+        gw = ExtensionGrid(h=1 / 256, L=1.0, H=1.0)
         X, Y = np.meshgrid(gw.x_nodes(), gw.y_rows(), indexing="ij")
         solw = ExtensionSolution(grid=gw, s=s,
                                  trace=homogeneous_profile(gw.x_nodes(), 0.0, s),
@@ -316,11 +316,11 @@ def test_criterion_6_extension_and_weiss():
             assert spreads[s] <= 0.02
 
     # (d) rescaling identity on grid-commensurate data
-    gf = ExtensionGrid(hx=1 / 128, hy=1 / 128, L=2.0, H=2.0)
+    gf = ExtensionGrid(h=1 / 128, L=2.0, H=2.0)
     trf = np.where(np.abs(gf.x_nodes()) < 1.0, bump(gf.x_nodes()), 0.0)
     uf = harmonic_extension(trf, gf, 0.5)
     w_half = weiss_functional(uf, 0.0, np.array([0.5])).values[0]
-    gc = ExtensionGrid(hx=1 / 64, hy=1 / 64, L=4.0, H=4.0)
+    gc = ExtensionGrid(h=1 / 64, L=4.0, H=4.0)
     ur = ExtensionSolution(grid=gc, s=0.5, trace=uf.trace * 2.0 ** 0.5,
                            values=uf.values * 2.0 ** 0.5, energy=float("nan"))
     iv = [(2 * lo, 2 * hi) for lo, hi in trace_support_intervals(trf, gf)]

@@ -449,8 +449,10 @@ def test_schedule_refuses_a_non_finite_temperature(temperature):
 
 def test_minimize_requires_enough_cells():
     A = small_two_copy()
-    with pytest.raises(ValueError):
-        minimize(A, KP, k=3, schedule=AnnealSchedule(steps=1))
+    for k in (A.cell_count() + 1, 0, -1):
+        with pytest.raises(ValueError, match=rf"^'k' must be in 1\.\.{A.cell_count()}, "
+                                             r"the cell count of 'init'"):
+            minimize(A, KP, k=k, schedule=AnnealSchedule(steps=1))
 
 
 def ball_scan_optimum(g, kp, k=1):

@@ -113,7 +113,8 @@ def test_main_diffs_the_outputs_each_run_keeps(tmp_path, capsys):
     same = fake_root(tmp_path / "same", ("summary.json", {"value": 1.0}))
     drifted = fake_root(tmp_path / "drifted", ("summary.json", {"value": 1.5}))
     failing = fake_root(tmp_path / "failing",
-                        ("error.json", {"error": "no convergence"}), failing=True)
+                        ("error.json", {"error": "no convergence", "exit_code": 3}),
+                        failing=True)
     args = ["--workload", "probe", "--pairs", "2", "--seconds", "1"]
 
     assert bench_pairs.main([parent, same, *args]) == 0
@@ -134,7 +135,8 @@ def test_main_diffs_the_outputs_each_run_keeps(tmp_path, capsys):
 
 def test_main_clears_the_outputs_an_earlier_invocation_left(tmp_path, capsys):
     failing = fake_root(tmp_path / "failing",
-                        ("error.json", {"error": "no convergence"}), failing=True)
+                        ("error.json", {"error": "no convergence", "exit_code": 3}),
+                        failing=True)
     change = fake_root(tmp_path / "change", ("summary.json", {"value": 1.0}))
     stale = tmp_path / "change" / ".perfbench_work" / "probe" / "rep0" / "op" / "out"
     stale.mkdir(parents=True)
@@ -152,7 +154,8 @@ def test_main_clears_the_outputs_an_earlier_invocation_left(tmp_path, capsys):
 def test_a_failed_run_is_quoted_in_whole_lines(tmp_path, capsys):
     parent = fake_root(tmp_path / "parent", ("summary.json", {"value": 1.0}))
     reference = ", reference [" + ", ".join(["0.99668112344367"] * 300) + "]"
-    failing = fake_root(tmp_path / "failing", ("error.json", {"error": "mismatch"}),
+    failing = fake_root(tmp_path / "failing",
+                        ("error.json", {"error": "mismatch", "exit_code": 3}),
                         failing=True, detail=reference)
     assert len(reference) > 3000
     args = ["--workload", "probe", "--pairs", "1", "--seconds", "1"]
@@ -170,6 +173,22 @@ def test_main_refuses_one_root_given_twice(tmp_path, capsys):
     assert not (tmp_path / "root" / ".perfbench_work").exists()
 
 
+@pytest.mark.parametrize("pairs", ["0", "-3"])
+def test_main_refuses_fewer_than_one_pair_before_clearing(tmp_path, capsys, pairs):
+    roots = [fake_root(tmp_path / side, ("summary.json", {"value": 1.0}))
+             for side in bench_pairs.SIDES]
+    kept = [tmp_path / side / ".perfbench_work" / "probe" / "keep"
+            for side in bench_pairs.SIDES]
+    for path in kept:
+        path.parent.mkdir(parents=True)
+        path.write_text("")
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main([*roots, "--workload", "probe", "--pairs", pairs])
+    assert exc.value.code == 2
+    assert "--pairs: must be at least 1" in capsys.readouterr().err
+    assert all(path.exists() for path in kept)
+
+
 def test_each_op_is_read_from_the_one_record_its_run_left(tmp_path, capsys):
     # an exit-2 rerun over a good run's outputs: summary.json stays on disk
     write_outputs(tmp_path / "parent", {"value": 1.0}, "radius,value\n0.1,1.0\n")
@@ -180,9 +199,6 @@ def test_each_op_is_read_from_the_one_record_its_run_left(tmp_path, capsys):
         {"error": "field 'trials' must be >= 1, got -1", "exit_code": 2}))
     assert bench_pairs._record(rerun) == (2, "field 'trials' must be >= 1, got -1", {})
 
-    # an error.json from a cli that wrote no exit_code means exit 3
-    (rerun / "error.json").write_text(json.dumps({"error": "no convergence"}))
-    assert bench_pairs._record(rerun)[:2] == (3, "no convergence")
     assert bench_pairs._record(tmp_path / "missing") == (2, "", {})
 
     # a CSV an earlier run left, not in this run's manifest, is not diffed

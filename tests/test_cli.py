@@ -151,7 +151,7 @@ def test_weiss_csv_has_a_row_per_radius(tmp_path):
            "radii": radii.tolist()}
     code, out = run_cli(tmp_path, "weiss", doc)
     assert code == 0
-    g = ExtensionGrid(hx=1 / 64, hy=1 / 64, L=1.0, H=1.0)
+    g = ExtensionGrid(h=1 / 64, L=1.0, H=1.0)
     X, Y = np.meshgrid(g.x_nodes(), g.y_rows(), indexing="ij")
     sol = ExtensionSolution(grid=g, s=0.5,
                             trace=homogeneous_profile(g.x_nodes(), 0.0, 0.5),
@@ -551,6 +551,10 @@ def test_torsion_run_loads_no_scipy_sparse(tmp_path):
                       "exponent": 3.0}, "masses"),
     ("toy-classify", {"positions": [[0.5], [0.5]], "masses": [0.6, 0.8],
                       "exponent": 3.0}, "positions"),
+    # a ball past the grid about a bump, refused after the extension solve
+    *[("weiss", {"s": 0.5, "h": 0.0625, "L": 2.0, "field": {"kind": "bump"},
+                 "center": 1.8, "radii": [0.3]}, field)
+      for field in ("center", "radii")],
 ])
 def test_malformed_field_exits_2_naming_it(tmp_path, capsys, experiment, doc, field):
     code, out = run_cli(tmp_path, experiment, doc)
@@ -661,6 +665,16 @@ def test_extension_residual_failure_exits_3(tmp_path, monkeypatch):
     assert code == 3
     record = json.loads((out / "error.json").read_text())
     assert record["type"] == "RuntimeError" and "residual" in record["error"]
+
+
+def test_a_bump_ball_past_the_grid_is_refused_once_by_the_quadrature(tmp_path):
+    doc = {"s": 0.5, "h": 0.0625, "L": 2.0, "field": {"kind": "bump"},
+           "center": 1.8, "radii": [0.3]}
+    code, out = run_cli(tmp_path, "weiss", doc)
+    assert code == 2
+    record = json.loads((out / "error.json").read_text())
+    assert "in weiss_functional" in record["traceback"]
+    assert record["error"].startswith("'center' and 'radii'")
 
 
 @pytest.mark.parametrize("s, radii, name", [(1e-20, [0.25], "s = 1e-20"),

@@ -22,17 +22,18 @@ def bump(t):
 
 
 def test_grid_validation_and_geometry():
-    with pytest.raises(ValueError):
-        ExtensionGrid(hx=0.0, hy=0.1, L=1.0, H=1.0)
-    with pytest.raises(ValueError, match="2L/hx"):
-        ExtensionGrid(hx=0.3, hy=0.1, L=1.0, H=1.0)
-    with pytest.raises(ValueError, match="H/hy"):
-        ExtensionGrid(hx=0.1, hy=0.3, L=1.0, H=1.0)
-    g = ExtensionGrid(hx=0.25, hy=0.5, L=1.0, H=2.0)
-    assert (g.nx, g.ny) == (8, 4)
+    for h in (0.0, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="^'h' must be positive"):
+            ExtensionGrid(h=h, L=1.0, H=1.0)
+    with pytest.raises(ValueError, match="^2 'L'/'h' must be a positive integer"):
+        ExtensionGrid(h=0.3, L=1.0, H=1.2)
+    with pytest.raises(ValueError, match="^'H'/'h' must be a positive integer"):
+        ExtensionGrid(h=0.1, L=1.0, H=0.25)
+    g = ExtensionGrid(h=0.25, L=1.0, H=2.0)
+    assert (g.nx, g.ny) == (8, 8)
     assert g.x_nodes()[0] == pytest.approx(-0.875)
-    assert g.y_rows()[0] == pytest.approx(0.25)
-    assert g.y_rows()[-1] == pytest.approx(1.75)
+    assert g.y_rows()[0] == pytest.approx(0.125)
+    assert g.y_rows()[-1] == pytest.approx(1.875)
 
 
 def test_equivalence_constant():
@@ -42,7 +43,7 @@ def test_equivalence_constant():
 
 
 def test_zero_trace_gives_zero_everything():
-    g = ExtensionGrid(hx=0.125, hy=0.125, L=1.0, H=1.0)
+    g = ExtensionGrid(h=0.125, L=1.0, H=1.0)
     sol = harmonic_extension(np.zeros(g.nx), g, 0.5)
     assert np.all(sol.values == 0.0)
     assert sol.energy == 0.0
@@ -54,7 +55,7 @@ def test_zero_trace_gives_zero_everything():
 
 
 def test_trace_validation():
-    g = ExtensionGrid(hx=0.125, hy=0.125, L=1.0, H=1.0)
+    g = ExtensionGrid(h=0.125, L=1.0, H=1.0)
     with pytest.raises(ValueError, match="cell values"):
         harmonic_extension(np.zeros(g.nx + 1), g, 0.5)
     touching = np.ones(g.nx)
@@ -72,7 +73,7 @@ def test_trace_validation():
 @pytest.mark.parametrize("L,H", [(1e308, 1.0), (1.0, 1e308), (1.0, np.inf)])
 def test_grid_rejects_non_finite_cell_counts(L, H):
     with pytest.raises(ValueError, match="must be a positive integer"):
-        ExtensionGrid(hx=0.125, hy=0.125, L=L, H=H)
+        ExtensionGrid(h=0.125, L=L, H=H)
 
 
 def test_extension_residual_contract(monkeypatch):
@@ -80,7 +81,7 @@ def test_extension_residual_contract(monkeypatch):
     solve = extension._solve_tridiagonal
     monkeypatch.setattr(extension, "_solve_tridiagonal",
                         lambda ab, b: solve(ab, b) * (1 + 1e-6))
-    g = ExtensionGrid(hx=1 / 16, hy=1 / 16, L=2.0, H=2.0)
+    g = ExtensionGrid(h=1 / 16, L=2.0, H=2.0)
     tr = np.where(np.abs(g.x_nodes()) < 1.0, bump(g.x_nodes()), 0.0)
     with pytest.raises(RuntimeError, match="residual"):
         harmonic_extension(tr, g, 0.5)
@@ -89,7 +90,7 @@ def test_extension_residual_contract(monkeypatch):
 def test_tiny_smoothness_is_refused_by_name():
     # y^(1-a) differences cancel to 0 near s = 1e-20, and the conductances
     # they divide are not finite
-    g = ExtensionGrid(hx=0.25, hy=0.25, L=2.0, H=2.0)
+    g = ExtensionGrid(h=0.25, L=2.0, H=2.0)
     tr = np.where(np.abs(g.x_nodes()) < 1.0, bump(g.x_nodes()), 0.0)
     with pytest.raises(ValueError, match="s = 1e-20"):
         harmonic_extension(tr, g, 1e-20)
@@ -120,7 +121,7 @@ def scipy_extension(trace, g, s):
 def test_extension_keeps_the_bits_of_scipys_public_path(s):
     # the probe workload's bump grid; pocketfft and dgtsv are called with
     # the arguments scipy's public functions pass them
-    g = ExtensionGrid(hx=1 / 128, hy=1 / 128, L=2.0, H=2.0)
+    g = ExtensionGrid(h=1 / 128, L=2.0, H=2.0)
     tr = np.where(np.abs(g.x_nodes()) < 1.0, bump(g.x_nodes()), 0.0)
     sol = harmonic_extension(tr, g, s)
     values, energy = scipy_extension(tr, g, s)
@@ -130,7 +131,7 @@ def test_extension_keeps_the_bits_of_scipys_public_path(s):
 
 @pytest.mark.parametrize("s", [0.3, 0.7])
 def test_maximum_principle(s):
-    g = ExtensionGrid(hx=1 / 16, hy=1 / 16, L=2.0, H=2.0)
+    g = ExtensionGrid(h=1 / 16, L=2.0, H=2.0)
     tr = np.where(np.abs(g.x_nodes()) < 1.0, bump(g.x_nodes()), 0.0)
     sol = harmonic_extension(tr, g, s)
     assert sol.values.min() >= -1e-12
@@ -143,7 +144,7 @@ def test_interior_equation_residual(s):
     # closed-form slip in the solver would show up as a nonzero residual;
     # the boundary rows and columns see the trace below, the zero top and
     # the zero side walls through their own conductances
-    g = ExtensionGrid(hx=1 / 32, hy=1 / 32, L=2.0, H=2.0)
+    g = ExtensionGrid(h=1 / 32, L=2.0, H=2.0)
     tr = np.where(np.abs(g.x_nodes()) < 1.0, bump(g.x_nodes()), 0.0)
     sol = harmonic_extension(tr, g, s)
     a = 1.0 - 2.0 * s
@@ -152,14 +153,14 @@ def test_interior_equation_residual(s):
         return integrate.quad(f, lo, hi, epsabs=1e-14, epsrel=1e-13)[0]
 
     yr = g.y_rows()
-    band = np.array([quad(lambda y: y ** a, j * g.hy, (j + 1) * g.hy)
+    band = np.array([quad(lambda y: y ** a, j * g.h, (j + 1) * g.h)
                      for j in range(g.ny)])
-    ch = band / g.hx
-    cside = band / (g.hx / 2)
-    cv = np.array([g.hx / quad(lambda y: y ** (-a), yr[j], yr[j + 1])
+    ch = band / g.h
+    cside = band / (g.h / 2)
+    cv = np.array([g.h / quad(lambda y: y ** (-a), yr[j], yr[j + 1])
                    for j in range(g.ny - 1)])
-    ct = g.hx / quad(lambda y: y ** (-a), 0.0, g.hy / 2)
-    ctop = g.hx / quad(lambda y: y ** (-a), yr[-1], g.H)
+    ct = g.h / quad(lambda y: y ** (-a), 0.0, g.h / 2)
+    ctop = g.h / quad(lambda y: y ** (-a), yr[-1], g.H)
     v = sol.values
     res = np.zeros_like(v)
     res[1:-1] += ch * (2 * v[1:-1] - v[:-2] - v[2:])
@@ -190,7 +191,7 @@ def test_homogeneous_profile_values():
 def test_probe_points_match_poisson_kernel():
     # at s = 1/2 the weight is constant and the continuum solution is the
     # classical half-plane Poisson convolution of the trace
-    g = ExtensionGrid(hx=1 / 64, hy=1 / 64, L=4.0, H=4.0)
+    g = ExtensionGrid(h=1 / 64, L=4.0, H=4.0)
     tr = bump(g.x_nodes())
     sol = harmonic_extension(tr, g, 0.5)
 
@@ -218,7 +219,7 @@ def test_energy_equivalence_with_pairwise_form(s, frozen_ratio):
     u = LatticeField(g1, [np.where(A.masks[0], bump(xs), 0.0)])
     B = bilinear(assemble_form(A, KernelParams(n=1, s=s)), u, u)
 
-    ge = ExtensionGrid(hx=1 / 64, hy=1 / 64, L=4.0, H=4.0)
+    ge = ExtensionGrid(h=1 / 64, L=4.0, H=4.0)
     tre = np.where(np.abs(ge.x_nodes()) < 1.0, bump(ge.x_nodes()), 0.0)
     sol = harmonic_extension(tre, ge, s)
     ratio = 2.0 * sol.energy / (equivalence_constant(1, s) * B)
@@ -227,7 +228,7 @@ def test_energy_equivalence_with_pairwise_form(s, frozen_ratio):
 
 
 def profile_solution(s, h=1 / 256, L=1.0):
-    g = ExtensionGrid(hx=h, hy=h, L=L, H=L)
+    g = ExtensionGrid(h=h, L=L, H=L)
     X, Y = np.meshgrid(g.x_nodes(), g.y_rows(), indexing="ij")
     return ExtensionSolution(grid=g, s=s,
                              trace=homogeneous_profile(g.x_nodes(), 0.0, s),
@@ -254,7 +255,7 @@ def test_weiss_constant_on_homogeneous_profile(s, frozen_spread, limit):
 
 def test_weiss_rescaling_identity():
     s = 0.5
-    gf = ExtensionGrid(hx=1 / 128, hy=1 / 128, L=2.0, H=2.0)
+    gf = ExtensionGrid(h=1 / 128, L=2.0, H=2.0)
     trf = np.where(np.abs(gf.x_nodes()) < 1.0, bump(gf.x_nodes()), 0.0)
     uf = harmonic_extension(trf, gf, s)
     w_half = weiss_functional(uf, 0.0, np.array([0.5])).values[0]
@@ -262,7 +263,7 @@ def test_weiss_rescaling_identity():
     # the half-scale dilation lands exactly on the nodes of a grid twice as
     # coarse over a box twice as large, so no interpolation enters
     r = 0.5
-    gc = ExtensionGrid(hx=1 / 64, hy=1 / 64, L=4.0, H=4.0)
+    gc = ExtensionGrid(h=1 / 64, L=4.0, H=4.0)
     ur = ExtensionSolution(grid=gc, s=s, trace=uf.trace * r ** (-s),
                            values=uf.values * r ** (-s), energy=float("nan"))
     iv = [(lo / r, hi / r) for lo, hi in trace_support_intervals(trf, gf)]
@@ -281,7 +282,7 @@ def test_weiss_radius_validation():
         weiss_functional(sol, 0.0, np.array([-0.1, 0.2]))
     with pytest.raises(ValueError, match="leaves the grid"):
         weiss_functional(sol, 0.7, np.array([0.4]))
-    # below one quadrature subcell (hx/4): r ** 2 underflows at 1e-300, and
+    # below one quadrature subcell (h/4): r ** 2 underflows at 1e-300, and
     # at 1e-3 the half ball holds no bulk subpoint
     for radii in ([1e-300], [1e-3, 0.2]):
         with pytest.raises(ValueError, match="radii"):
@@ -300,7 +301,7 @@ def test_weiss_refuses_a_nan_center_or_radius(center, radii, match):
 
 
 def test_trace_support_intervals():
-    g = ExtensionGrid(hx=0.25, hy=0.25, L=1.0, H=1.0)
+    g = ExtensionGrid(h=0.25, L=1.0, H=1.0)
     tr = np.array([0.0, 1.0, 1.0, 0.0, 0.0, 2.0, 0.0, 0.0])
     got = trace_support_intervals(tr, g)
     assert len(got) == 2
@@ -347,7 +348,7 @@ def test_weiss_quadrature_peak_memory():
     # every subpoint factor at full size)
     sol = profile_solution(0.5)
     g, radii = sol.grid, [0.1 + 0.025 * i for i in range(13)]
-    reach = max(radii) + 2 * g.hx
+    reach = max(radii) + 2 * g.h
     cells = (np.sum(np.abs(g.x_nodes()[:-1]) <= reach)
              * np.sum(g.y_rows()[:-1] <= reach))
     peak = traced_peak(lambda: weiss_functional(
@@ -359,7 +360,7 @@ def test_harmonic_extension_peak_memory():
     # the probe workload's bump op.  The residual check sets the peak, 5.0
     # arrays of nx * ny floats, field included (13.0 when the band of every
     # mode was solved in one call and kept through the check)
-    g = ExtensionGrid(hx=1 / 128, hy=1 / 128, L=2.0, H=2.0)
+    g = ExtensionGrid(h=1 / 128, L=2.0, H=2.0)
     trace = np.where(np.abs(g.x_nodes()) < 1.0, bump(g.x_nodes()), 0.0)
     harmonic_extension(trace, g, 0.5)         # loads pocketfft and its plans
     peak = traced_peak(lambda: harmonic_extension(trace, g, 0.5))

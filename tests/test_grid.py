@@ -44,7 +44,7 @@ def test_kernel_params_validation():
 
 @pytest.mark.parametrize("h,L", [(0.25, 1e308), (1e-300, 1e10), (0.25, np.nan)])
 def test_grid_rejects_non_finite_cell_count(h, L):
-    with pytest.raises(ValueError, match="L/h"):
+    with pytest.raises(ValueError, match="^'L'/'h' must be a positive integer"):
         GridSpec(n=1, h=h, L=L)
 
 
@@ -53,7 +53,7 @@ def test_grid_rejects_non_finite_cell_count(h, L):
     ("copies", 1.5), ("copies", 2.0), ("copies", True), ("copies", 0),
 ])
 def test_grid_integer_fields_are_refused_by_name(field, value):
-    with pytest.raises(ValueError, match=rf"^{field} must be"):
+    with pytest.raises(ValueError, match=rf"^'{field}' must be"):
         GridSpec(**{"n": 1, "h": 0.25, "L": 1.0, field: value})
     # numpy integers are integers
     assert GridSpec(n=np.int64(2), h=0.25, L=1.0, copies=np.int32(2)).copies == 2
@@ -62,7 +62,7 @@ def test_grid_integer_fields_are_refused_by_name(field, value):
 @pytest.mark.parametrize("copy", [-1, 2, 3, 1.0, True, None])
 def test_from_interval_refuses_a_copy_outside_the_grid(copy):
     g = GridSpec(n=1, h=0.25, L=1.0, copies=2)
-    with pytest.raises(ValueError, match=r"^copy must be an integer in 0\.\.1"):
+    with pytest.raises(ValueError, match=r"^'copy' must be an integer in 0\.\.1"):
         MultiIndicator.from_interval(g, -0.5, 0.5, copy=copy)
     assert MultiIndicator.from_interval(g, -0.5, 0.5, copy=np.int64(1)).masks[1].any()
 

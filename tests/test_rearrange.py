@@ -103,14 +103,16 @@ def test_ball_indicator_small_and_counts():
 
 def test_ball_indicator_errors():
     g = GridSpec(n=1, h=0.25, L=1.0)
-    with pytest.raises(ValueError):
-        ball_indicator(100.0, g)
-    with pytest.raises(ValueError):
+    # any volume outside [0, (2L)^n], NaN included
+    for volume in (100.0, -0.25, float("nan")):
+        with pytest.raises(ValueError, match=r"^'volume' must lie in \[0, 2\.0\]"):
+            ball_indicator(volume, g)
+    with pytest.raises(ValueError, match="^'volume' 2.0 needs 8 cells, more than the 6"):
         # fits in the box only by touching the boundary ring
         ball_indicator(2.0, g)
     # a copy the grid does not have is refused, not wrapped round
     for copy in (-1, 1, 0.0, True):
-        with pytest.raises(ValueError, match=r"^copy must be an integer in 0\.\.0"):
+        with pytest.raises(ValueError, match=r"^'copy' must be an integer in 0\.\.0"):
             ball_indicator(g.cell_volume, g, copy=copy)
 
 

@@ -99,10 +99,10 @@ def test_first_eigenvalue_refinement_convergence():
 
 def test_count_validation():
     A = interval(0.25)
-    with pytest.raises(ValueError):
-        dirichlet_eigs(A, KP, 0)
-    with pytest.raises(ValueError):
-        dirichlet_eigs(A, KP, A.cell_count() + 1)
+    N = A.cell_count()
+    for count in (0, -1, N + 1):
+        with pytest.raises(ValueError, match=rf"^'count' must be in 1\.\.{N}, "):
+            dirichlet_eigs(A, KP, count)
 
 
 def test_iterative_solver_matches_dense(monkeypatch):

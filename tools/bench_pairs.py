@@ -21,7 +21,8 @@ manifests list the same digests, else the largest relative change of each
 The exit code is 1 if a run failed or missed its correctness gate (the whole
 lines holding the last 3000 characters of its output are quoted, no
 statistics are printed, the outputs each root holds are still diffed) or an
-op's exit code differs; 2 if both roots are one directory.
+op's exit code differs; 2 if both roots are one directory, or (before
+anything is cleared) if ``--pairs`` is below 1.
 """
 
 import argparse
@@ -142,13 +143,13 @@ def _diff_csv(a_path: str, b_path: str) -> list:
 
 def _record(out: str) -> tuple[int, str, dict]:
     """An op's exit code, error and ``{file: sha256}`` from the one record
-    its run left: ``error.json`` (its ``exit_code``, 3 if an older cli wrote
-    none), else ``manifest.json`` (0), else none (2)."""
-    for name, code in (("error.json", 3), ("manifest.json", 0)):
+    its run left: ``error.json`` (its ``exit_code``), else ``manifest.json``
+    (0), else none (2)."""
+    for name in ("error.json", "manifest.json"):
         if os.path.isfile(path := os.path.join(out, name)):
             with open(path) as f:
                 doc = json.load(f)
-            return doc.get("exit_code", code), doc.get("error", ""), doc.get("files", {})
+            return doc.get("exit_code", 0), doc.get("error", ""), doc.get("files", {})
     return 2, "", {}
 
 
@@ -190,12 +191,19 @@ def diff_ops(roots: list, workload: str) -> int:
     return mismatched
 
 
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent_root")
     ap.add_argument("change_root")
     ap.add_argument("--workload", required=True)
-    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--pairs", type=_positive, default=10)
     ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
