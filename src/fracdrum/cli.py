@@ -474,6 +474,8 @@ def _fail(exc: Exception, code: int, experiment: str, out_dir: str) -> int:
     import traceback
     record = {"error": str(exc), "type": type(exc).__name__, "exit_code": code,
               "experiment": experiment, "traceback": traceback.format_exc()}
+    if hasattr(exc, "residual_history"):      # a LOBPCG solve out of contract
+        record["residual_history"] = exc.residual_history
     try:
         _write(out_dir, "error.json", _json(record))
         details = "details in error.json"

@@ -18,10 +18,13 @@ the shape plus twice the closed-form integral of the kernel beyond the box.
 That integral is evaluated in one place, ``_box_tail``, once per box, at
 every cell center and exactly per box face (n=1: one term per side; n=2:
 four half-plane terms minus the four corner quadrants, from one table of
-fixed-order Gauss-Legendre quadratures in polar form, mirrored).  A tail
-at face resolution, not collapsed to the nearest-face distance, keeps the
-absolute spectral and torsion errors at the few-tenths-of-a-percent level
-the validation suite pins.
+fixed-order Gauss-Legendre quadratures in polar form, mirrored).  The table
+is evaluated in chunks of _TAIL_CHUNK cells, so a 2-D stencil build holds
+O(m^2) floats for a box of m cells per side and (_TAIL_CHUNK, 48)
+quadrature temporaries, never (m^2, 48) ones: its peak was 10 MiB at
+m = 256 and 40 MiB at m = 512.  A tail at face resolution, not collapsed
+to the nearest-face distance, keeps the absolute spectral and torsion
+errors at the few-tenths-of-a-percent level the validation suite pins.
 
 A weight depends only on the offset between two cells, so the operator of a
 whole box is Toeplitz (n=1) or block-Toeplitz (n=2).  One table of Q's
@@ -38,7 +41,7 @@ solve uses it, and so do eigensolves of shapes too large for a dense matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 import itertools
 import math
 
@@ -50,6 +53,8 @@ from .grid import GridSpec, KernelParams, LatticeField, MultiIndicator
 _NEAR_RADIUS = 3   # center distance, in cells, up to which pairs are near
 _NSUB = 4          # subcells per axis in near-field quadrature
 _GL_NODES = 48     # Gauss-Legendre order for n=2 corner integrals
+_TAIL_CHUNK = 2048  # box cells per n=2 corner-integral call: its (chunk, 48)
+                    # temporaries stay a few MiB at any box size
 
 
 # ---------------------------------------------------------------------------
@@ -96,8 +101,14 @@ def _box_tail(grid: GridSpec, s: float) -> np.ndarray:
     halfplane = math.sqrt(math.pi) * math.gamma(s + 0.5) / (2 * s * math.gamma(1 + s))
     # x walls, then y walls: the summation order the frozen form digests pin
     tot = halfplane * ((lo + hi)[:, None] + lo[None, :] + hi[None, :])
-    gx, gy = np.meshgrid(low, low, indexing="ij")
-    table = _corner_integral(gx.ravel(), gy.ravel(), s).reshape(gx.shape)
+    gx, gy = (g.ravel() for g in np.meshgrid(low, low, indexing="ij"))
+    # each point's quadrature is a sum along its own row, so chunking keeps
+    # every bit
+    table = np.empty(gx.size)
+    for i in range(0, gx.size, _TAIL_CHUNK):
+        part = slice(i, i + _TAIL_CHUNK)
+        table[part] = _corner_integral(gx[part], gy[part], s)
+    table = table.reshape(len(x), len(x))
     for corner in (table, table[:, ::-1], table[::-1, :], table[::-1, ::-1]):
         tot -= corner
     return tot.ravel()
@@ -190,19 +201,25 @@ class FormOperator:
         buf[:, self.cells] = X.T
         box = self.stack[1:]
         axes = tuple(range(2, 2 + len(box)))
-        Y = np.fft.rfftn(buf.reshape(-1, *self.stack), axes=axes)
-        Y *= spectrum
-        Y = np.fft.irfftn(Y, s=box, axes=axes)
-        return Y.reshape(X.shape[1], -1)[:, self.cells].T.reshape(U.shape)
+        # one name for the scatter box and its transforms, so that each is
+        # freed as the next is made
+        buf = np.fft.rfftn(buf.reshape(-1, *self.stack), axes=axes)
+        buf *= spectrum
+        buf = np.fft.irfftn(buf, s=box, axes=axes)
+        return buf.reshape(X.shape[1], -1)[:, self.cells].T.reshape(U.shape)
 
     def apply(self, U: np.ndarray) -> np.ndarray:
         """Q U."""
         D = self.diagonal.reshape(-1, *(1,) * (U.ndim - 1))
         return D * U + self._convolve(U, self.kernel_hat)
 
+    @cached_property
+    def _inverse_symbol(self) -> np.ndarray:
+        return 1.0 / self.symbol
+
     def precondition(self, R: np.ndarray) -> np.ndarray:
         """P C⁻¹ Pᵀ R, with C the circulant whose eigenvalues are ``symbol``."""
-        return self._convolve(R, 1.0 / self.symbol)
+        return self._convolve(R, self._inverse_symbol)
 
 
 def _checked_ids(A: MultiIndicator, kp: KernelParams) -> np.ndarray:

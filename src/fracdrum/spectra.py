@@ -21,8 +21,11 @@ Above DENSE_LIMIT no N x N array is built: block LOBPCG (Knyazev, SISC
 2001) runs on the same operator and preconditioner, with the search basis
 kept orthonormal as in Hetmaniuk and Lehoucq (J. Comput. Phys. 218, 2006),
 a start block of low sine modes of the shape's bounding box, and a stop on
-the relative residuals of the requested pairs alone.  Every solve checks
-its residual, and a NaN fails every check.
+the relative residuals of the requested pairs alone.  One basis and its
+image are alive at a time: each iteration's are freed before the next is
+built, so a 1-D solve peaks at about 14 arrays of N x block floats.  Every
+solve checks its residual, and a NaN fails every check; a LOBPCG solve that
+misses it says why (``_lobpcg_failure``).
 
 Thread policy: every eigensolve, dense or LOBPCG, residual check included,
 runs with OpenBLAS on one thread (``_serial_blas``, which gives the
@@ -228,7 +231,7 @@ def dirichlet_eigs(A: MultiIndicator, kp: KernelParams, count: int,
         matvec, solver, iterations = Q.__matmul__, "eigh", 0
     else:
         op = form_operator(A, kp)
-        vals, vecs, iterations = _lobpcg(op, count, block)
+        vals, vecs, iterations, history = _lobpcg(op, count, block)
         matvec, solver = op.apply, "lobpcg"
     mass = A.grid.cell_volume
     lam = vals / mass
@@ -247,8 +250,11 @@ def dirichlet_eigs(A: MultiIndicator, kp: KernelParams, count: int,
         r = matvec(v) / mass - lam[j] * v
         residuals[j] = math.sqrt(mass * float(r @ r)) / abs(lam[j])
         if not residuals[j] <= RESIDUAL_RTOL:
-            raise RuntimeError(f"eigenpair {j + 1} residual {residuals[j]:.2e} exceeds "
-                               f"the solver contract ({solver}, {iterations} iterations)")
+            message = (f"eigenpair {j + 1} residual {residuals[j]:.2e} exceeds "
+                       f"the solver contract ({solver}, {iterations} iterations)")
+            if solver == "lobpcg":
+                raise _lobpcg_failure(message, op, vals[0], history)
+            raise RuntimeError(message)
     return SpectralResult(eigenvalues=lam, vectors=vecs, residuals=residuals,
                           solver=solver, iterations=iterations)
 
@@ -279,9 +285,29 @@ def _dense_pairs(Q: np.ndarray, count: int):
     return vals[:count], vecs
 
 
+def _lobpcg_failure(message: str, op: FormOperator, theta1: float,
+                    history: list) -> RuntimeError:
+    """The error of a LOBPCG solve that missed the residual contract.  Its
+    message adds the condition estimate of Q, the Gershgorin bound
+    2 max(d) / theta1 with theta1 Q's lowest Ritz value, and, where eps
+    times it passes a quarter of the contract, that the contract lies below
+    float64's floor (a backward-stable solve's residual is a few eps kappa).
+    ``residual_history`` holds ``_lobpcg``'s record of the residuals."""
+    kappa = 2.0 * float(op.diagonal.max()) / float(theta1)
+    floor = np.finfo(float).eps * kappa
+    message += f"; condition estimate {kappa:.2e}"
+    if floor > RESIDUAL_RTOL / 4:
+        message += (f", and eps times it, {floor:.1e}, puts the contract below "
+                    "float64's floor for this grid and s")
+    err = RuntimeError(message)
+    err.residual_history = history
+    return err
+
+
 def _lobpcg(op: FormOperator, count: int, block: int):
-    """The ``count`` lowest eigenpairs of the matrix ``op`` applies, and the
-    iterations taken, by block LOBPCG on ``block`` columns.
+    """The ``count`` lowest eigenpairs of the matrix ``op`` applies, the
+    iterations taken and the requested pairs' relative residuals at every
+    tenth iteration and the last, by block LOBPCG on ``block`` columns.
 
     The search basis [X, W, P] is kept orthonormal (Hetmaniuk and Lehoucq,
     J. Comput. Phys. 218, 2006), so each Rayleigh-Ritz step is a standard
@@ -298,10 +324,15 @@ def _lobpcg(op: FormOperator, count: int, block: int):
     theta, C = np.linalg.eigh(_symmetric(X.T @ AX))
     X, AX = X @ C, AX @ C
     P = AP = np.zeros((op.size, 0))
+    history = []
     for iterations in range(LOBPCG_MAXITER + 1):
         R = AX - X * theta
         res = np.linalg.norm(R, axis=0) / np.abs(theta)
-        if np.all(res[:count] <= tol) or iterations == LOBPCG_MAXITER:
+        done = np.all(res[:count] <= tol) or iterations == LOBPCG_MAXITER
+        if done or iterations % 10 == 0:
+            history.append({"iteration": iterations,
+                            "residuals": res[:count].tolist()})
+        if done:
             break
         W = _orthonormal(op.precondition(R[:, res > tol]), X, P)
         S = np.hstack([X, W, P])
@@ -315,7 +346,9 @@ def _lobpcg(op: FormOperator, count: int, block: int):
         Z = _orthonormal(Z, C)
         X, AX = S @ C, AS @ C
         P, AP = S @ Z, AS @ Z
-    return theta[:count], X[:, :count], iterations
+        # the next basis is built with this one's blocks and images freed
+        del S, AS, W, Z
+    return theta[:count], X[:, :count], iterations, history
 
 
 def _symmetric(G: np.ndarray) -> np.ndarray:

@@ -699,6 +699,23 @@ def test_torsion_cg_without_convergence_exits_3(tmp_path, monkeypatch):
     assert not (out / "summary.json").exists()
 
 
+def test_lobpcg_out_of_iterations_exits_3_with_its_residual_history(tmp_path,
+                                                                   monkeypatch):
+    # 1024 cells, above DENSE_LIMIT: the matrix-free branch
+    monkeypatch.setattr("fracdrum.spectra.LOBPCG_MAXITER", 3)
+    doc = {"n": 1, "s": 0.5, "h": 1 / 512, "L": 2.0, "count": 2,
+           "shape": {"kind": "intervals", "items": [[0, -1.0, 1.0]]}}
+    code, out = run_cli(tmp_path, "eigs", doc)
+    assert code == 3
+    record = json.loads((out / "error.json").read_text())
+    assert "(lobpcg, 3 iterations); condition estimate" in record["error"]
+    assert "floor" not in record["error"]
+    history = record["residual_history"]
+    assert [row["iteration"] for row in history] == [0, 3]
+    assert all(len(row["residuals"]) == 2 for row in history)
+    assert not (out / "summary.json").exists()
+
+
 def test_annealer_with_no_legal_move_exits_2_naming_k(tmp_path, capsys):
     # both interior cells are filled and k = 2 forbids any removal
     doc = {"n": 1, "s": 0.5, "h": 0.5, "L": 1.0, "k": 2, "steps": 3,

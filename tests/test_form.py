@@ -9,7 +9,9 @@ from fracdrum import (GridSpec, KernelParams, LatticeField, MultiIndicator,
                       assemble_form, bilinear, energy_decomposition,
                       form_operator, interaction_energy, rayleigh,
                       translation_gradient)
+import fracdrum.form as form
 from fracdrum.form import _box_tail
+from test_extension import traced_peak
 
 NSUB = 4
 SUB = [(i + 0.5) / NSUB - 0.5 for i in range(NSUB)]
@@ -174,6 +176,49 @@ def test_tail_2d_matches_quadrature():
         for (x0, x1), tail in zip(centers, lib):
             # the adaptive strips themselves limit agreement near the corner
             assert tail == pytest.approx(quad_tail_2d(x0, x1, g.L, s), rel=2e-6)
+
+
+def box_tail_in_one_call(g, s):
+    """The 2-D box tail with the corner table evaluated in one
+    ``_corner_integral`` call over all m^2 cells: the evaluation that the
+    row chunks replaced, kept as reference."""
+    x = g.axis_centers()
+    low = x + g.L
+    lo, hi = low ** (-2 * s), (g.L - x) ** (-2 * s)
+    halfplane = math.sqrt(math.pi) * math.gamma(s + 0.5) / (2 * s * math.gamma(1 + s))
+    tot = halfplane * ((lo + hi)[:, None] + lo[None, :] + hi[None, :])
+    gx, gy = np.meshgrid(low, low, indexing="ij")
+    table = form._corner_integral(gx.ravel(), gy.ravel(), s).reshape(gx.shape)
+    for corner in (table, table[:, ::-1], table[::-1, :], table[::-1, ::-1]):
+        tot -= corner
+    return tot.ravel()
+
+
+# m^2 = 1024 and 400 cells, below one chunk; 16384 and 65536, whole chunks;
+# 6400, a last chunk cut short
+@pytest.mark.parametrize("h", [1 / 16, 1 / 40, 0.1, 1 / 64, 1 / 128])
+@pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+def test_box_tail_in_row_chunks_keeps_every_bit(h, s):
+    g = GridSpec(n=2, h=h, L=1.0)
+    assert np.array_equal(_box_tail(g, s), box_tail_in_one_call(g, s))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1024, 1025])
+def test_box_tail_bits_do_not_depend_on_the_chunk(monkeypatch, chunk):
+    # 1024 = m^2 here: one chunk exactly; 1025 leaves it one short
+    g = GridSpec(n=2, h=1 / 16, L=1.0)
+    monkeypatch.setattr(form, "_TAIL_CHUNK", chunk)
+    assert np.array_equal(_box_tail(g, 0.3), box_tail_in_one_call(g, 0.3))
+
+
+def test_box_stencil_peak_memory():
+    # a box of m = 256 cells per side.  The build measured a 10.1 MiB peak
+    # with the corner table in chunks of 2048 cells (103 MiB when all
+    # m^2 = 65536 cells' (m^2, 48) quadrature temporaries were alive at once)
+    g, kp = GridSpec(n=2, h=1 / 128, L=1.0), KernelParams(n=2, s=0.5)
+    assert g.cells_per_side == 256
+    peak = traced_peak(lambda: form._box_stencil.__wrapped__(g, kp))
+    assert peak < 16 * 2 ** 20
 
 
 @pytest.mark.parametrize("seed,count,h", [(0, 10, 0.125), (1, 40, 0.125),

@@ -14,6 +14,7 @@ from fracdrum import (GridSpec, KernelParams, LatticeField, MultiIndicator,
                       assemble_form, dirichlet_eigs, form_operator,
                       gamma_distance, kernel_operator_constant, objective,
                       rayleigh, torsion_solve)
+from test_extension import traced_peak
 
 
 def interval(h, lo=-1.0, hi=1.0, L=2.0, copies=1, copy=0):
@@ -264,9 +265,9 @@ def test_lobpcg_branch_keeps_residual_contract(monkeypatch):
     lobpcg = spectra._lobpcg
 
     def perturbed(*args, **kwargs):
-        vals, vecs, iterations = lobpcg(*args, **kwargs)
+        vals, vecs, *rest = lobpcg(*args, **kwargs)
         noise = 1e-6 * np.random.default_rng(0).normal(size=vecs.shape)
-        return vals, vecs + noise, iterations
+        return vals, vecs + noise, *rest
     monkeypatch.setattr(spectra, "DENSE_LIMIT", 4)
     monkeypatch.setattr(spectra, "_lobpcg", perturbed)
     with pytest.raises(RuntimeError, match="residual"):
@@ -278,8 +279,39 @@ def test_lobpcg_branch_out_of_iterations_raises(monkeypatch):
     monkeypatch.setattr(spectra, "DENSE_LIMIT", 4)
     monkeypatch.setattr(spectra, "LOBPCG_MAXITER", 1)
     with pytest.raises(RuntimeError,
-                       match=r"residual .* contract \(lobpcg, 1 iterations\)$"):
+                       match=r"residual .* contract \(lobpcg, 1 iterations\); "
+                             r"condition estimate \d\.\d\de\+\d\d$"):
         dirichlet_eigs(A, KP, 3)
+
+
+def test_lobpcg_failure_below_the_float64_floor_says_so(monkeypatch):
+    # a contract below eps times the condition estimate cannot be met; the
+    # error says so and carries the residuals of the requested pairs at
+    # every tenth iteration and the last
+    A = interval(0.0625, -1.5, 1.0)
+    monkeypatch.setattr(spectra, "DENSE_LIMIT", 4)
+    monkeypatch.setattr(spectra, "LOBPCG_MAXITER", 12)
+    monkeypatch.setattr(spectra, "RESIDUAL_RTOL", 1e-20)
+    with pytest.raises(RuntimeError, match=r"condition estimate \d.*below "
+                       "float64's floor for this grid and s$") as err:
+        dirichlet_eigs(A, KP, 3)
+    history = err.value.residual_history
+    assert [row["iteration"] for row in history] == [0, 10, 12]
+    assert all(len(row["residuals"]) == 3 for row in history)
+    assert history[-1]["residuals"][0] < history[0]["residuals"][0]
+
+
+def test_lobpcg_peak_memory():
+    # the refine workload's largest LOBPCG solve, N = 4096 with a block of 8.
+    # One solve measured a peak of 14.0 arrays of N x block floats (19.2 when
+    # each iteration's basis [X, W, P] and its image stayed alive while the
+    # next was built, and the FFT's scatter box through its inverse)
+    op = form_operator(interval(1 / 2048), KP)
+    count, block = 4, 8
+    assert op.size == 4096
+    spectra._lobpcg(op, count, block)          # pocketfft's plans
+    peak = traced_peak(lambda: spectra._lobpcg(op, count, block))
+    assert peak < 17.5 * op.size * block * 8
 
 
 def test_lobpcg_branch_runs_on_one_blas_thread(monkeypatch):
@@ -634,17 +666,17 @@ def test_lobpcg_branch_refuses_nan_pairs(monkeypatch):
     lobpcg = spectra._lobpcg
 
     def nan_theta(*args, **kwargs):
-        theta, X, iterations = lobpcg(*args, **kwargs)
-        return np.full_like(theta, np.nan), X, iterations
+        theta, X, *rest = lobpcg(*args, **kwargs)
+        return np.full_like(theta, np.nan), X, *rest
     monkeypatch.setattr(spectra, "DENSE_LIMIT", 4)
     monkeypatch.setattr(spectra, "_lobpcg", nan_theta)
     with pytest.raises(RuntimeError, match="definiteness"):
         dirichlet_eigs(interval(0.03125, -1.5, 1.0), KP, 4)
 
     def nan_second(*args, **kwargs):
-        theta, X, iterations = lobpcg(*args, **kwargs)
+        theta, X, *rest = lobpcg(*args, **kwargs)
         theta[1] = np.nan
-        return theta, X, iterations
+        return theta, X, *rest
     monkeypatch.setattr(spectra, "_lobpcg", nan_second)
     with pytest.raises(RuntimeError, match="residual"):
         dirichlet_eigs(interval(0.03125, -1.5, 1.0), KP, 4)
